@@ -52,7 +52,6 @@ from .poly_core import (
     poly_to_strings,
     rat,
     rat_parse,
-    rat_str,
 )
 from .taylor_baseline import (
     DEGREE_CUTOFF,

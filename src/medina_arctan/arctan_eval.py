@@ -17,8 +17,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .medina import medina_error_bound, medina_h
-from .poly_core import RatLike, poly_eval_horner, rat
+from .medina import medina_error_bound, medina_h, medina_min_m_for
+from .poly_core import RatLike, check_int, check_positive, poly_eval_horner, rat
 
 # Decimal places printed when the caller asks to see past the guarantee.
 FULL_DECIMAL_DIGITS = 30
@@ -83,6 +83,12 @@ class ApproxResult:
     pi_terms_used: int
 
 
+def _bound_multiple(trace: ReductionTrace) -> int:
+    """A result's bound in units of 4^(-5m): 1 for h_m, plus 4 for pi's
+    bootstrap when the reciprocal identity applied."""
+    return 5 if ReductionStep.RECIPROCAL in trace.steps else 1
+
+
 def medina_arctan(x: RatLike, m: int) -> ApproxResult:
     """Approximate arctan(x) with h_m after range reduction.
 
@@ -98,7 +104,7 @@ def medina_arctan(x: RatLike, m: int) -> ApproxResult:
         value = pi_estimate(m).value / 2 - value
     if ReductionStep.NEGATE in trace.steps:
         value = -value
-    bound = medina_error_bound(m) * (1 + 4 * pi_terms)
+    bound = medina_error_bound(m) * _bound_multiple(trace)
     return ApproxResult(
         value=value, error_bound=bound, m=m, trace=trace, pi_terms_used=pi_terms
     )
@@ -106,24 +112,21 @@ def medina_arctan(x: RatLike, m: int) -> ApproxResult:
 
 def arctan_auto(x: RatLike, eps: RatLike) -> ApproxResult:
     """The smallest-m result whose whole budget, pi bootstrap included, meets eps."""
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    trace = reduce(x)
-    pi_terms = 1 if ReductionStep.RECIPROCAL in trace.steps else 0
-    m = 1
-    while medina_error_bound(m) * (1 + 4 * pi_terms) > eps:
-        m += 1
-    return medina_arctan(x, m)
+    eps = check_positive(eps, "eps")
+    return medina_arctan(x, medina_min_m_for(eps / _bound_multiple(reduce(x))))
 
 
 def guaranteed_digits(bound: RatLike) -> int:
-    """Largest d >= 0 with 10^-d / 2 >= bound; 0 when no place is certain."""
-    bound = rat(bound)
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    d = 0
-    while Fraction(1, 2 * 10 ** (d + 1)) >= bound:
+    """Largest d >= 0 with 10^-d / 2 >= bound; 0 when no place is certain.
+
+    That is the largest d with 10^d <= q = den // (2 num).  The estimate
+    from q's bit length (3010299956 / 10^10 is just below log10 2) is never
+    above it and at most one short.
+    """
+    bound = check_positive(bound, "bound")
+    q = bound.denominator // (2 * bound.numerator)
+    d = max(0, (q.bit_length() - 1) * 3010299956 // 10**10)
+    while 10 ** (d + 1) <= q:
         d += 1
     return d
 
@@ -134,8 +137,7 @@ def decimal_str(value: RatLike, digits: int) -> str:
     Rounding is to nearest with ties to even, computed on the exact scaled
     rational, so the printed digits are the true rounded digits.
     """
-    if not isinstance(digits, int) or isinstance(digits, bool) or digits < 0:
-        raise ValueError(f"digits must be a nonnegative integer, got {digits!r}")
+    check_int(digits, "digits", 0)
     scaled = round(rat(value) * 10**digits)
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .arctan_eval import approx_result_json, arctan_auto, medina_arctan
 from .medina import medina_p_closed, medina_pair
-from .poly_core import degree, poly_eval_horner, rat_parse
+from .poly_core import check_int, degree, poly_eval_horner, rat_parse
 from .taylor_baseline import COMPARISON_COLUMNS, DegreeLimitError, comparison_row
 from .verify import WorkLimitExceeded, corrupted_seed, run_suite
 
@@ -156,8 +156,6 @@ def cmd_arctan(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if not 0 <= args.x <= 1:
-        raise ValueError(f"x must lie in [0, 1] for the comparison table, got {args.x}")
     row = comparison_row(args.x, args.eps, oracle_mode=(args.taylor_mode == "oracle"))
     writer = csv.DictWriter(sys.stdout, fieldnames=COMPARISON_COLUMNS)
     writer.writeheader()
@@ -212,10 +210,8 @@ def _max_coeff_bits(p) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.m_max < 1:
-        raise ValueError(f"m-max must be >= 1, got {args.m_max}")
-    if args.points < 1:
-        raise ValueError(f"points must be >= 1, got {args.points}")
+    check_int(args.m_max, "m-max", 1)
+    check_int(args.points, "points", 1)
     points = bench_points(args.points, args.seed)
     writer = csv.writer(sys.stdout)
     writer.writerow(("m", "degree", "points", "wall_time"))
@@ -237,10 +233,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DegreeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (DegreeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,6 +27,8 @@ from functools import lru_cache
 from .poly_core import (
     Poly,
     RatLike,
+    check_int,
+    check_positive,
     poly,
     poly_add,
     poly_antiderivative,
@@ -35,18 +37,11 @@ from .poly_core import (
     poly_pow,
     poly_scale,
     poly_to_strings,
-    rat,
 )
 
 _SEED: Poly = poly([4, 0, -4, 0, 5, -4, 1])
-_HUMP: Poly = poly([0, 1, -1])  # x(1 - x), the factor that damps each step
+HUMP: Poly = poly([0, 1, -1])  # x(1 - x), the factor that damps each step
 _ONE_PLUS_XSQ: Poly = poly([1, 0, 1])
-
-
-def _check_index(m) -> int:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"sequence index must be an integer >= 1, got {m!r}")
-    return m
 
 
 def medina_p1() -> Poly:
@@ -57,29 +52,37 @@ def medina_p1() -> Poly:
 @lru_cache(maxsize=None)
 def window_poly(m: int) -> Poly:
     """Coefficients of x^{4m} (1-x)^{4m}, degree 8m, tiny throughout [0, 1]."""
-    _check_index(m)
-    return poly_pow(_HUMP, 4 * m)
+    check_int(m, "sequence index", 1)
+    return poly_pow(HUMP, 4 * m)
 
 
-def _unfold_recurrence(seed: Poly, m: int) -> Poly:
-    """Run p_j = x^4 (1-x)^4 p_{j-1} + (-4)^(j-1) * seed up from p_1 = seed."""
-    step = poly_pow(_HUMP, 4)
+def build(seed: Poly, m: int) -> tuple[Poly, Poly]:
+    """(p_m, h_m) grown from p_1 = seed; the package's one construction path.
+
+    p_j = x^4 (1-x)^4 p_{j-1} + (-4)^(j-1) seed for j = 2..m, then h_m is
+    the antiderivative of p_m / ((-1)^(m+1) 4^m), anchored at 0.  Any seed
+    is accepted, so the verifier can grow a corrupted one.
+    """
+    step = window_poly(1)
     p = seed
     for j in range(2, m + 1):
         p = poly_add(poly_mul(step, p), poly_scale(seed, Fraction(-4) ** (j - 1)))
-    return p
+    return p, poly_antiderivative(poly_scale(p, 1 / medina_scale(m)))
 
 
 @lru_cache(maxsize=None)
+def _shipped(m: int) -> tuple[Poly, Poly]:
+    # One build per index serves both medina_p_recurrence and medina_h.
+    return build(_SEED, m)
+
+
 def medina_p_recurrence(m: int) -> Poly:
     """p_m built by unfolding the recurrence; degree 8m - 2."""
-    _check_index(m)
-    return _unfold_recurrence(_SEED, m)
+    return _shipped(check_int(m, "sequence index", 1))[0]
 
 
 def medina_closed_numerator(m: int) -> Poly:
     """x^{4m} (1-x)^{4m} - (-4)^m, the numerator divided by 1 + x^2 below."""
-    _check_index(m)
     return poly_add(window_poly(m), poly([-((-4) ** m)]))
 
 
@@ -91,7 +94,6 @@ def medina_p_closed(m: int) -> Poly:
     construction itself is broken, so that raises instead of returning
     a truncated quotient.
     """
-    _check_index(m)
     quotient, remainder = poly_divmod(medina_closed_numerator(m), _ONE_PLUS_XSQ)
     if remainder:
         raise ArithmeticError(
@@ -102,7 +104,7 @@ def medina_p_closed(m: int) -> Poly:
 
 def medina_scale(m: int) -> Fraction:
     """The normalizer (-1)^(m+1) * 4^m: 4, -16, 64, ..."""
-    _check_index(m)
+    check_int(m, "sequence index", 1)
     return Fraction((-1) ** (m + 1) * 4**m)
 
 
@@ -112,25 +114,24 @@ def medina_h(m: int) -> Poly:
 
     Degree 8m - 1.
     """
-    _check_index(m)
-    return poly_antiderivative(poly_scale(medina_p_recurrence(m), 1 / medina_scale(m)))
+    return _shipped(check_int(m, "sequence index", 1))[1]
 
 
 def medina_error_bound(m: int) -> Fraction:
     """The guaranteed uniform bound 4^(-5m) on |h_m - arctan| over [0, 1]."""
-    _check_index(m)
+    check_int(m, "sequence index", 1)
     return Fraction(1, 4 ** (5 * m))
 
 
 def medina_min_m_for(eps: RatLike) -> int:
-    """Smallest index whose guaranteed bound 4^(-5m) is at most eps."""
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    m = 1
-    while medina_error_bound(m) > eps:
-        m += 1
-    return m
+    """Smallest index whose guaranteed bound 4^(-5m) is at most eps.
+
+    With eps = num/den and t = ceil(den/num), 4^(-5m) <= eps exactly when
+    2^(10m) >= t, that is when 10m >= bit_length(t - 1).
+    """
+    eps = check_positive(eps, "eps")
+    t = -(-eps.denominator // eps.numerator)
+    return max(1, -(-(t - 1).bit_length() // 10))
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,5 @@ class MedinaPair:
 
 def medina_pair(m: int, *, closed: bool = False) -> MedinaPair:
     """Bundle (m, p_m, h_m, bound); closed=True takes p_m from the closed form."""
-    _check_index(m)
     p = medina_p_closed(m) if closed else medina_p_recurrence(m)
     return MedinaPair(m=m, p=p, h=medina_h(m), bound=medina_error_bound(m))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly_core import RatLike, rat
+from .poly_core import RatLike, check_positive, rat
 
 _HALF = Fraction(1, 2)
 
@@ -55,13 +55,6 @@ class Enclosure:
         return {"lo": str(self.lo), "hi": str(self.hi)}
 
 
-def _check_eps(eps: RatLike) -> Fraction:
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return eps
-
-
 def _series_enclosure(x: Fraction, eps: Fraction) -> Enclosure:
     """Bracket from consecutive alternating partial sums; needs 0 < x <= 1/2.
 
@@ -86,7 +79,7 @@ def _series_enclosure(x: Fraction, eps: Fraction) -> Enclosure:
 def arctan_enclosure(x: RatLike, eps: RatLike) -> Enclosure:
     """A rational interval containing arctan(x), of width at most eps."""
     x = rat(x)
-    eps = _check_eps(eps)
+    eps = check_positive(eps, "eps")
     if x < 0:
         inner = arctan_enclosure(-x, eps)
         return Enclosure(-inner.hi, -inner.lo)
@@ -112,6 +105,6 @@ def pi_enclosure(eps: RatLike) -> Enclosure:
     Scaled up from arctan(1), which resolves through the pivot at 1/2; the
     quarter-circle budget eps/4 widens by exactly 4 on scaling.
     """
-    eps = _check_eps(eps)
+    eps = check_positive(eps, "eps")
     quarter = arctan_enclosure(Fraction(1), eps / 4)
     return Enclosure(4 * quarter.lo, 4 * quarter.hi)

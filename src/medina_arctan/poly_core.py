@@ -57,9 +57,26 @@ def rat_parse(text: str) -> Fraction:
         raise ValueError(f"malformed rational {text!r}") from None
 
 
-def rat_str(value: Fraction) -> str:
-    """Render a Fraction as "p/q", or plain "p" when the denominator is 1."""
-    return str(value)
+def check_int(value, name: str, least: int) -> int:
+    """value itself when it is an int (not a bool) of at least `least`.
+
+    Anything else raises ValueError naming the parameter.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def check_positive(value: RatLike, name: str) -> Fraction:
+    """value as an exact Fraction when it is > 0; ValueError otherwise.
+
+    Unlike check_int, this coerces through rat, so "1e-9" is accepted and a
+    float still raises TypeError.
+    """
+    value = rat(value)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    return value
 
 
 def normalize(coeffs: Iterable[Fraction]) -> Poly:
@@ -139,8 +156,7 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
 
 def poly_pow(p: Poly, k: int) -> Poly:
     """p**k by repeated squaring; p**0 is the unit polynomial (1,)."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
+    check_int(k, "exponent", 0)
     result = ONE_POLY
     base = p
     while k:

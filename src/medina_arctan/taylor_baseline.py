@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .medina import medina_h, medina_min_m_for
 from .oracle import arctan_enclosure
-from .poly_core import Poly, RatLike, poly_eval_horner, rat
+from .poly_core import Poly, RatLike, check_int, check_positive, poly_eval_horner, rat
 
 DEGREE_CUTOFF = 10001
 
@@ -31,7 +31,8 @@ COMPARISON_COLUMNS = (
 
 
 class DegreeLimitError(RuntimeError):
-    """The degree search passed DEGREE_CUTOFF without reaching the target."""
+    """A search gave up at its limit: the degree passed DEGREE_CUTOFF, or
+    enclosure tightening could not separate a near tie from eps."""
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ class TaylorPoly:
 
 
 def _check_degree(n) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1 or n % 2 == 0:
-        raise ValueError(f"degree must be an odd integer >= 1, got {n!r}")
+    if check_int(n, "degree", 1) % 2 == 0:
+        raise ValueError(f"degree must be odd, got {n!r}")
     return n
 
 
@@ -79,7 +80,8 @@ def _certified_below(partial: Fraction, x: Fraction, eps: Fraction):
 
     Returns True/False once the enclosure is narrow enough that the answer
     cannot flip.  The ties eps and the enclosure endpoints are all rational,
-    so equality is detected exactly and treated as "not below".
+    so equality is detected exactly and treated as "not below".  A tie
+    closer than the last of 12 tightenings raises DegreeLimitError.
     """
     width = eps / 2**20
     for _ in range(12):
@@ -93,7 +95,7 @@ def _certified_below(partial: Fraction, x: Fraction, eps: Fraction):
         if best >= eps:
             return False
         width /= 2**10
-    raise RuntimeError(
+    raise DegreeLimitError(
         f"could not separate the error at x={x} from eps={eps} "
         "after repeated enclosure tightening"
     )
@@ -109,9 +111,7 @@ def taylor_min_degree(x: RatLike, eps: RatLike, oracle_mode: bool = False) -> in
     like 1/n there.
     """
     x = _check_unit_interval(x)
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = check_positive(eps, "eps")
 
     if not oracle_mode:
         n = 1
@@ -150,9 +150,7 @@ def medina_min_m_observed(x: RatLike, eps: RatLike) -> int:
     approximant degree 8m - 1 would pass DEGREE_CUTOFF.
     """
     x = _check_unit_interval(x)
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = check_positive(eps, "eps")
     m = 1
     while True:
         value = poly_eval_horner(medina_h(m), x)

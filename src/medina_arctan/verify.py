@@ -21,10 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
+from itertools import count, zip_longest
+from operator import eq, ge, le
 from typing import Optional
 
 from .medina import (
-    _unfold_recurrence,
+    HUMP,
+    build,
     medina_h,
     medina_p1,
     medina_p_recurrence,
@@ -34,19 +38,18 @@ from .medina import (
 from .oracle import arctan_enclosure
 from .poly_core import (
     Poly,
+    check_int,
     poly,
     poly_antiderivative,
     poly_derivative,
     poly_eval_horner,
     poly_eval_powers,
     poly_mul,
-    poly_scale,
     poly_sub,
 )
 
 DEFAULT_WORK_LIMIT = 2_000_000
 
-_HUMP: Poly = poly([0, 1, -1])
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
@@ -116,17 +119,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, units: int = 1) -> None:
-        self.used += units
-        if self.used > self.limit:
-            raise _BudgetExhausted()
-
-
 def run_suite(
     grid_n: int,
     m_max: int,
@@ -137,40 +129,66 @@ def run_suite(
     """Check every lemma on the k/grid_n grid for indices 1..m_max.
 
     base_poly overrides the seed of the sequence (the fault-injection hook);
-    the default checks the polynomials the package actually ships.
+    the default checks the polynomials the package actually ships.  Nothing
+    is built before the work meter has paid for the step that needs it.
     """
-    if not isinstance(grid_n, int) or isinstance(grid_n, bool) or grid_n < 2:
-        raise ValueError(f"grid_n must be an integer >= 2, got {grid_n!r}")
-    if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 1:
-        raise ValueError(f"m_max must be an integer >= 1, got {m_max!r}")
-    limit = DEFAULT_WORK_LIMIT if work_limit is None else work_limit
-    if limit < 1:
-        raise ValueError(f"work limit must be a positive integer, got {limit!r}")
+    check_int(grid_n, "grid_n", 2)
+    check_int(m_max, "m_max", 1)
+    limit = check_int(
+        DEFAULT_WORK_LIMIT if work_limit is None else work_limit, "work limit", 1
+    )
 
-    budget = _Budget(limit)
-    xs = [Fraction(k, grid_n) for k in range(grid_n + 1)]
+    used = count(1)
+
+    def spend() -> None:
+        if next(used) > limit:
+            raise _BudgetExhausted()
+
     indices = range(1, m_max + 1)
+    seed = None if base_poly is None else poly(base_poly)
 
-    if base_poly is None:
-        p_of = {m: medina_p_recurrence(m) for m in indices}
-        h_of = {m: medina_h(m) for m in indices}
-    else:
-        seed = poly(base_poly)
-        p_of = {m: _unfold_recurrence(seed, m) for m in indices}
-        h_of = {
-            m: poly_antiderivative(poly_scale(p_of[m], 1 / medina_scale(m)))
-            for m in indices
-        }
+    @cache
+    def pair(m: int) -> tuple[Poly, Poly]:
+        """(p_m, h_m): the shipped pair, or one grown from the injected seed."""
+        if seed is None:
+            return medina_p_recurrence(m), medina_h(m)
+        return build(seed, m)
+
+    points: list[Fraction] = []
+
+    def grid():
+        """The points k/grid_n, each made after its first unit of work is spent."""
+        for k in range(grid_n + 1):
+            spend()
+            if k == len(points):
+                points.append(Fraction(k, grid_n))
+            yield points[k]
+
+    def scan(claim, holds, rows=None):
+        """(True, None), or (False, witness) at the first point where the
+        claim fails: holds(lhs, rhs) is false for (lhs, rhs) = sides(x).
+
+        rows yields the arguments of claim, m first; by default (m,) for
+        each index.  sides = claim(*row) is made once the row's first unit
+        is spent.
+        """
+        for row in rows or ((m,) for m in indices):
+            sides = None
+            for x in grid():
+                sides = sides or claim(*row)
+                lhs, rhs = sides(x)
+                if not holds(lhs, rhs):
+                    return False, Witness(x=x, m=row[0], lhs=lhs, rhs=rhs)
+        return True, None
 
     def check_peak_bound():
-        symbolic = poly_sub(poly([_QUARTER]), _HUMP) == poly_mul(
+        symbolic = poly_sub(poly([_QUARTER]), HUMP) == poly_mul(
             poly([-_HALF, 1]), poly([-_HALF, 1])
         )
         if not symbolic:
             return False, Witness(x=None, m=None, lhs=Fraction(0), rhs=_QUARTER)
         witness = None
-        for x in xs:
-            budget.spend()
+        for x in grid():
             value = x * (1 - x)
             if value > _QUARTER or (value == _QUARTER) != (x == _HALF):
                 return False, Witness(x=x, m=None, lhs=value, rhs=_QUARTER)
@@ -179,93 +197,58 @@ def run_suite(
         return True, witness
 
     def check_peak_slope():
-        budget.spend()
-        slope = poly_derivative(_HUMP)
+        spend()
+        slope = poly_derivative(HUMP)
         at_half = poly_eval_horner(slope, _HALF)
         if slope != poly([1, -2]) or at_half != 0:
             return False, Witness(x=_HALF, m=None, lhs=at_half, rhs=Fraction(0))
         return True, None
 
-    def check_power_bound():
-        for m in indices:
-            cap = Fraction(1, 4 ** (4 * m))
-            for x in xs:
-                budget.spend()
-                value = (x * (1 - x)) ** (4 * m)
-                if value > cap:
-                    return False, Witness(x=x, m=m, lhs=value, rhs=cap)
-        return True, None
+    def power_bound(m):
+        cap = Fraction(1, 4 ** (4 * m))
+        return lambda x: ((x * (1 - x)) ** (4 * m), cap)
 
-    def check_integral_bound():
-        for m in indices:
-            cap = Fraction(1, 4 ** (4 * m))
-            anti = poly_antiderivative(window_poly(m))
-            for x in xs:
-                budget.spend()
-                integral = poly_eval_horner(anti, x)
-                if integral > cap * x:
-                    return False, Witness(x=x, m=m, lhs=integral, rhs=cap * x)
-                if integral > cap:
-                    return False, Witness(x=x, m=m, lhs=integral, rhs=cap)
-        return True, None
+    def integral_bound(m):
+        cap = Fraction(1, 4 ** (4 * m))
+        anti = poly_antiderivative(window_poly(m))
+        # Both caps at once: 4^{-4m} x, and 4^{-4m} itself.
+        return lambda x: (poly_eval_horner(anti, x), min(cap * x, cap))
 
-    def check_closed_identity():
-        for m in indices:
-            shift = Fraction((-4) ** m)
-            for x in xs:
-                budget.spend()
-                lhs = (1 + x * x) * poly_eval_horner(p_of[m], x) + shift
-                rhs = (x * (1 - x)) ** (4 * m)
-                if lhs != rhs:
-                    return False, Witness(x=x, m=m, lhs=lhs, rhs=rhs)
-        return True, None
+    def closed_identity(m):
+        p, shift = pair(m)[0], Fraction((-4) ** m)
+        return lambda x: (
+            (1 + x * x) * poly_eval_horner(p, x) + shift,
+            (x * (1 - x)) ** (4 * m),
+        )
 
-    def check_integrand_sign():
-        for m in indices:
-            scale = medina_scale(m)
-            for x in xs:
-                budget.spend()
-                value = poly_eval_horner(p_of[m], x) - scale / (1 + x * x)
-                if value < 0:
-                    return False, Witness(x=x, m=m, lhs=value, rhs=Fraction(0))
-        return True, None
+    def integrand_sign(m):
+        p, scale = pair(m)[0], medina_scale(m)
+        return lambda x: (poly_eval_horner(p, x) - scale / (1 + x * x), Fraction(0))
 
-    def check_final_bound():
-        for m in indices:
-            bound = Fraction(1, 4 ** (5 * m))
-            enclosure_width = bound / 16
-            for x in xs:
-                budget.spend()
-                enc = arctan_enclosure(x, enclosure_width)
-                value = poly_eval_horner(h_of[m], x)
-                lhs = abs(value - enc.mid) + enc.width / 2
-                if lhs > bound:
-                    return False, Witness(x=x, m=m, lhs=lhs, rhs=bound)
-        return True, None
+    def final_bound(m):
+        h, bound = pair(m)[1], Fraction(1, 4 ** (5 * m))
+        width = bound / 16
+
+        def sides(x):
+            enc = arctan_enclosure(x, width)
+            return abs(poly_eval_horner(h, x) - enc.mid) + enc.width / 2, bound
+
+        return sides
 
     def check_round_trip():
         for m in indices:
-            budget.spend()
-            derived = poly_derivative(poly_antiderivative(p_of[m]))
-            if derived != p_of[m]:
-                # Witness the first differing coefficient.
-                for i in range(max(len(derived), len(p_of[m]))):
-                    a = derived[i] if i < len(derived) else Fraction(0)
-                    b = p_of[m][i] if i < len(p_of[m]) else Fraction(0)
-                    if a != b:
-                        return False, Witness(x=None, m=m, lhs=a, rhs=b)
+            spend()
+            p = pair(m)[0]
+            derived = poly_derivative(poly_antiderivative(p))
+            # Witness the first differing coefficient.
+            for a, b in zip_longest(derived, p, fillvalue=Fraction(0)):
+                if a != b:
+                    return False, Witness(x=None, m=m, lhs=a, rhs=b)
         return True, None
 
-    def check_eval_schemes():
-        for m in indices:
-            for target in (p_of[m], h_of[m]):
-                for x in xs:
-                    budget.spend()
-                    horner = poly_eval_horner(target, x)
-                    powers = poly_eval_powers(target, x)
-                    if horner != powers:
-                        return False, Witness(x=x, m=m, lhs=horner, rhs=powers)
-        return True, None
+    def schemes_agree(m, which):
+        target = pair(m)[which]
+        return lambda x: (poly_eval_horner(target, x), poly_eval_powers(target, x))
 
     lemmas = (
         (
@@ -282,29 +265,29 @@ def run_suite(
         (
             "L3",
             "(x(1-x))^{4m} <= 4^{-4m} on [0, 1]",
-            check_power_bound,
+            partial(scan, power_bound, le),
         ),
         (
             "L4",
             "the integral of x^{4m}(1-x)^{4m} from 0 to x is at most "
             "4^{-4m} x, hence at most 4^{-4m}",
-            check_integral_bound,
+            partial(scan, integral_bound, le),
         ),
         (
             "L5",
             "(1 + x^2) p_m(x) + (-4)^m equals x^{4m}(1-x)^{4m} identically",
-            check_closed_identity,
+            partial(scan, closed_identity, eq),
         ),
         (
             "L6",
             "p_m(x) - ((-1)^{m+1} 4^m)/(1 + x^2) >= 0 on [0, 1]",
-            check_integrand_sign,
+            partial(scan, integrand_sign, ge),
         ),
         (
             "L7",
             "|h_m(x) - arctan(x)| <= 4^{-5m} on [0, 1], decided against "
             "enclosures of width 4^{-5m-2}",
-            check_final_bound,
+            partial(scan, final_bound, le),
         ),
         (
             "L8",
@@ -316,7 +299,8 @@ def run_suite(
             "L9",
             "Horner and explicit-powers evaluation agree on p_m and h_m "
             "at every grid point",
-            check_eval_schemes,
+            # p_m at every point, then h_m, for each m in turn.
+            partial(scan, schemes_agree, eq, ((m, i) for m in indices for i in (0, 1))),
         ),
     )
 
@@ -325,13 +309,13 @@ def run_suite(
         try:
             passed, witness = runner()
         except _BudgetExhausted:
-            partial = VerificationReport(
+            done = VerificationReport(
                 checks=tuple(checks), grid_size=grid_n, m_max=m_max
             )
             raise WorkLimitExceeded(
                 f"work limit {limit} exhausted during {lemma_id} "
                 f"({len(checks)} of {len(lemmas)} checks completed)",
-                partial,
+                done,
             ) from None
         checks.append(
             LemmaCheck(

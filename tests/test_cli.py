@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from medina_arctan.arctan_eval import decimal_str
 from medina_arctan.cli import BENCH_SEED, bench_points, main
+from medina_arctan.oracle import arctan_enclosure
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +149,18 @@ def test_compare_domain_exit_2(capsys):
     code, _, err = run_cli(capsys, "compare", "--x", "2", "--eps", "0.001")
     assert code == 2
     assert "error" in err
+
+
+def test_compare_near_tie_is_a_resource_error(capsys):
+    # eps agrees with |1/2 - arctan(1/2)|, the degree-1 error, to 70 places,
+    # closer than twelve rounds of enclosure tightening can resolve.
+    half = Fraction(1, 2)
+    eps = decimal_str(half - arctan_enclosure(half, Fraction(1, 10**90)).mid, 70)
+    code, out, err = run_cli(capsys, "compare", "--x", "1/2", "--eps", eps)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: could not separate")
+    assert err.count("\n") == 1
 
 
 def test_verify_clean_run(capsys):

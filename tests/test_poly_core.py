@@ -24,7 +24,6 @@ from medina_arctan.poly_core import (
     poly_to_strings,
     rat,
     rat_parse,
-    rat_str,
 )
 
 P1 = poly([4, 0, -4, 0, 5, -4, 1])
@@ -58,13 +57,6 @@ def test_rat_coercion():
         rat(0.5)
     with pytest.raises(TypeError):
         rat(True)
-
-
-def test_rat_str_forms():
-    assert rat_str(Fraction(22, 7)) == "22/7"
-    assert rat_str(Fraction(4)) == "4"
-    assert rat_str(Fraction(0)) == "0"
-    assert rat_str(Fraction(-1, 3)) == "-1/3"
 
 
 def test_poly_canonical_form():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from medina_arctan import verify
+from medina_arctan.medina import medina_h
 from medina_arctan.verify import (
     WorkLimitExceeded,
     corrupted_seed,
@@ -89,6 +91,49 @@ def test_work_limit_can_abort_immediately():
     with pytest.raises(WorkLimitExceeded) as caught:
         run_suite(64, 3, work_limit=10)
     assert caught.value.partial.checks == ()
+
+
+def test_work_limit_is_spent_before_anything_is_built(monkeypatch):
+    before = medina_h.cache_info()
+    with pytest.raises(WorkLimitExceeded):
+        run_suite(2, 30, work_limit=1)
+    after = medina_h.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def no_build(seed, m):
+        raise AssertionError("built p_m before the work meter paid for it")
+
+    monkeypatch.setattr(verify, "build", no_build)
+    with pytest.raises(WorkLimitExceeded):
+        run_suite(2, 30, base_poly=corrupted_seed(), work_limit=1)
+
+
+def test_huge_grid_exhausts_the_limit_at_once():
+    with pytest.raises(WorkLimitExceeded) as caught:
+        run_suite(10**12, 1, work_limit=10)
+    assert caught.value.partial.checks == ()
+
+
+def test_work_meter_sweep_matches_per_lemma_units():
+    # run_suite(8, 2) spends L1 9, L2 1, L3-L7 18 each, L8 2 and L9 36 units:
+    # one per grid point and index (L9 two, for p_m and h_m), one for L2,
+    # one per index for L8.  So each limit below is the least that runs
+    # short in that lemma, and 138 is the least that completes.
+    first_short = {}
+    for limit in range(1, 139):
+        try:
+            report = run_suite(8, 2, work_limit=limit)
+        except WorkLimitExceeded as exc:
+            lemma = LEMMA_IDS[len(exc.partial.checks)]
+            assert f"during {lemma} " in str(exc)
+            first_short.setdefault(lemma, limit)
+        else:
+            assert report.all_passed
+            first_short.setdefault("pass", limit)
+    assert first_short == {
+        "L1": 1, "L2": 9, "L3": 10, "L4": 28, "L5": 46,
+        "L6": 64, "L7": 82, "L8": 100, "L9": 102, "pass": 138,
+    }
 
 
 def test_report_json_shape():
