@@ -13,9 +13,9 @@ guarantee
 
     |h_m(x) - arctan(x)| <= 4^(-5m)    for all x in [0, 1].
 
-Construction cost grows quickly with m while evaluation is the hot path,
-so constructed polynomials are memoized per index; the caches are
-write-once and safe under concurrent readers.
+The shipped h_m comes from the closed form, whose numerator's coefficients
+are signed binomials; the recurrence is the reference it is checked
+against.  Only medina_h is memoized, one write-once entry per index.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .poly_core import (
     Poly,
@@ -34,7 +35,6 @@ from .poly_core import (
     poly_antiderivative,
     poly_divmod,
     poly_mul,
-    poly_pow,
     poly_scale,
     poly_to_strings,
 )
@@ -49,36 +49,34 @@ def medina_p1() -> Poly:
     return _SEED
 
 
-@lru_cache(maxsize=None)
 def window_poly(m: int) -> Poly:
-    """Coefficients of x^{4m} (1-x)^{4m}, degree 8m, tiny throughout [0, 1]."""
-    check_int(m, "sequence index", 1)
-    return poly_pow(HUMP, 4 * m)
+    """x^{4m} (1-x)^{4m}, tiny on [0, 1]: (-1)^k C(4m, k) at power 4m + k."""
+    n = 4 * check_int(m, "sequence index", 1)
+    signed = (Fraction((-1) ** k * comb(n, k)) for k in range(n + 1))
+    return (Fraction(0),) * n + tuple(signed)
+
+
+def approximant(p: Poly, m: int) -> Poly:
+    """h_m from p_m: the antiderivative of p_m / ((-1)^(m+1) 4^m), anchored at 0."""
+    return poly_antiderivative(poly_scale(p, 1 / medina_scale(m)))
 
 
 def build(seed: Poly, m: int) -> tuple[Poly, Poly]:
-    """(p_m, h_m) grown from p_1 = seed; the package's one construction path.
+    """(p_m, h_m) grown by the recurrence from p_1 = seed: the reference route.
 
-    p_j = x^4 (1-x)^4 p_{j-1} + (-4)^(j-1) seed for j = 2..m, then h_m is
-    the antiderivative of p_m / ((-1)^(m+1) 4^m), anchored at 0.  Any seed
-    is accepted, so the verifier can grow a corrupted one.
+    p_j = x^4 (1-x)^4 p_{j-1} + (-4)^(j-1) seed for j = 2..m.  Any seed is
+    accepted, so the verifier can grow a corrupted one.
     """
     step = window_poly(1)
     p = seed
     for j in range(2, m + 1):
         p = poly_add(poly_mul(step, p), poly_scale(seed, Fraction(-4) ** (j - 1)))
-    return p, poly_antiderivative(poly_scale(p, 1 / medina_scale(m)))
-
-
-@lru_cache(maxsize=None)
-def _shipped(m: int) -> tuple[Poly, Poly]:
-    # One build per index serves both medina_p_recurrence and medina_h.
-    return build(_SEED, m)
+    return p, approximant(p, m)
 
 
 def medina_p_recurrence(m: int) -> Poly:
     """p_m built by unfolding the recurrence; degree 8m - 2."""
-    return _shipped(check_int(m, "sequence index", 1))[0]
+    return build(_SEED, check_int(m, "sequence index", 1))[0]
 
 
 def medina_closed_numerator(m: int) -> Poly:
@@ -86,7 +84,6 @@ def medina_closed_numerator(m: int) -> Poly:
     return poly_add(window_poly(m), poly([-((-4) ** m)]))
 
 
-@lru_cache(maxsize=None)
 def medina_p_closed(m: int) -> Poly:
     """p_m via exact division of the closed-form numerator by 1 + x^2.
 
@@ -110,11 +107,8 @@ def medina_scale(m: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def medina_h(m: int) -> Poly:
-    """Approximant h_m: antiderivative of p_m / ((-1)^(m+1) 4^m), anchored at 0.
-
-    Degree 8m - 1.
-    """
-    return _shipped(check_int(m, "sequence index", 1))[1]
+    """Approximant h_m of degree 8m - 1, built from the closed form of p_m."""
+    return approximant(medina_p_closed(check_int(m, "sequence index", 1)), m)
 
 
 def medina_error_bound(m: int) -> Fraction:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .medina import medina_h, medina_min_m_for
 from .oracle import arctan_enclosure
@@ -75,9 +76,10 @@ def taylor_remainder_bound(n: int, x: RatLike) -> Fraction:
     return x ** (n + 2) / (n + 2)
 
 
-def _certified_below(partial: Fraction, x: Fraction, eps: Fraction):
+def _certified_below(partial: Fraction, x: Fraction, eps: Fraction, enclosures):
     """Decide |arctan(x) - partial| < eps via enclosures, tightening as needed.
 
+    enclosures(width) is arctan_enclosure(x, width), memoized for one search.
     Returns True/False once the enclosure is narrow enough that the answer
     cannot flip.  The ties eps and the enclosure endpoints are all rational,
     so equality is detected exactly and treated as "not below".  A tie
@@ -85,7 +87,7 @@ def _certified_below(partial: Fraction, x: Fraction, eps: Fraction):
     """
     width = eps / 2**20
     for _ in range(12):
-        enc = arctan_enclosure(x, width)
+        enc = enclosures(width)
         worst = max(abs(partial - enc.lo), abs(partial - enc.hi))
         if worst < eps:
             return True
@@ -123,13 +125,14 @@ def taylor_min_degree(x: RatLike, eps: RatLike, oracle_mode: bool = False) -> in
                 )
         return n
 
+    enclosures = cache(lambda width: arctan_enclosure(x, width))
     n = 1
     partial = x
     power = x
     xsq = x * x
     k = 1
     while True:
-        if _certified_below(partial, x, eps):
+        if _certified_below(partial, x, eps, enclosures):
             return n
         n += 2
         if n > DEGREE_CUTOFF:
@@ -151,10 +154,11 @@ def medina_min_m_observed(x: RatLike, eps: RatLike) -> int:
     """
     x = _check_unit_interval(x)
     eps = check_positive(eps, "eps")
+    enclosures = cache(lambda width: arctan_enclosure(x, width))
     m = 1
     while True:
         value = poly_eval_horner(medina_h(m), x)
-        if _certified_below(value, x, eps):
+        if _certified_below(value, x, eps, enclosures):
             return m
         m += 1
         if 8 * m - 1 > DEGREE_CUTOFF:

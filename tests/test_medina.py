@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import REF_ARCTAN_1, REF_ARCTAN_HALF
+from medina_arctan import medina
 from medina_arctan.medina import (
+    HUMP,
     MedinaPair,
+    approximant,
     medina_closed_numerator,
     medina_error_bound,
     medina_h,
@@ -24,6 +27,7 @@ from medina_arctan.poly_core import (
     poly,
     poly_divmod,
     poly_eval_horner,
+    poly_pow,
     poly_to_strings,
 )
 
@@ -45,10 +49,33 @@ def test_recurrence_small_indices():
 
 
 def test_closed_form_matches_recurrence():
-    for m in range(1, 11):
-        assert medina_p_closed(m) == medina_p_recurrence(m)
+    # The shipped h_m (closed form) against the h rule on the recurrence, and
+    # the binomial window against repeated squaring of x(1 - x).
+    for m in [*range(1, 11), 16, 24]:
+        recurrence = medina_p_recurrence(m)
+        assert medina_p_closed(m) == recurrence
+        assert medina_h(m) == approximant(recurrence, m)
+        assert window_poly(m) == poly_pow(HUMP, 4 * m)
         _, remainder = poly_divmod(medina_closed_numerator(m), poly([1, 0, 1]))
         assert remainder == ()
+
+
+def test_shipped_approximant_skips_the_recurrence(monkeypatch):
+    expected = approximant(medina_p_recurrence(5), 5)
+
+    def refuse(*args):
+        raise AssertionError("the shipped h_m must not use this")
+
+    monkeypatch.setattr(medina, "build", refuse)
+    monkeypatch.setattr(medina, "poly_mul", refuse)
+    assert medina_h.__wrapped__(5) == expected
+
+
+def test_closed_form_refuses_an_indivisible_numerator(monkeypatch):
+    # x + x^2 is 1 + x^2 plus the remainder x - 1.
+    monkeypatch.setattr(medina, "medina_closed_numerator", lambda m: poly([0, 1, 1]))
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        medina_p_closed(1)
 
 
 def test_degree_law():

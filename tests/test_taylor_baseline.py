@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from medina_arctan import taylor_baseline
 from medina_arctan.oracle import arctan_enclosure
 from medina_arctan.poly_core import poly, poly_eval_horner
 from medina_arctan.taylor_baseline import (
@@ -154,6 +155,22 @@ def test_comparison_row_headline():
         "taylor_terms_evaluated": 29,
     }
     assert tuple(row) == COMPARISON_COLUMNS
+
+
+def test_each_search_computes_each_enclosure_once(monkeypatch):
+    calls = []
+
+    def counting(x, width):
+        calls.append((x, width))
+        return arctan_enclosure(x, width)
+
+    monkeypatch.setattr(taylor_baseline, "arctan_enclosure", counting)
+    comparison_row(1, Fraction(1, 1000))
+    # One enclosure for the Taylor walk and one for the Medina walk.
+    assert len(calls) == 2
+    # The memo lives for one search, so a repeated row pays again.
+    comparison_row(1, Fraction(1, 1000))
+    assert len(calls) == 4
 
 
 def test_comparison_row_bound_mode():
