@@ -96,7 +96,11 @@ def medina_arctan(x: RatLike, m: int) -> ApproxResult:
     budget of 4 * 4^(-5m) whenever the reciprocal identity was applied
     (the bootstrap reuses the same index m).
     """
-    trace = reduce(x)
+    return _arctan_reduced(reduce(x), m)
+
+
+def _arctan_reduced(trace: ReductionTrace, m: int) -> ApproxResult:
+    """medina_arctan's result for the argument that `trace` reduced."""
     value = poly_eval_horner(medina_h(m), trace.reduced)
     pi_terms = 0
     if ReductionStep.RECIPROCAL in trace.steps:
@@ -113,7 +117,8 @@ def medina_arctan(x: RatLike, m: int) -> ApproxResult:
 def arctan_auto(x: RatLike, eps: RatLike) -> ApproxResult:
     """The smallest-m result whose whole budget, pi bootstrap included, meets eps."""
     eps = check_positive(eps, "eps")
-    return medina_arctan(x, medina_min_m_for(eps / _bound_multiple(reduce(x))))
+    trace = reduce(x)
+    return _arctan_reduced(trace, medina_min_m_for(eps / _bound_multiple(trace)))
 
 
 def guaranteed_digits(bound: RatLike) -> int:

@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from .arctan_eval import approx_result_json, arctan_auto, medina_arctan
-from .medina import medina_p_closed, medina_pair
+from .medina import medina_h, medina_p_closed, medina_pair
 from .poly_core import check_int, degree, poly_eval_horner, rat_parse
 from .taylor_baseline import COMPARISON_COLUMNS, DegreeLimitError, comparison_row
 from .verify import WorkLimitExceeded, corrupted_seed, run_suite
@@ -216,7 +216,7 @@ def cmd_bench(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(("m", "degree", "points", "wall_time"))
     for m in range(1, args.m_max + 1):
-        h = medina_pair(m).h
+        h = medina_h(m)
         start = time.perf_counter()
         for x in points:
             poly_eval_horner(h, x)

@@ -9,11 +9,14 @@ mathematical equality.
 
 Scalars are ``fractions.Fraction`` throughout, which keeps every value
 gcd-reduced with a positive denominator.  Nothing here ever rounds, and all
-values are immutable.
+values are immutable.  Horner evaluation runs on integers over one common
+denominator and makes a single Fraction at the end; ``poly_eval_powers``
+stays in Fraction arithmetic as the cross-check.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -98,12 +101,18 @@ def degree(p: Poly) -> int:
 
 
 def poly_eval_horner(p: Poly, x: RatLike) -> Fraction:
-    """Evaluate by nested multiplication: c0 + x*(c1 + x*(...))."""
-    x = rat(x)
-    acc = Fraction(0)
+    """Evaluate by nested multiplication: c0 + x*(c1 + x*(...)).
+
+    On integers: with x = a/b, n = deg p and D the lcm of the denominators,
+    acc ends at D*b^n*p(x), and one Fraction, acc*b / (D*b^(n+1)), is made.
+    """
+    a, b = rat(x).as_integer_ratio()
+    den = math.lcm(*(c.denominator for c in p))
+    acc, scale = 0, 1
     for c in reversed(p):
-        acc = c + x * acc
-    return acc
+        acc = acc * a + den // c.denominator * c.numerator * scale
+        scale *= b
+    return Fraction(acc * b, den * scale)
 
 
 def poly_eval_powers(p: Poly, x: RatLike) -> Fraction:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import REF_ARCTAN_1, REF_ARCTAN_95, REF_PI
+from medina_arctan import arctan_eval
 from medina_arctan.arctan_eval import (
     FULL_DECIMAL_DIGITS,
     ReductionStep,
@@ -133,6 +134,19 @@ def test_auto_selects_smallest_sufficient_index():
     assert arctan_auto(Fraction(1, 2), "1e-9").m == 3
     zero = arctan_auto(0, 1)
     assert zero.value == 0 and zero.m == 1
+
+
+def test_auto_reduces_each_argument_once(monkeypatch):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return reduce(x)
+
+    monkeypatch.setattr(arctan_eval, "reduce", counting)
+    for x in ("-3", "2/3", "5"):
+        arctan_auto(x, "1e-20")
+    assert len(calls) == 3
 
 
 def test_auto_budget_meets_request():

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from medina_arctan import medina
 from medina_arctan.arctan_eval import decimal_str
 from medina_arctan.cli import BENCH_SEED, bench_points, main
 from medina_arctan.oracle import arctan_enclosure
@@ -207,7 +208,12 @@ def test_verify_bad_work_limit_env(capsys, monkeypatch):
     assert "MEDINA_WORK_LIMIT" in err
 
 
-def test_bench_schema(capsys):
+def test_bench_schema(capsys, monkeypatch):
+    # bench times the shipped h_m and never grows the reference recurrence.
+    def refuse(*args):
+        raise AssertionError("bench built p_m by the recurrence")
+
+    monkeypatch.setattr(medina, "build", refuse)
     code, out, err = run_cli(capsys, "bench", "--m-max", "4", "--points", "10")
     assert code == 0
     rows = _parse_csv(out)

@@ -4,7 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from medina_arctan.arctan_eval import pi_estimate
+from medina_arctan.medina import medina_h
 from medina_arctan.poly_core import (
     degree,
     normalize,
@@ -72,6 +76,64 @@ def test_eval_horner_examples():
     assert poly_eval_horner(poly([3, 0, 1]), 2) == 7
     assert poly_eval_horner(poly([]), 5) == 0
     assert poly_eval_horner(P1, 1) == 2
+
+
+def horner_by_fractions(p, x):
+    """The Fraction loop that poly_eval_horner ran before it moved to integers."""
+    x = rat(x)
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = c + x * acc
+    return acc
+
+
+# Raw tuples, so plain ints, zeros and the empty polynomial all occur, and
+# denominators differ from one coefficient to the next.
+coefficients = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.integers(min_value=1, max_value=2**40),
+    ),
+)
+points = st.one_of(
+    st.just(0),
+    st.integers(min_value=-(2**20), max_value=2**20),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.integers(min_value=1, max_value=2**64),
+    ),
+)
+
+
+@given(st.lists(coefficients, max_size=40).map(tuple), points)
+def test_eval_horner_matches_fraction_loop(p, x):
+    value = poly_eval_horner(p, x)
+    assert isinstance(value, Fraction)
+    assert value == horner_by_fractions(p, x)
+
+
+EVAL_POINTS = [
+    0,
+    1,
+    Fraction(19, 20),
+    Fraction(1, 65536),
+    Fraction(65535, 65536),
+    Fraction(-3, 7),
+]
+
+
+@pytest.mark.parametrize("m", [*range(1, 11), 17, 34, 80])
+def test_eval_horner_bit_identical_on_approximants(m):
+    h = medina_h(m)
+    for x in EVAL_POINTS:
+        got, want = poly_eval_horner(h, x), horner_by_fractions(h, x)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    if m in (1, 7, 34):
+        assert pi_estimate(m).value == 4 * horner_by_fractions(h, 1)
 
 
 def test_eval_powers_examples():
