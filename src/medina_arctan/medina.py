@@ -33,7 +33,6 @@ from .poly_core import (
     poly,
     poly_add,
     poly_antiderivative,
-    poly_divmod,
     poly_mul,
     poly_scale,
     poly_to_strings,
@@ -41,7 +40,6 @@ from .poly_core import (
 
 _SEED: Poly = poly([4, 0, -4, 0, 5, -4, 1])
 HUMP: Poly = poly([0, 1, -1])  # x(1 - x), the factor that damps each step
-_ONE_PLUS_XSQ: Poly = poly([1, 0, 1])
 
 
 def medina_p1() -> Poly:
@@ -87,16 +85,18 @@ def medina_closed_numerator(m: int) -> Poly:
 def medina_p_closed(m: int) -> Poly:
     """p_m via exact division of the closed-form numerator by 1 + x^2.
 
-    The division must come out even; a nonzero remainder means the
-    construction itself is broken, so that raises instead of returning
-    a truncated quotient.
+    The divisor is monic: dividing in place from the top is one subtraction
+    per coefficient.  A nonzero remainder means the construction itself is
+    broken, so that raises instead of returning a truncated quotient.
     """
-    quotient, remainder = poly_divmod(medina_closed_numerator(m), _ONE_PLUS_XSQ)
-    if remainder:
+    rem = list(medina_closed_numerator(m))
+    for i in range(len(rem) - 1, 1, -1):
+        rem[i - 2] -= rem[i]
+    if rem[0] or rem[1]:
         raise ArithmeticError(
             f"1 + x^2 does not divide the closed-form numerator at m={m}"
         )
-    return quotient
+    return tuple(rem[2:])
 
 
 def medina_scale(m: int) -> Fraction:

@@ -2,10 +2,11 @@
 
 The series x - x^3/3 + x^5/5 - ... converges slowly near x = 1, where the
 terms shrink only like 1/n.  This module quantifies that slowness exactly:
-partial-sum polynomials, the alternating-series remainder bound, and a
-search for the least degree meeting a target accuracy, judged either by
-the remainder bound or by the certified true error.  Everything is exact
-rational arithmetic.
+partial-sum polynomials, the alternating-series remainder bound, and the
+least degree meeting a target accuracy, judged either by the remainder
+bound or by the certified true error.  Those searches and the least
+observed Medina index share one walk over lazy sources that stop at
+DEGREE_CUTOFF.  Everything is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -76,31 +77,61 @@ def taylor_remainder_bound(n: int, x: RatLike) -> Fraction:
     return x ** (n + 2) / (n + 2)
 
 
-def _certified_below(partial: Fraction, x: Fraction, eps: Fraction, enclosures):
-    """Decide |arctan(x) - partial| < eps via enclosures, tightening as needed.
+def _certifier(x: Fraction, eps: Fraction):
+    """The test |arctan(x) - value| < eps; one search makes one, with one memo.
 
-    enclosures(width) is arctan_enclosure(x, width), memoized for one search.
-    Returns True/False once the enclosure is narrow enough that the answer
-    cannot flip.  The ties eps and the enclosure endpoints are all rational,
-    so equality is detected exactly and treated as "not below".  A tie
-    closer than the last of 12 tightenings raises DegreeLimitError.
+    A test returns True/False once the enclosure of arctan(x) is narrow
+    enough that the answer cannot flip.  The ties eps and the enclosure
+    endpoints are all rational, so equality is detected exactly and treated
+    as "not below".  A tie closer than the last of 12 tightenings raises
+    DegreeLimitError.
     """
-    width = eps / 2**20
-    for _ in range(12):
-        enc = enclosures(width)
-        worst = max(abs(partial - enc.lo), abs(partial - enc.hi))
-        if worst < eps:
-            return True
-        best = Fraction(0) if enc.contains(partial) else min(
-            abs(partial - enc.lo), abs(partial - enc.hi)
+    enclosures = cache(lambda width: arctan_enclosure(x, width))
+
+    def certified_below(value: Fraction) -> bool:
+        width = eps / 2**20
+        for _ in range(12):
+            enc = enclosures(width)
+            worst = max(abs(value - enc.lo), abs(value - enc.hi))
+            if worst < eps:
+                return True
+            best = Fraction(0) if enc.contains(value) else min(
+                abs(value - enc.lo), abs(value - enc.hi)
+            )
+            if best >= eps:
+                return False
+            width /= 2**10
+        raise DegreeLimitError(
+            f"could not separate the error at x={x} from eps={eps} "
+            "after repeated enclosure tightening"
         )
-        if best >= eps:
-            return False
-        width /= 2**10
-    raise DegreeLimitError(
-        f"could not separate the error at x={x} from eps={eps} "
-        "after repeated enclosure tightening"
-    )
+
+    return certified_below
+
+
+def _first(what: str, x: Fraction, eps: Fraction, candidates, meets) -> int:
+    """The first index whose value passes meets; candidates stop at DEGREE_CUTOFF."""
+    for index, value in candidates:
+        if meets(value):
+            return index
+    raise DegreeLimitError(f"no {what} up to {DEGREE_CUTOFF} meets eps={eps} at x={x}")
+
+
+def _omitted_terms(x: Fraction):
+    """(n, x^(n+2)/(n+2)) for odd n up to DEGREE_CUTOFF, one x^2 step apiece."""
+    xsq = x * x
+    power = x * xsq
+    for n in range(1, DEGREE_CUTOFF + 1, 2):
+        yield n, power / (n + 2)
+        power *= xsq
+
+
+def _partial_sums(x: Fraction):
+    """(n, T_n(x)) for odd n up to DEGREE_CUTOFF, each from the last omitted term."""
+    partial = x
+    for n, term in _omitted_terms(x):
+        yield n, partial
+        partial = partial - term if n % 4 == 1 else partial + term
 
 
 def taylor_min_degree(x: RatLike, eps: RatLike, oracle_mode: bool = False) -> int:
@@ -114,35 +145,9 @@ def taylor_min_degree(x: RatLike, eps: RatLike, oracle_mode: bool = False) -> in
     """
     x = _check_unit_interval(x)
     eps = check_positive(eps, "eps")
-
-    if not oracle_mode:
-        n = 1
-        while taylor_remainder_bound(n, x) >= eps:
-            n += 2
-            if n > DEGREE_CUTOFF:
-                raise DegreeLimitError(
-                    f"no degree up to {DEGREE_CUTOFF} meets eps={eps} at x={x}"
-                )
-        return n
-
-    enclosures = cache(lambda width: arctan_enclosure(x, width))
-    n = 1
-    partial = x
-    power = x
-    xsq = x * x
-    k = 1
-    while True:
-        if _certified_below(partial, x, eps, enclosures):
-            return n
-        n += 2
-        if n > DEGREE_CUTOFF:
-            raise DegreeLimitError(
-                f"no degree up to {DEGREE_CUTOFF} meets eps={eps} at x={x}"
-            )
-        power *= xsq
-        term = power / (2 * k + 1)
-        partial = partial - term if k % 2 else partial + term
-        k += 1
+    if oracle_mode:
+        return _first("degree", x, eps, _partial_sums(x), _certifier(x, eps))
+    return _first("degree", x, eps, _omitted_terms(x), lambda bound: bound < eps)
 
 
 def medina_min_m_observed(x: RatLike, eps: RatLike) -> int:
@@ -154,17 +159,9 @@ def medina_min_m_observed(x: RatLike, eps: RatLike) -> int:
     """
     x = _check_unit_interval(x)
     eps = check_positive(eps, "eps")
-    enclosures = cache(lambda width: arctan_enclosure(x, width))
-    m = 1
-    while True:
-        value = poly_eval_horner(medina_h(m), x)
-        if _certified_below(value, x, eps, enclosures):
-            return m
-        m += 1
-        if 8 * m - 1 > DEGREE_CUTOFF:
-            raise DegreeLimitError(
-                f"no index with degree up to {DEGREE_CUTOFF} meets eps={eps} at x={x}"
-            )
+    indices = range(1, (DEGREE_CUTOFF + 1) // 8 + 1)
+    values = ((m, poly_eval_horner(medina_h(m), x)) for m in indices)
+    return _first("index with degree", x, eps, values, _certifier(x, eps))
 
 
 def comparison_row(x: RatLike, eps: RatLike, oracle_mode: bool = True) -> dict:

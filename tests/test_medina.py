@@ -78,6 +78,23 @@ def test_closed_form_refuses_an_indivisible_numerator(monkeypatch):
         medina_p_closed(1)
 
 
+@pytest.mark.parametrize(
+    "numerator",
+    [poly([2, 0, 1]), poly([0, 0, 0, 1])],
+    ids=["2+x^2 leaves 1", "x^3 leaves -x"],
+)
+def test_closed_form_reads_both_remainder_coefficients(monkeypatch, numerator):
+    monkeypatch.setattr(medina, "medina_closed_numerator", lambda m: numerator)
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        medina_p_closed(1)
+
+
+def test_in_place_division_matches_long_division():
+    for m in [*range(1, 81), 160, 333]:
+        quotient, _ = poly_divmod(medina_closed_numerator(m), poly([1, 0, 1]))
+        assert medina_p_closed(m) == quotient
+
+
 def test_degree_law():
     for m in range(1, 11):
         assert degree(medina_p_recurrence(m)) == 8 * m - 2

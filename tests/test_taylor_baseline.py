@@ -1,10 +1,14 @@
 """Taylor baseline: partial sums, remainder bound, minimal-degree searches."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medina_arctan import taylor_baseline
+from medina_arctan.medina import medina_h
 from medina_arctan.oracle import arctan_enclosure
 from medina_arctan.poly_core import poly, poly_eval_horner
 from medina_arctan.taylor_baseline import (
@@ -189,3 +193,126 @@ def test_comparison_row_domain():
 def test_cutoff_constant_is_odd_and_large():
     assert DEGREE_CUTOFF % 2 == 1
     assert DEGREE_CUTOFF > 10**4
+
+
+# The three searches as the hand-written loops they were before they shared
+# one walk.  Each reads DEGREE_CUTOFF at call time, so patching it bounds a
+# search and its reference alike.
+def cutoff_error(what, x, eps):
+    cutoff = taylor_baseline.DEGREE_CUTOFF
+    return DegreeLimitError(f"no {what} up to {cutoff} meets eps={eps} at x={x}")
+
+
+def min_degree_by_bound_loop(x, eps):
+    n = 1
+    while taylor_remainder_bound(n, x) >= eps:
+        n += 2
+        if n > taylor_baseline.DEGREE_CUTOFF:
+            raise cutoff_error("degree", x, eps)
+    return n
+
+
+def min_degree_by_oracle_loop(x, eps):
+    certified_below = taylor_baseline._certifier(x, eps)
+    n = 1
+    partial = x
+    power = x
+    xsq = x * x
+    k = 1
+    while True:
+        if certified_below(partial):
+            return n
+        n += 2
+        if n > taylor_baseline.DEGREE_CUTOFF:
+            raise cutoff_error("degree", x, eps)
+        power *= xsq
+        term = power / (2 * k + 1)
+        partial = partial - term if k % 2 else partial + term
+        k += 1
+
+
+def min_m_by_oracle_loop(x, eps):
+    certified_below = taylor_baseline._certifier(x, eps)
+    m = 1
+    while True:
+        if certified_below(poly_eval_horner(medina_h(m), x)):
+            return m
+        m += 1
+        if 8 * m - 1 > taylor_baseline.DEGREE_CUTOFF:
+            raise cutoff_error("index with degree", x, eps)
+
+
+def outcome(search, x, eps):
+    """The search's answer, or the text of the limit error it raised."""
+    try:
+        return search(x, eps)
+    except DegreeLimitError as error:
+        return f"DegreeLimitError: {error}"
+
+
+def unit_points(max_den):
+    ratios = st.integers(1, max_den).flatmap(
+        lambda d: st.integers(0, d).map(lambda k: Fraction(k, d))
+    )
+    return st.one_of(ratios, st.sampled_from([Fraction(999, 1000), Fraction(1)]))
+
+
+def powers_of_half(max_exp):
+    return st.integers(0, max_exp).map(lambda j: Fraction(1, 2**j))
+
+
+def odd_cutoffs(least, most):
+    return st.integers(least // 2, most // 2).map(lambda k: 2 * k + 1)
+
+
+# The bound loop recomputes x^(n+2) at every step, which takes seconds at
+# x = 999/1000 and the real cutoff, so the properties draw a smaller cutoff.
+@settings(deadline=None)
+@given(unit_points(64), powers_of_half(60), odd_cutoffs(1, 2001))
+def test_bound_walk_matches_loop(x, eps, cutoff):
+    with mock.patch.object(taylor_baseline, "DEGREE_CUTOFF", cutoff):
+        assert outcome(taylor_min_degree, x, eps) == outcome(
+            min_degree_by_bound_loop, x, eps
+        )
+
+
+@settings(deadline=None)
+@given(unit_points(16), powers_of_half(40), odd_cutoffs(1, 101))
+def test_oracle_walk_matches_loop(x, eps, cutoff):
+    def search(x, eps):
+        return taylor_min_degree(x, eps, oracle_mode=True)
+
+    with mock.patch.object(taylor_baseline, "DEGREE_CUTOFF", cutoff):
+        assert outcome(search, x, eps) == outcome(min_degree_by_oracle_loop, x, eps)
+
+
+# Below 7 no approximant fits, a cutoff the real one (10001) rules out.
+@settings(deadline=None)
+@given(unit_points(64), powers_of_half(60), odd_cutoffs(7, 63))
+def test_observed_index_walk_matches_loop(x, eps, cutoff):
+    with mock.patch.object(taylor_baseline, "DEGREE_CUTOFF", cutoff):
+        assert outcome(medina_min_m_observed, x, eps) == outcome(
+            min_m_by_oracle_loop, x, eps
+        )
+
+
+def test_bound_walk_at_the_real_cutoff():
+    assert taylor_min_degree(1, Fraction(1, 10002)) == 10001
+    with pytest.raises(DegreeLimitError, match="no degree up to 10001 meets"):
+        taylor_min_degree(1, Fraction(1, 10004))
+
+
+def test_oracle_walks_at_the_cutoff(monkeypatch):
+    # Each answer's degree (8*3 - 1 = 23, and 57) is the last the cutoff
+    # allows; one odd step lower, the search gives up.
+    headline = (Fraction(19, 20), Fraction(1, 2000))
+    monkeypatch.setattr(taylor_baseline, "DEGREE_CUTOFF", 23)
+    assert medina_min_m_observed(Fraction(1, 2), "1e-9") == 3
+    monkeypatch.setattr(taylor_baseline, "DEGREE_CUTOFF", 21)
+    with pytest.raises(DegreeLimitError, match="no index with degree up to 21 meets"):
+        medina_min_m_observed(Fraction(1, 2), "1e-9")
+    monkeypatch.setattr(taylor_baseline, "DEGREE_CUTOFF", 57)
+    assert taylor_min_degree(*headline, oracle_mode=True) == 57
+    monkeypatch.setattr(taylor_baseline, "DEGREE_CUTOFF", 55)
+    with pytest.raises(DegreeLimitError, match="no degree up to 55 meets"):
+        taylor_min_degree(*headline, oracle_mode=True)
