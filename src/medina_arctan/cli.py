@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands cover construction (gen), evaluation (eval, arctan), the
-degree-comparison table (compare), the lemma suite (verify), and timing
-(bench).  Machine-readable output, JSON or CSV, goes to stdout;
-diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
-2 usage or resource error.
+degree-comparison table (compare) and the lemma suite (verify).  Timing
+is the benchmark harness's job (perfbench/run.py in the repository).
+Machine-readable output, JSON or CSV, goes to stdout; diagnostics go to
+stderr.  Exit codes: 0 success, 1 verification failure, 2 usage or
+resource error.
 """
 
 from __future__ import annotations
@@ -13,14 +14,12 @@ import argparse
 import csv
 import json
 import os
-import random
 import sys
-import time
 from fractions import Fraction
 
 from .arctan_eval import approx_result_json, arctan_auto, medina_arctan
-from .medina import medina_h, medina_p_closed, medina_pair
-from .poly_core import check_int, degree, poly_eval_horner, rat_parse
+from .medina import medina_p_closed, medina_pair
+from .poly_core import rat_parse
 from .taylor_baseline import COMPARISON_COLUMNS, DegreeLimitError, comparison_row
 from .verify import WorkLimitExceeded, corrupted_seed, run_suite
 
@@ -28,7 +27,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
-BENCH_SEED = 1729
 WORK_LIMIT_ENV = "MEDINA_WORK_LIMIT"
 
 
@@ -115,20 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.set_defaults(func=cmd_verify)
 
-    bench = sub.add_parser(
-        "bench", help="time Horner evaluation of h_m at pseudorandom points"
-    )
-    bench.add_argument(
-        "--m-max", type=int, required=True, help="largest index timed, >= 1"
-    )
-    bench.add_argument(
-        "--points", type=int, default=200, help="evaluation points per index"
-    )
-    bench.add_argument(
-        "--seed", type=int, default=BENCH_SEED, help="seed for the point set"
-    )
-    bench.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -193,39 +177,6 @@ def cmd_verify(args) -> int:
         failed = ", ".join(c.id for c in report.checks if not c.passed)
         print(f"verification failed: {failed}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    return EXIT_OK
-
-
-def bench_points(count: int, seed: int) -> list[Fraction]:
-    """Deterministic pseudorandom rationals in [0, 1] with denominator 2^16."""
-    rng = random.Random(seed)
-    den = 2**16
-    return [Fraction(rng.randint(0, den), den) for _ in range(count)]
-
-
-def _max_coeff_bits(p) -> int:
-    return max(
-        max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in p
-    )
-
-
-def cmd_bench(args) -> int:
-    check_int(args.m_max, "m-max", 1)
-    check_int(args.points, "points", 1)
-    points = bench_points(args.points, args.seed)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(("m", "degree", "points", "wall_time"))
-    for m in range(1, args.m_max + 1):
-        h = medina_h(m)
-        start = time.perf_counter()
-        for x in points:
-            poly_eval_horner(h, x)
-        elapsed = time.perf_counter() - start
-        writer.writerow((m, degree(h), args.points, f"{elapsed:.6f}"))
-        print(
-            f"m={m} max coefficient bit-length {_max_coeff_bits(h)}",
-            file=sys.stderr,
-        )
     return EXIT_OK
 
 

@@ -14,8 +14,9 @@ guarantee
     |h_m(x) - arctan(x)| <= 4^(-5m)    for all x in [0, 1].
 
 The shipped h_m comes from the closed form, whose numerator's coefficients
-are signed binomials; the recurrence is the reference it is checked
-against.  Only medina_h is memoized, one write-once entry per index.
+are signed binomials; the recurrence, grown by one lazy walk, is the
+reference it is checked against.  Only medina_h is memoized, one
+write-once entry per index.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
 from .poly_core import (
@@ -59,22 +61,24 @@ def approximant(p: Poly, m: int) -> Poly:
     return poly_antiderivative(poly_scale(p, 1 / medina_scale(m)))
 
 
-def build(seed: Poly, m: int) -> tuple[Poly, Poly]:
-    """(p_m, h_m) grown by the recurrence from p_1 = seed: the reference route.
+def recurrence(seed: Poly):
+    """p_1 = seed, p_2, ... grown lazily by the recurrence: the reference route.
 
-    p_j = x^4 (1-x)^4 p_{j-1} + (-4)^(j-1) seed for j = 2..m.  Any seed is
-    accepted, so the verifier can grow a corrupted one.
+    p_j = x^4 (1-x)^4 p_{j-1} + (-4)^(j-1) seed, one step per member asked
+    for.  Any seed is accepted, so the verifier can grow a corrupted one.
     """
     step = window_poly(1)
-    p = seed
-    for j in range(2, m + 1):
-        p = poly_add(poly_mul(step, p), poly_scale(seed, Fraction(-4) ** (j - 1)))
-    return p, approximant(p, m)
+    p, shift = seed, Fraction(1)
+    while True:
+        yield p
+        shift *= -4
+        p = poly_add(poly_mul(step, p), poly_scale(seed, shift))
 
 
 def medina_p_recurrence(m: int) -> Poly:
     """p_m built by unfolding the recurrence; degree 8m - 2."""
-    return build(_SEED, check_int(m, "sequence index", 1))[0]
+    m = check_int(m, "sequence index", 1)
+    return next(islice(recurrence(_SEED), m - 1, None))
 
 
 def medina_closed_numerator(m: int) -> Poly:

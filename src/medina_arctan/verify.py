@@ -28,11 +28,11 @@ from typing import Optional
 
 from .medina import (
     HUMP,
-    build,
+    approximant,
     medina_h,
     medina_p1,
-    medina_p_recurrence,
     medina_scale,
+    recurrence,
     window_poly,
 )
 from .oracle import arctan_enclosure
@@ -129,8 +129,9 @@ def run_suite(
     """Check every lemma on the k/grid_n grid for indices 1..m_max.
 
     base_poly overrides the seed of the sequence (the fault-injection hook);
-    the default checks the polynomials the package actually ships.  Nothing
-    is built before the work meter has paid for the step that needs it.
+    the default checks the polynomials the package actually ships.  One
+    recurrence walk serves the run, and nothing is grown or integrated
+    before the work meter has paid for the step that needs it.
     """
     check_int(grid_n, "grid_n", 2)
     check_int(m_max, "m_max", 1)
@@ -146,13 +147,19 @@ def run_suite(
 
     indices = range(1, m_max + 1)
     seed = None if base_poly is None else poly(base_poly)
+    walk = recurrence(medina_p1() if seed is None else seed)
+    grown: list[Poly] = []
+
+    def p_of(m: int) -> Poly:
+        """p_m from the run's one walk, grown a member at a time as asked for."""
+        while len(grown) < m:
+            grown.append(next(walk))
+        return grown[m - 1]
 
     @cache
-    def pair(m: int) -> tuple[Poly, Poly]:
-        """(p_m, h_m): the shipped pair, or one grown from the injected seed."""
-        if seed is None:
-            return medina_p_recurrence(m), medina_h(m)
-        return build(seed, m)
+    def h_of(m: int) -> Poly:
+        """h_m: the shipped one, or one integrated from the injected seed's p_m."""
+        return medina_h(m) if seed is None else approximant(p_of(m), m)
 
     points: list[Fraction] = []
 
@@ -215,18 +222,18 @@ def run_suite(
         return lambda x: (poly_eval_horner(anti, x), min(cap * x, cap))
 
     def closed_identity(m):
-        p, shift = pair(m)[0], Fraction((-4) ** m)
+        p, shift = p_of(m), Fraction((-4) ** m)
         return lambda x: (
             (1 + x * x) * poly_eval_horner(p, x) + shift,
             (x * (1 - x)) ** (4 * m),
         )
 
     def integrand_sign(m):
-        p, scale = pair(m)[0], medina_scale(m)
+        p, scale = p_of(m), medina_scale(m)
         return lambda x: (poly_eval_horner(p, x) - scale / (1 + x * x), Fraction(0))
 
     def final_bound(m):
-        h, bound = pair(m)[1], Fraction(1, 4 ** (5 * m))
+        h, bound = h_of(m), Fraction(1, 4 ** (5 * m))
         width = bound / 16
 
         def sides(x):
@@ -238,7 +245,7 @@ def run_suite(
     def check_round_trip():
         for m in indices:
             spend()
-            p = pair(m)[0]
+            p = p_of(m)
             derived = poly_derivative(poly_antiderivative(p))
             # Witness the first differing coefficient.
             for a, b in zip_longest(derived, p, fillvalue=Fraction(0)):
@@ -247,7 +254,7 @@ def run_suite(
         return True, None
 
     def schemes_agree(m, which):
-        target = pair(m)[which]
+        target = (p_of, h_of)[which](m)
         return lambda x: (poly_eval_horner(target, x), poly_eval_powers(target, x))
 
     lemmas = (

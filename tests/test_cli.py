@@ -9,9 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from medina_arctan import medina
 from medina_arctan.arctan_eval import decimal_str
-from medina_arctan.cli import BENCH_SEED, bench_points, main
+from medina_arctan.cli import main
 from medina_arctan.oracle import arctan_enclosure
 
 
@@ -210,36 +209,12 @@ def test_verify_bad_work_limit_env(capsys, monkeypatch):
     assert "MEDINA_WORK_LIMIT" in err
 
 
-def test_bench_schema(capsys, monkeypatch):
-    # bench times the shipped h_m and never grows the reference recurrence.
-    def refuse(*args):
-        raise AssertionError("bench built p_m by the recurrence")
-
-    monkeypatch.setattr(medina, "build", refuse)
-    code, out, err = run_cli(capsys, "bench", "--m-max", "4", "--points", "10")
-    assert code == 0
-    rows = _parse_csv(out)
-    assert len(rows) == 4
-    for i, row in enumerate(rows, start=1):
-        assert int(row["m"]) == i
-        assert int(row["degree"]) == 8 * i - 1
-        assert int(row["points"]) == 10
-        assert float(row["wall_time"]) >= 0
-    assert "bit-length" in err
-
-
-def test_bench_rejects_zero_points(capsys):
-    code, _, err = run_cli(capsys, "bench", "--m-max", "1", "--points", "0")
-    assert code == 2
-    assert "error" in err
-
-
-def test_bench_points_deterministic():
-    first = bench_points(40, BENCH_SEED)
-    second = bench_points(40, BENCH_SEED)
-    assert first == second
-    assert all(0 <= x <= 1 for x in first)
-    assert bench_points(40, BENCH_SEED + 1) != first
+def test_bench_is_gone(capsys):
+    # Timing is perfbench/run.py's job, so "bench" is not a subcommand.
+    with pytest.raises(SystemExit) as caught:
+        main(["bench", "--m-max", "1"])
+    assert caught.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_console_entry_point():

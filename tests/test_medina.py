@@ -1,6 +1,7 @@
 """Sequence construction: frozen landmarks, degree laws, both build routes."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -25,11 +26,15 @@ from medina_arctan.oracle import arctan_enclosure
 from medina_arctan.poly_core import (
     degree,
     poly,
+    poly_add,
     poly_divmod,
     poly_eval_horner,
+    poly_mul,
     poly_pow,
+    poly_scale,
     poly_to_strings,
 )
+from medina_arctan.verify import corrupted_seed
 
 
 def test_seed_polynomial():
@@ -66,9 +71,26 @@ def test_shipped_approximant_skips_the_recurrence(monkeypatch):
     def refuse(*args):
         raise AssertionError("the shipped h_m must not use this")
 
-    monkeypatch.setattr(medina, "build", refuse)
+    monkeypatch.setattr(medina, "recurrence", refuse)
     monkeypatch.setattr(medina, "poly_mul", refuse)
     assert medina_h.__wrapped__(5) == expected
+
+
+def p_by_index_loop(seed, m):
+    """p_m as the per-index loop grew it before the recurrence became one walk."""
+    p = seed
+    for j in range(2, m + 1):
+        shift = Fraction(-4) ** (j - 1)
+        p = poly_add(poly_mul(window_poly(1), p), poly_scale(seed, shift))
+    return p
+
+
+@pytest.mark.parametrize(
+    "seed", [medina_p1(), corrupted_seed()], ids=["shipped", "corrupted"]
+)
+def test_walk_matches_the_per_index_loop(seed):
+    walk = list(islice(medina.recurrence(seed), 12))
+    assert walk == [p_by_index_loop(seed, m) for m in range(1, 13)]
 
 
 def test_closed_form_refuses_an_indivisible_numerator(monkeypatch):

@@ -316,3 +316,27 @@ def test_oracle_walks_at_the_cutoff(monkeypatch):
     monkeypatch.setattr(taylor_baseline, "DEGREE_CUTOFF", 55)
     with pytest.raises(DegreeLimitError, match="no degree up to 55 meets"):
         taylor_min_degree(*headline, oracle_mode=True)
+
+
+def test_oracle_mode_refuses_an_unreachable_eps_up_front(monkeypatch):
+    # Every floor t_{n+2} - t_{n+4} up to the cutoff is at least eps, so the
+    # search gives up before it asks the oracle for anything.
+    def refuse(*args):
+        raise AssertionError("the oracle walk ran")
+
+    monkeypatch.setattr(taylor_baseline, "arctan_enclosure", refuse)
+    x, eps = Fraction(999, 1000), Fraction(1, 10**30)
+    message = rf"no degree up to 10001 meets eps={eps} at x={x}$"
+    with pytest.raises(DegreeLimitError, match=message):
+        taylor_min_degree(x, eps, oracle_mode=True)
+
+
+def test_floor_met_at_the_cutoff_itself_reaches_the_oracle_walk(monkeypatch):
+    # At x = 1/2 and eps = 1/20000 the floors are 1.7e-4 at n = 7 and 3.5e-5
+    # at n = 9, and the true error at 9 is below t_11 = 4.4e-5.
+    x, eps = Fraction(1, 2), Fraction(1, 20000)
+    monkeypatch.setattr(taylor_baseline, "DEGREE_CUTOFF", 9)
+    assert taylor_min_degree(x, eps, oracle_mode=True) == 9
+    monkeypatch.setattr(taylor_baseline, "DEGREE_CUTOFF", 7)
+    with pytest.raises(DegreeLimitError, match="no degree up to 7 meets"):
+        taylor_min_degree(x, eps, oracle_mode=True)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from medina_arctan import verify
+from medina_arctan import medina, verify
 from medina_arctan.medina import medina_h
+from medina_arctan.poly_core import poly_mul
 from medina_arctan.verify import (
     WorkLimitExceeded,
     corrupted_seed,
@@ -94,18 +95,32 @@ def test_work_limit_can_abort_immediately():
 
 
 def test_work_limit_is_spent_before_anything_is_built(monkeypatch):
+    # The recurrence's step is medina's poly_mul; integration is approximant.
+    def refuse(*args):
+        raise AssertionError("grew or integrated before the work meter paid for it")
+
+    monkeypatch.setattr(medina, "poly_mul", refuse)
+    monkeypatch.setattr(verify, "approximant", refuse)
     before = medina_h.cache_info()
-    with pytest.raises(WorkLimitExceeded):
-        run_suite(2, 30, work_limit=1)
+    for seed in (None, corrupted_seed()):
+        with pytest.raises(WorkLimitExceeded):
+            run_suite(2, 30, base_poly=seed, work_limit=1)
     after = medina_h.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
-    def no_build(seed, m):
-        raise AssertionError("built p_m before the work meter paid for it")
 
-    monkeypatch.setattr(verify, "build", no_build)
-    with pytest.raises(WorkLimitExceeded):
-        run_suite(2, 30, base_poly=corrupted_seed(), work_limit=1)
+@pytest.mark.parametrize("seed", [None, corrupted_seed()], ids=["shipped", "corrupted"])
+def test_suite_grows_the_recurrence_once(monkeypatch, seed):
+    # One walk per run: m_max - 1 steps, not one regrowth from p_1 per index.
+    steps = []
+
+    def counting(a, b):
+        steps.append(a)
+        return poly_mul(a, b)
+
+    monkeypatch.setattr(medina, "poly_mul", counting)
+    run_suite(2, 40, base_poly=seed)
+    assert len(steps) == 39
 
 
 def test_huge_grid_exhausts_the_limit_at_once():
