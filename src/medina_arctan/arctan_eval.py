@@ -13,6 +13,7 @@ at the very end, correctly rounded from the exact value.
 
 from __future__ import annotations
 
+import decimal
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,11 +146,18 @@ def decimal_str(value: RatLike, digits: int) -> str:
     check_int(digits, "digits", 0)
     scaled = round(rat(value) * 10**digits)
     sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    if digits == 0:
-        return f"{sign}{scaled}"
-    whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    text = _exact_str(abs(scaled)).rjust(digits + 1, "0")
+    whole, frac = text[: len(text) - digits], text[len(text) - digits :]
+    return f"{sign}{whole}.{frac}" if digits else f"{sign}{whole}"
+
+
+def _exact_str(value) -> str:
+    """str(value) for an int or Fraction, also past the int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        num, den = (decimal.Decimal(n) for n in value.as_integer_ratio())
+        return str(num) if den == 1 else f"{num}/{den}"
 
 
 def approx_result_json(result: ApproxResult, *, full: bool = False) -> dict:
@@ -157,8 +165,8 @@ def approx_result_json(result: ApproxResult, *, full: bool = False) -> dict:
     digits = guaranteed_digits(result.error_bound)
     shown = FULL_DECIMAL_DIGITS if full else digits
     return {
-        "value": str(result.value),
-        "error_bound": str(result.error_bound),
+        "value": _exact_str(result.value),
+        "error_bound": _exact_str(result.error_bound),
         "m": result.m,
         "steps": [step.value for step in result.trace.steps],
         "decimal": decimal_str(result.value, shown),

@@ -13,10 +13,10 @@ guarantee
 
     |h_m(x) - arctan(x)| <= 4^(-5m)    for all x in [0, 1].
 
-The shipped h_m comes from the closed form, whose numerator's coefficients
-are signed binomials; the recurrence, grown by one lazy walk, is the
-reference it is checked against.  Only medina_h is memoized, one
-write-once entry per index.
+The shipped h_m comes from the closed form on integers (a binomial row,
+divided in place) with one Fraction per coefficient at the end; the
+recurrence, grown by one lazy walk, is the reference it is checked
+against.  Only medina_h is memoized, one write-once entry per index.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import comb
 
 from .poly_core import (
     Poly,
@@ -34,7 +33,6 @@ from .poly_core import (
     check_positive,
     poly,
     poly_add,
-    poly_antiderivative,
     poly_mul,
     poly_scale,
     poly_to_strings,
@@ -52,13 +50,19 @@ def medina_p1() -> Poly:
 def window_poly(m: int) -> Poly:
     """x^{4m} (1-x)^{4m}, tiny on [0, 1]: (-1)^k C(4m, k) at power 4m + k."""
     n = 4 * check_int(m, "sequence index", 1)
-    signed = (Fraction((-1) ** k * comb(n, k)) for k in range(n + 1))
-    return (Fraction(0),) * n + tuple(signed)
+    row, c = [], 1
+    for k in range(n + 1):
+        row.append(Fraction(-c if k % 2 else c))
+        c = c * (n - k) // (k + 1)  # C(n, k+1), exactly
+    return (Fraction(0),) * n + tuple(row)
 
 
 def approximant(p: Poly, m: int) -> Poly:
     """h_m from p_m: the antiderivative of p_m / ((-1)^(m+1) 4^m), anchored at 0."""
-    return poly_antiderivative(poly_scale(p, 1 / medina_scale(m)))
+    s = medina_scale(m).numerator
+    return (Fraction(0),) + tuple(
+        Fraction(c.numerator, c.denominator * s * (i + 1)) for i, c in enumerate(p)
+    )
 
 
 def recurrence(seed: Poly):
@@ -89,18 +93,18 @@ def medina_closed_numerator(m: int) -> Poly:
 def medina_p_closed(m: int) -> Poly:
     """p_m via exact division of the closed-form numerator by 1 + x^2.
 
-    The divisor is monic: dividing in place from the top is one subtraction
-    per coefficient.  A nonzero remainder means the construction itself is
-    broken, so that raises instead of returning a truncated quotient.
+    The divisor is monic: dividing the integer numerator in place from the
+    top is one subtraction per coefficient.  A nonzero remainder means the
+    construction is broken, so that raises instead of truncating.
     """
-    rem = list(medina_closed_numerator(m))
+    rem = [c.numerator for c in medina_closed_numerator(m)]
     for i in range(len(rem) - 1, 1, -1):
         rem[i - 2] -= rem[i]
     if rem[0] or rem[1]:
         raise ArithmeticError(
             f"1 + x^2 does not divide the closed-form numerator at m={m}"
         )
-    return tuple(rem[2:])
+    return tuple(Fraction(c) for c in rem[2:])
 
 
 def medina_scale(m: int) -> Fraction:

@@ -10,13 +10,14 @@ mathematical equality.
 Scalars are ``fractions.Fraction`` throughout, which keeps every value
 gcd-reduced with a positive denominator.  Nothing here ever rounds, and all
 values are immutable.  Horner evaluation runs on integers over one common
-denominator and makes a single Fraction at the end; ``poly_eval_powers``
-stays in Fraction arithmetic as the cross-check.
+denominator, a form kept for the last few tuples evaluated, and makes one
+Fraction at the end; ``poly_eval_powers`` stays in Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -100,6 +101,29 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
+# Horner's integer form of the last few tuples evaluated, by id, so one
+# polynomial evaluated at many points pays for its lcm and divisions once.
+# An entry holds its tuple, so the id cannot be reused while it lives.
+# Lists are mutable, so their form is never kept.
+_HORNER_FORMS: dict = {}
+_HORNER_FORMS_MAX = 16
+_HORNER_FORMS_LOCK = threading.Lock()
+
+
+def _horner_form(p: Poly) -> Tuple[int, List[int]]:
+    """(D, [D*c_i] highest power first), D the lcm of p's denominators."""
+    entry = _HORNER_FORMS.get(id(p))
+    if entry is None or entry[0] is not p:
+        den = math.lcm(*(c.denominator for c in p))
+        entry = (p, den, [den // c.denominator * c.numerator for c in reversed(p)])
+        if isinstance(p, tuple):
+            with _HORNER_FORMS_LOCK:
+                if len(_HORNER_FORMS) >= _HORNER_FORMS_MAX:
+                    del _HORNER_FORMS[next(iter(_HORNER_FORMS))]
+                _HORNER_FORMS[id(p)] = entry
+    return entry[1], entry[2]
+
+
 def poly_eval_horner(p: Poly, x: RatLike) -> Fraction:
     """Evaluate by nested multiplication: c0 + x*(c1 + x*(...)).
 
@@ -107,10 +131,10 @@ def poly_eval_horner(p: Poly, x: RatLike) -> Fraction:
     acc ends at D*b^n*p(x), and one Fraction, acc*b / (D*b^(n+1)), is made.
     """
     a, b = rat(x).as_integer_ratio()
-    den = math.lcm(*(c.denominator for c in p))
+    den, scaled = _horner_form(p)
     acc, scale = 0, 1
-    for c in reversed(p):
-        acc = acc * a + den // c.denominator * c.numerator * scale
+    for c in scaled:
+        acc = acc * a + c * scale
         scale *= b
     return Fraction(acc * b, den * scale)
 

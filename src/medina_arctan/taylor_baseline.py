@@ -6,8 +6,9 @@ partial-sum polynomials, the alternating-series remainder bound, and the
 least degree meeting a target accuracy, judged either by the remainder
 bound or by the certified true error.  Those searches and the least
 observed Medina index share one walk over lazy sources that stop at
-DEGREE_CUTOFF, and a floor under the true error refuses a certified
-search that no degree could pass.  Everything is exact rational arithmetic.
+DEGREE_CUTOFF; one exact check of a floor under the true error at the
+largest degree refuses up front a certified search that no degree could
+pass.  Everything is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -142,21 +143,20 @@ def taylor_min_degree(x: RatLike, eps: RatLike, oracle_mode: bool = False) -> in
     otherwise it is the remainder bound x^(n+2)/(n+2).  Either way the
     search walks n = 1, 3, 5, ... and raises DegreeLimitError past
     DEGREE_CUTOFF, which x = 1 with a small eps will hit: the bound decays
-    like 1/n there.  Oracle mode first walks a cheap floor under the true
-    error and raises the same error at once when no floor meets eps.
+    like 1/n there.  Oracle mode first checks a floor under the true error
+    at the largest degree and raises the same error at once when even that
+    floor does not meet eps.
     """
     x = _check_unit_interval(x)
     eps = check_positive(eps, "eps")
     if oracle_mode:
-        # t_k = x^k/k alternate and decrease on [0, 1], so |T_n(x) - arctan x|
-        # >= t_{n+2} - t_{n+4}.  As a product each floor is cheap; the plain
-        # difference takes gcds of 100k-bit denominators near x = 1.
-        xsq = x * x
-        floors = (
-            (n, term * (1 - xsq * Fraction(n + 2, n + 4)))
-            for n, term in _omitted_terms(x)
-        )
-        _first("degree", x, eps, floors, lambda floor: floor < eps)
+        # |T_n(x) - arctan x| = int_0^x t^(n+1)/(1+t^2) dt >= x^k/(k(1+x^2))
+        # with k = n+2, which falls as n grows.  At the largest odd n, x = a/b
+        # and eps = e/d, it is below eps exactly when a^k d < e k b^n (a^2+b^2).
+        (a, b), (e, d) = x.as_integer_ratio(), eps.as_integer_ratio()
+        n = DEGREE_CUTOFF if DEGREE_CUTOFF % 2 else DEGREE_CUTOFF - 1
+        floor_meets = a ** (n + 2) * d < e * (n + 2) * b**n * (a * a + b * b)
+        _first("degree", x, eps, [(n, floor_meets)], bool)
         return _first("degree", x, eps, _partial_sums(x), _certifier(x, eps))
     return _first("degree", x, eps, _omitted_terms(x), lambda bound: bound < eps)
 

@@ -5,9 +5,12 @@ computation (mpmath at 60 significant digits) run before the package was
 built, then truncated to 40 places.  Parsing them with Fraction is exact,
 so each constant is a rational within 10**-39 of the true real value; the
 REF_SLACK constant accounts for that truncation wherever a test compares
-against them.
+against them.  no_int_str_limit lifts the interpreter's limit on int-to-str
+digits for the tests that read very long exact results back.
 """
 
+import contextlib
+import sys
 from fractions import Fraction
 
 REF_ARCTAN_1 = Fraction("0.7853981633974483096156608458198757210493")
@@ -17,3 +20,14 @@ REF_ARCTAN_95 = Fraction("0.7597627548757708289229611953999818240055")
 REF_PI = Fraction("3.141592653589793238462643383279502884197")
 
 REF_SLACK = Fraction(1, 10**39)
+
+
+@contextlib.contextmanager
+def no_int_str_limit():
+    """Lift the int-to-str digit limit (Python 3.10.7+) inside the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import REF_ARCTAN_1, REF_ARCTAN_95, REF_PI
+from conftest import REF_ARCTAN_1, REF_ARCTAN_95, REF_PI, no_int_str_limit
 from medina_arctan import arctan_eval
 from medina_arctan.arctan_eval import (
     FULL_DECIMAL_DIGITS,
@@ -187,6 +189,43 @@ def test_decimal_rendering():
     assert decimal_str(Fraction(-11, 14), 2) == "-0.79"
     assert decimal_str(Fraction(-1, 2000), 2) == "0.00"  # no negative zero
     assert decimal_str(0, 4) == "0.0000"
+
+
+def decimal_by_divmod(value, digits):
+    """decimal_str as it rendered before it handled the int-to-str limit."""
+    scaled = round(value * 10**digits)
+    sign = "-" if scaled < 0 else ""
+    scaled = abs(scaled)
+    if digits == 0:
+        return f"{sign}{scaled}"
+    whole, frac = divmod(scaled, 10**digits)
+    return f"{sign}{whole}.{frac:0{digits}d}"
+
+
+@given(
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**30)),
+    st.integers(0, 50),
+)
+def test_decimal_rendering_matches_divmod(value, digits):
+    assert decimal_str(value, digits) == decimal_by_divmod(value, digits)
+
+
+def test_decimal_rendering_past_the_int_str_limit():
+    assert decimal_str(Fraction(1, 3), 5000) == "0." + "3" * 5000
+    assert decimal_str(Fraction(-(10**5000) - 1, 10), 0) == "-1" + "0" * 4999
+    assert decimal_str(Fraction(-1, 10**5000), 5000) == "-0." + "0" * 4999 + "1"
+
+
+def test_result_json_past_the_int_str_limit():
+    # m = 107 is what eps = 1e-320 selects here; numerator and denominator
+    # both pass 4,300 digits.
+    result = medina_arctan(Fraction(40503, 65536), 107)
+    doc = approx_result_json(result)
+    with no_int_str_limit():
+        assert doc["value"] == str(result.value)
+        assert doc["error_bound"] == str(result.error_bound)
+    scale = 10 ** doc["decimal_digits_guaranteed"]
+    assert Fraction(doc["decimal"]) == Fraction(round(result.value * scale), scale)
 
 
 def test_decimal_rounding_ties_to_even():

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from medina_arctan.arctan_eval import decimal_str
+from conftest import no_int_str_limit
+from medina_arctan.arctan_eval import decimal_str, medina_arctan
 from medina_arctan.cli import main
 from medina_arctan.oracle import arctan_enclosure
 
@@ -103,6 +104,16 @@ def test_arctan_tight_accuracy_selects_m3(capsys):
     code, out, _ = run_cli(capsys, "arctan", "--x", "0.5", "--eps", "1e-9")
     assert code == 0
     assert json.loads(out)["m"] == 3
+
+
+def test_arctan_result_longer_than_the_int_str_limit(capsys):
+    x = Fraction(40503, 65536)
+    code, out, err = run_cli(capsys, "arctan", "--x", str(x), "--eps", "1e-320")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    with no_int_str_limit():
+        assert Fraction(doc["value"]) == medina_arctan(x, doc["m"]).value
+    assert Fraction(doc["error_bound"]) <= Fraction("1e-320")
 
 
 def test_arctan_rejects_nonpositive_eps(capsys):

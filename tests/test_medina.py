@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import islice
+from math import comb
 
 import pytest
 
@@ -27,6 +28,7 @@ from medina_arctan.poly_core import (
     degree,
     poly,
     poly_add,
+    poly_antiderivative,
     poly_divmod,
     poly_eval_horner,
     poly_mul,
@@ -91,6 +93,31 @@ def p_by_index_loop(seed, m):
 def test_walk_matches_the_per_index_loop(seed):
     walk = list(islice(medina.recurrence(seed), 12))
     assert walk == [p_by_index_loop(seed, m) for m in range(1, 13)]
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [medina_p1(), corrupted_seed(), poly(["1/3", "-2/5", 0, "7/4"])],
+    ids=["shipped", "corrupted", "fractional"],
+)
+def test_approximant_matches_scale_then_integrate(seed):
+    # The route approximant took before scaling and integration became one
+    # Fraction per coefficient.
+    for m, p in enumerate(islice(medina.recurrence(seed), 12), start=1):
+        h = approximant(p, m)
+        assert h == poly_antiderivative(poly_scale(p, 1 / medina_scale(m)))
+        assert all(isinstance(c, Fraction) for c in h)
+
+
+def binomial_row(m):
+    """x^{4m} (1-x)^{4m} from math.comb, one binomial per power."""
+    n = 4 * m
+    return (0,) * n + tuple((-1) ** k * comb(n, k) for k in range(n + 1))
+
+
+def test_window_row_matches_binomials():
+    for m in [*range(1, 201), 665]:
+        assert window_poly(m) == binomial_row(m)
 
 
 def test_closed_form_refuses_an_indivisible_numerator(monkeypatch):

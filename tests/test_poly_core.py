@@ -1,13 +1,18 @@
 """Polynomial calculus: frozen examples plus seeded algebraic property loops."""
 
+import math
 import random
+import sys
+import threading
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from medina_arctan.arctan_eval import pi_estimate
+from medina_arctan import poly_core
 from medina_arctan.medina import medina_h
 from medina_arctan.poly_core import (
     degree,
@@ -114,6 +119,91 @@ def test_eval_horner_matches_fraction_loop(p, x):
     value = poly_eval_horner(p, x)
     assert isinstance(value, Fraction)
     assert value == horner_by_fractions(p, x)
+
+
+def assert_horner_exact(p, x):
+    assert poly_eval_horner(p, x) == horner_by_fractions(p, x)
+
+
+@given(
+    st.lists(coefficients, max_size=40).map(tuple),
+    st.lists(points, min_size=1, max_size=3),
+)
+def test_repeated_eval_horner_matches_fraction_loop(p, xs):
+    # The integer form is reused from the second call on; a value-equal
+    # copy, a same-length neighbour and more than the memo's bound of other
+    # tuples in between must not change any answer.
+    neighbour = tuple(c + 1 for c in p)
+    others = [p + (Fraction(k + 1),) for k in range(poly_core._HORNER_FORMS_MAX + 1)]
+    for x in xs:
+        for q in (p, p, tuple(list(p)), neighbour, p, *others, p, neighbour):
+            assert_horner_exact(q, x)
+
+
+def test_eval_horner_reads_each_new_tuple_afresh():
+    # Tuples made and dropped in turn often reuse one id.
+    for k in range(200):
+        assert_horner_exact(tuple(Fraction(k, j + 1) for j in range(5)), Fraction(3, 7))
+
+
+def test_eval_horner_rereads_a_mutated_list():
+    p = [Fraction(1), Fraction(1, 2)]
+    assert poly_eval_horner(p, 3) == Fraction(5, 2)
+    p[1] = Fraction(5)
+    assert poly_eval_horner(p, 3) == 16
+
+
+def test_eval_horner_forms_once_per_tuple(monkeypatch):
+    calls = []
+
+    def lcm(*args):
+        calls.append(args)
+        return math.lcm(*args)
+
+    monkeypatch.setattr(poly_core, "math", SimpleNamespace(lcm=lcm))
+    p = poly(["1/3", "2/5", "-7/2"])
+    for x in range(20):
+        assert_horner_exact(p, x)
+    assert len(calls) == 1
+
+
+def test_eval_horner_memo_stays_bounded():
+    bound = poly_core._HORNER_FORMS_MAX
+    kept = [poly([k, 1, Fraction(1, k + 1)]) for k in range(3 * bound)]
+    for p in kept:
+        assert_horner_exact(p, 2)
+        assert len(poly_core._HORNER_FORMS) <= bound
+    # The oldest entries went first; the latest are all still there.
+    assert all(poly_core._HORNER_FORMS[id(p)][0] is p for p in kept[-bound:])
+    assert all(id(p) not in poly_core._HORNER_FORMS for p in kept[:bound])
+
+
+def test_eval_horner_memo_under_threads():
+    bound = poly_core._HORNER_FORMS_MAX
+    failures = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            p = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4))
+            x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            if poly_eval_horner(p, x) != horner_by_fractions(p, x):
+                failures.append((p, x))
+            if len(poly_core._HORNER_FORMS) > bound:
+                failures.append("memo past its bound")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 EVAL_POINTS = [

@@ -318,17 +318,51 @@ def test_oracle_walks_at_the_cutoff(monkeypatch):
         taylor_min_degree(*headline, oracle_mode=True)
 
 
-def test_oracle_mode_refuses_an_unreachable_eps_up_front(monkeypatch):
-    # Every floor t_{n+2} - t_{n+4} up to the cutoff is at least eps, so the
-    # search gives up before it asks the oracle for anything.
-    def refuse(*args):
-        raise AssertionError("the oracle walk ran")
+def refuse_the_oracle(*args):
+    raise AssertionError("the oracle walk ran")
 
-    monkeypatch.setattr(taylor_baseline, "arctan_enclosure", refuse)
+
+def test_oracle_mode_refuses_an_unreachable_eps_up_front(monkeypatch):
+    # The floor x^(n+2)/((n+2)(1+x^2)) at the cutoff is at least eps, so the
+    # search gives up before it asks the oracle for anything.
+    monkeypatch.setattr(taylor_baseline, "arctan_enclosure", refuse_the_oracle)
     x, eps = Fraction(999, 1000), Fraction(1, 10**30)
     message = rf"no degree up to 10001 meets eps={eps} at x={x}$"
     with pytest.raises(DegreeLimitError, match=message):
         taylor_min_degree(x, eps, oracle_mode=True)
+
+
+# Near x = 1 the old floor t_{n+2} - t_{n+4} fell below these eps long
+# before the cutoff, so the search summed exact terms up to it first.
+@pytest.mark.parametrize(
+    "x, eps",
+    [(Fraction(9999, 10000), Fraction(1, 10**5)), (Fraction(1), Fraction(1, 10**6))],
+)
+def test_oracle_mode_refuses_near_one_up_front(monkeypatch, x, eps):
+    monkeypatch.setattr(taylor_baseline, "arctan_enclosure", refuse_the_oracle)
+    message = rf"no degree up to 10001 meets eps={eps} at x={x}$"
+    with pytest.raises(DegreeLimitError, match=message):
+        taylor_min_degree(x, eps, oracle_mode=True)
+
+
+@pytest.mark.parametrize("x", [Fraction(1), Fraction(9, 10), Fraction(1, 2)])
+def test_floor_at_a_patched_cutoff_decides_the_walk(monkeypatch, x):
+    monkeypatch.setattr(taylor_baseline, "DEGREE_CUTOFF", 21)
+    floor = x**23 / (23 * (1 + x * x))
+    monkeypatch.setattr(taylor_baseline, "arctan_enclosure", refuse_the_oracle)
+    with pytest.raises(DegreeLimitError, match="no degree up to 21 meets"):
+        taylor_min_degree(x, floor, oracle_mode=True)
+    # Just above the floor the oracle walk runs, and agrees with the loop.
+    eps = floor * (1 + Fraction(1, 2**40))
+
+    def search(x, eps):
+        return taylor_min_degree(x, eps, oracle_mode=True)
+
+    spy = mock.Mock(wraps=arctan_enclosure)
+    monkeypatch.setattr(taylor_baseline, "arctan_enclosure", spy)
+    got = outcome(search, x, eps)
+    assert spy.called
+    assert got == outcome(min_degree_by_oracle_loop, x, eps)
 
 
 def test_floor_met_at_the_cutoff_itself_reaches_the_oracle_walk(monkeypatch):
