@@ -52,6 +52,7 @@ from .poly_core import (
     poly_to_strings,
     rat,
     rat_parse,
+    rat_text,
 )
 from .taylor_baseline import (
     DEGREE_CUTOFF,

@@ -13,13 +13,19 @@ at the very end, correctly rounded from the exact value.
 
 from __future__ import annotations
 
-import decimal
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .medina import medina_error_bound, medina_h, medina_min_m_for
-from .poly_core import RatLike, check_int, check_positive, poly_eval_horner, rat
+from .poly_core import (
+    RatLike,
+    check_int,
+    check_positive,
+    poly_eval_horner,
+    rat,
+    rat_text,
+)
 
 # Decimal places printed when the caller asks to see past the guarantee.
 FULL_DECIMAL_DIGITS = 30
@@ -146,18 +152,9 @@ def decimal_str(value: RatLike, digits: int) -> str:
     check_int(digits, "digits", 0)
     scaled = round(rat(value) * 10**digits)
     sign = "-" if scaled < 0 else ""
-    text = _exact_str(abs(scaled)).rjust(digits + 1, "0")
+    text = rat_text(abs(scaled)).rjust(digits + 1, "0")
     whole, frac = text[: len(text) - digits], text[len(text) - digits :]
     return f"{sign}{whole}.{frac}" if digits else f"{sign}{whole}"
-
-
-def _exact_str(value) -> str:
-    """str(value) for an int or Fraction, also past the int-to-str digit limit."""
-    try:
-        return str(value)
-    except ValueError:
-        num, den = (decimal.Decimal(n) for n in value.as_integer_ratio())
-        return str(num) if den == 1 else f"{num}/{den}"
 
 
 def approx_result_json(result: ApproxResult, *, full: bool = False) -> dict:
@@ -165,8 +162,8 @@ def approx_result_json(result: ApproxResult, *, full: bool = False) -> dict:
     digits = guaranteed_digits(result.error_bound)
     shown = FULL_DECIMAL_DIGITS if full else digits
     return {
-        "value": _exact_str(result.value),
-        "error_bound": _exact_str(result.error_bound),
+        "value": rat_text(result.value),
+        "error_bound": rat_text(result.error_bound),
         "m": result.m,
         "steps": [step.value for step in result.trace.steps],
         "decimal": decimal_str(result.value, shown),

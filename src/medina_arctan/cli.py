@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -28,6 +29,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 WORK_LIMIT_ENV = "MEDINA_WORK_LIMIT"
+
+# A negative rational such as -1/7, -1e-3 or -.5.
+_NEGATIVE = re.compile(r"-[\d.]")
 
 
 def _rat_arg(text: str) -> Fraction:
@@ -52,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--form",
         choices=("recurrence", "closed", "both"),
-        default="recurrence",
+        default="closed",
         help="construction route for p_m; 'both' also reports their agreement",
     )
     gen.set_defaults(func=cmd_gen)
@@ -180,8 +184,24 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _join_negative_values(argv):
+    """Write "--x -1/7" as "--x=-1/7", and likewise for --eps.
+
+    argparse reads a token after an option as its value only when it does
+    not look like an option; "-3" and "-0.5" pass, "-1/7" and "-1e-3" do not.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--x", "--eps") and _NEGATIVE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
     except (DegreeLimitError, ValueError) as exc:

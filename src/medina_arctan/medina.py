@@ -36,6 +36,7 @@ from .poly_core import (
     poly_mul,
     poly_scale,
     poly_to_strings,
+    rat_text,
 )
 
 _SEED: Poly = poly([4, 0, -4, 0, 5, -4, 1])
@@ -150,7 +151,7 @@ class MedinaPair:
             "m": self.m,
             "p": poly_to_strings(self.p),
             "h": poly_to_strings(self.h),
-            "bound": str(self.bound),
+            "bound": rat_text(self.bound),
         }
 
 

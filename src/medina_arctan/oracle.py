@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly_core import RatLike, check_positive, rat
+from .poly_core import RatLike, check_positive, rat, rat_text
 
 _HALF = Fraction(1, 2)
 
@@ -38,7 +38,8 @@ class Enclosure:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ValueError(f"inverted enclosure [{self.lo}, {self.hi}]")
+            lo, hi = rat_text(self.lo), rat_text(self.hi)
+            raise ValueError(f"inverted enclosure [{lo}, {hi}]")
 
     @property
     def width(self) -> Fraction:
@@ -52,7 +53,7 @@ class Enclosure:
         return self.lo <= rat(value) <= self.hi
 
     def to_json(self) -> dict:
-        return {"lo": str(self.lo), "hi": str(self.hi)}
+        return {"lo": rat_text(self.lo), "hi": rat_text(self.hi)}
 
 
 def _series_enclosure(x: Fraction, eps: Fraction) -> Enclosure:

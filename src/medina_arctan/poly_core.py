@@ -12,11 +12,15 @@ gcd-reduced with a positive denominator.  Nothing here ever rounds, and all
 values are immutable.  Horner evaluation runs on integers over one common
 denominator, a form kept for the last few tuples evaluated, and makes one
 Fraction at the end; ``poly_eval_powers`` stays in Fraction arithmetic.
+``rat_text`` writes the one text form of a rational that ``rat_parse``
+reads, at any length.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+import re
 import threading
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
@@ -45,20 +49,46 @@ def rat(value: RatLike) -> Fraction:
     raise TypeError(f"cannot coerce {type(value).__name__} to an exact rational")
 
 
+# Fraction refuses even well-formed text once a part passes the interpreter's
+# int-from-str digit limit; rat_text's form is then read through decimal,
+# which has no such limit.
+_RAT_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def rat_parse(text: str) -> Fraction:
     """Parse "-3", "19/20", "0.95", or "1e-9" into an exact Fraction.
 
-    Decimal and exponent notation convert exactly.  Malformed text or a zero
-    denominator raises ValueError.
+    Decimal and exponent notation convert exactly, and everything rat_text
+    writes reads back, however long.  Malformed text or a zero denominator
+    raises ValueError.
     """
     # U+2212 is the typographic minus that tends to arrive via copy-paste.
     cleaned = text.strip().replace("−", "-")
     try:
-        return Fraction(cleaned)
+        try:
+            return Fraction(cleaned)
+        except ValueError:
+            if not _RAT_TEXT.fullmatch(cleaned):
+                raise
+        num, _, den = cleaned.partition("/")
+        return Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den or 1)))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational {text!r}") from None
     except ValueError:
         raise ValueError(f"malformed rational {text!r}") from None
+
+
+def rat_text(value: Union[int, Fraction]) -> str:
+    """The inverse of rat_parse: "-3" or "19/20", exactly what str() gives.
+
+    Parts past the interpreter's int-to-str digit limit are written through
+    decimal, which has no such limit, so every exact rational renders.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        num, den = (decimal.Decimal(n) for n in value.as_integer_ratio())
+        return str(num) if den == 1 else f"{num}/{den}"
 
 
 def check_int(value, name: str, least: int) -> int:
@@ -67,7 +97,8 @@ def check_int(value, name: str, least: int) -> int:
     Anything else raises ValueError naming the parameter.
     """
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        got = rat_text(value) if isinstance(value, int) else repr(value)
+        raise ValueError(f"{name} must be an integer >= {least}, got {got}")
     return value
 
 
@@ -242,7 +273,7 @@ def poly_divmod(p: Poly, d: Poly) -> Tuple[Poly, Poly]:
 
 def poly_to_strings(p: Poly) -> List[str]:
     """Serialize as a list of rational strings, index = power (JSON-ready)."""
-    return [str(c) for c in p]
+    return [rat_text(c) for c in p]
 
 
 def poly_from_strings(items: Sequence[str]) -> Poly:

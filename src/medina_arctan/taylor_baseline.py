@@ -19,7 +19,15 @@ from functools import cache
 
 from .medina import medina_h, medina_min_m_for
 from .oracle import arctan_enclosure
-from .poly_core import Poly, RatLike, check_int, check_positive, poly_eval_horner, rat
+from .poly_core import (
+    Poly,
+    RatLike,
+    check_int,
+    check_positive,
+    poly_eval_horner,
+    rat,
+    rat_text,
+)
 
 DEGREE_CUTOFF = 10001
 
@@ -49,14 +57,14 @@ class TaylorPoly:
 
 def _check_degree(n) -> int:
     if check_int(n, "degree", 1) % 2 == 0:
-        raise ValueError(f"degree must be odd, got {n!r}")
+        raise ValueError(f"degree must be odd, got {rat_text(n)}")
     return n
 
 
 def _check_unit_interval(x: RatLike) -> Fraction:
     x = rat(x)
     if not 0 <= x <= 1:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+        raise ValueError(f"x must lie in [0, 1], got {rat_text(x)}")
     return x
 
 
@@ -104,7 +112,8 @@ def _certifier(x: Fraction, eps: Fraction):
                 return False
             width /= 2**10
         raise DegreeLimitError(
-            f"could not separate the error at x={x} from eps={eps} "
+            f"could not separate the error at x={rat_text(x)} "
+            f"from eps={rat_text(eps)} "
             "after repeated enclosure tightening"
         )
 
@@ -116,7 +125,9 @@ def _first(what: str, x: Fraction, eps: Fraction, candidates, meets) -> int:
     for index, value in candidates:
         if meets(value):
             return index
-    raise DegreeLimitError(f"no {what} up to {DEGREE_CUTOFF} meets eps={eps} at x={x}")
+    raise DegreeLimitError(
+        f"no {what} up to {DEGREE_CUTOFF} meets eps={rat_text(eps)} at x={rat_text(x)}"
+    )
 
 
 def _omitted_terms(x: Fraction):
@@ -136,6 +147,20 @@ def _partial_sums(x: Fraction):
         partial = partial - term if n % 4 == 1 else partial + term
 
 
+def _floor_meets(x: Fraction, eps: Fraction, n: int) -> bool:
+    """Whether x^k/(k(1+x^2)) < eps, with k = n+2, x = a/b and eps = e/d.
+
+    Exactly, that is a^k d < e k b^n (a^2+b^2).  Bit lengths settle it first
+    when they can: x < 2^-s with s = bl(b) - bl(a) - 1 and
+    eps > 2^(bl(e) - bl(d) - 1), so k s > bl(d) - bl(e) gives x^k < eps.
+    """
+    (a, b), (e, d) = x.as_integer_ratio(), eps.as_integer_ratio()
+    k = n + 2
+    if k * (b.bit_length() - a.bit_length() - 1) > d.bit_length() - e.bit_length():
+        return True
+    return a**k * d < e * k * b**n * (a * a + b * b)
+
+
 def taylor_min_degree(x: RatLike, eps: RatLike, oracle_mode: bool = False) -> int:
     """Least odd n whose degree-n partial sum meets eps at x.
 
@@ -150,13 +175,10 @@ def taylor_min_degree(x: RatLike, eps: RatLike, oracle_mode: bool = False) -> in
     x = _check_unit_interval(x)
     eps = check_positive(eps, "eps")
     if oracle_mode:
-        # |T_n(x) - arctan x| = int_0^x t^(n+1)/(1+t^2) dt >= x^k/(k(1+x^2))
-        # with k = n+2, which falls as n grows.  At the largest odd n, x = a/b
-        # and eps = e/d, it is below eps exactly when a^k d < e k b^n (a^2+b^2).
-        (a, b), (e, d) = x.as_integer_ratio(), eps.as_integer_ratio()
+        # |T_n(x) - arctan x| = int_0^x t^(n+1)/(1+t^2) dt >= x^(n+2)/((n+2)(1+x^2)),
+        # which falls as n grows; at the largest odd n it must meet eps.
         n = DEGREE_CUTOFF if DEGREE_CUTOFF % 2 else DEGREE_CUTOFF - 1
-        floor_meets = a ** (n + 2) * d < e * (n + 2) * b**n * (a * a + b * b)
-        _first("degree", x, eps, [(n, floor_meets)], bool)
+        _first("degree", x, eps, [(n, _floor_meets(x, eps, n))], bool)
         return _first("degree", x, eps, _partial_sums(x), _certifier(x, eps))
     return _first("degree", x, eps, _omitted_terms(x), lambda bound: bound < eps)
 
@@ -186,8 +208,8 @@ def comparison_row(x: RatLike, eps: RatLike, oracle_mode: bool = True) -> dict:
     n = taylor_min_degree(x, eps, oracle_mode)
     m = medina_min_m_observed(x, eps) if oracle_mode else medina_min_m_for(eps)
     return {
-        "x": str(x),
-        "eps": str(eps),
+        "x": rat_text(x),
+        "eps": rat_text(eps),
         "taylor_min_degree": n,
         "medina_min_m": m,
         "medina_degree": 8 * m - 1,

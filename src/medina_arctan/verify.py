@@ -46,6 +46,7 @@ from .poly_core import (
     poly_eval_powers,
     poly_mul,
     poly_sub,
+    rat_text,
 )
 
 DEFAULT_WORK_LIMIT = 2_000_000
@@ -65,10 +66,10 @@ class Witness:
 
     def to_json(self) -> dict:
         return {
-            "x": None if self.x is None else str(self.x),
+            "x": None if self.x is None else rat_text(self.x),
             "m": self.m,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
+            "lhs": rat_text(self.lhs),
+            "rhs": rat_text(self.rhs),
         }
 
 

@@ -11,8 +11,11 @@ import pytest
 
 from conftest import no_int_str_limit
 from medina_arctan.arctan_eval import decimal_str, medina_arctan
+from medina_arctan import medina
 from medina_arctan.cli import main
+from medina_arctan.medina import medina_p_closed
 from medina_arctan.oracle import arctan_enclosure
+from medina_arctan.poly_core import rat_parse
 
 
 def run_cli(capsys, *argv):
@@ -38,9 +41,20 @@ def test_gen_both_forms_agree(capsys):
 
 
 def test_gen_closed_form_matches(capsys):
-    _, recur, _ = run_cli(capsys, "gen", "--m", "3")
-    _, closed, _ = run_cli(capsys, "gen", "--m", "3", "--form", "closed")
-    assert json.loads(recur)["p"] == json.loads(closed)["p"]
+    _, recur, _ = run_cli(capsys, "gen", "--m", "3", "--form", "recurrence")
+    _, default, _ = run_cli(capsys, "gen", "--m", "3")
+    assert json.loads(recur)["p"] == json.loads(default)["p"]
+
+
+def test_gen_defaults_to_the_closed_form(capsys, monkeypatch):
+    def no_recurrence(m):
+        raise AssertionError("the recurrence ran")
+
+    monkeypatch.setattr(medina, "medina_p_recurrence", no_recurrence)
+    _, default, _ = run_cli(capsys, "gen", "--m", "5")
+    _, closed, _ = run_cli(capsys, "gen", "--m", "5", "--form", "closed")
+    assert default == closed
+    assert json.loads(default)["p"] == [str(c) for c in medina_p_closed(5)]
 
 
 def test_gen_invalid_index(capsys):
@@ -116,6 +130,45 @@ def test_arctan_result_longer_than_the_int_str_limit(capsys):
     assert Fraction(doc["error_bound"]) <= Fraction("1e-320")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arctan", "--x", "-1/7", "--eps", "1e-50"],
+        ["eval", "--m", "2", "--x", "-1/7"],
+        ["arctan", "--x", "-1e-3", "--eps", "1e-9", "--full"],
+    ],
+)
+def test_negative_fraction_as_a_separate_token(capsys, argv):
+    # "--x -1/7" prints exactly what "--x=-1/7" prints.
+    spaced = run_cli(capsys, *argv)
+    at = argv.index("--x")
+    joined = run_cli(capsys, *argv[:at], f"--x={argv[at + 1]}", *argv[at + 2 :])
+    assert spaced == joined
+    assert spaced[0] == 0
+    assert json.loads(spaced[1])["steps"] == ["Negate"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["arctan", "--x", "-1/7", "--eps", "-1/7"], "error: eps must be positive\n"),
+        (
+            ["compare", "--x", "-1/7", "--eps", "1e-3"],
+            "error: x must lie in [0, 1], got -1/7\n",
+        ),
+    ],
+)
+def test_negative_fraction_values_reach_validation(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
+def test_missing_option_value_is_still_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["arctan", "--x", "--eps", "1e-3"])
+    assert caught.value.code == 2
+    assert "argument --x: expected one argument" in capsys.readouterr().err
+
+
 def test_arctan_rejects_nonpositive_eps(capsys):
     code, _, err = run_cli(capsys, "arctan", "--x", "1", "--eps", "0")
     assert code == 2
@@ -174,6 +227,17 @@ def test_compare_near_tie_is_a_resource_error(capsys):
     assert out == ""
     assert err.startswith("error: could not separate")
     assert err.count("\n") == 1
+
+
+def test_compare_past_the_int_str_limit(capsys):
+    code, out, err = run_cli(capsys, "compare", "--x", "1e-5000", "--eps", "1e-3")
+    assert (code, err) == (0, "")
+    row = _parse_csv(out)[0]
+    assert rat_parse(row["x"]) == Fraction(1, 10**5000)
+    assert (row["taylor_min_degree"], row["medina_min_m"]) == ("1", "1")
+    code, out, err = run_cli(capsys, "compare", "--x", "1", "--eps", "1e-5000")
+    assert (code, out) == (2, "")
+    assert err == f"error: no degree up to 10001 meets eps=1/1{'0' * 5000} at x=1\n"
 
 
 def test_verify_clean_run(capsys):

@@ -31,10 +31,12 @@ from medina_arctan.poly_core import (
     poly_antiderivative,
     poly_divmod,
     poly_eval_horner,
+    poly_from_strings,
     poly_mul,
     poly_pow,
     poly_scale,
     poly_to_strings,
+    rat_parse,
 )
 from medina_arctan.verify import corrupted_seed
 
@@ -251,6 +253,18 @@ def test_pair_bundle_and_json():
         "bound": "1/1024",
     }
     assert medina_pair(4, closed=True).p == medina_pair(4).p
+
+
+def test_pair_json_past_the_int_str_limit():
+    # The bound 4^-7145 of h_1429 has 4,302 digits; the pair is built
+    # directly, without constructing h_1429.
+    big = Fraction(-(3**9100), 7)
+    bound = medina_error_bound(1429)
+    pair = MedinaPair(m=1429, p=(big,), h=(Fraction(0), big), bound=bound)
+    doc = pair.to_json()
+    assert rat_parse(doc["bound"]) == Fraction(1, 4**7145)
+    assert poly_from_strings(doc["p"]) == (big,)
+    assert poly_from_strings(doc["h"]) == (Fraction(0), big)
 
 
 def test_first_approximant_accuracy_landmarks():

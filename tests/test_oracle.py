@@ -13,6 +13,7 @@ from conftest import (
     REF_SLACK,
 )
 from medina_arctan.oracle import Enclosure, arctan_enclosure, pi_enclosure
+from medina_arctan.poly_core import rat_parse
 
 
 def test_enclosure_type():
@@ -24,6 +25,15 @@ def test_enclosure_type():
     assert enc.to_json() == {"lo": "1/3", "hi": "1/2"}
     with pytest.raises(ValueError):
         Enclosure(Fraction(1), Fraction(0))
+
+
+def test_enclosure_text_past_the_int_str_limit():
+    lo, hi = Fraction(-1, 10**5000), Fraction(3**9100, 2)
+    doc = Enclosure(lo, hi).to_json()
+    assert doc["lo"] == "-1/1" + "0" * 5000
+    assert (rat_parse(doc["lo"]), rat_parse(doc["hi"])) == (lo, hi)
+    with pytest.raises(ValueError, match=r"^inverted enclosure \[10{5000}, 0\]$"):
+        Enclosure(Fraction(10**5000), Fraction(0))
 
 
 def test_zero_is_exact():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import no_int_str_limit
 from medina_arctan.arctan_eval import pi_estimate
 from medina_arctan import poly_core
 from medina_arctan.medina import medina_h
@@ -33,6 +34,7 @@ from medina_arctan.poly_core import (
     poly_to_strings,
     rat,
     rat_parse,
+    rat_text,
 )
 
 P1 = poly([4, 0, -4, 0, 5, -4, 1])
@@ -297,6 +299,60 @@ def test_string_round_trip():
     assert poly_from_strings(["4", "0", "-4", "0", "5", "-4", "1"]) == P1
     assert poly_from_strings(["1", "2", "0"]) == poly([1, 2])
     assert poly_from_strings([]) == ()
+
+
+def test_string_round_trip_past_the_int_str_limit():
+    p = (Fraction(1, 10**5000), Fraction(-(7**6000), 3), Fraction(2))
+    strings = poly_to_strings(p)
+    assert strings[0] == "1/1" + "0" * 5000
+    assert strings[2] == "2"
+    assert poly_from_strings(strings) == p
+
+
+def test_int_check_message_past_the_int_str_limit():
+    message = r"^exponent must be an integer >= 0, got -10{5000}$"
+    with pytest.raises(ValueError, match=message):
+        poly_pow(P1, -(10**5000))
+    with pytest.raises(ValueError, match=r"got '2'$"):
+        poly_pow(P1, "2")
+
+
+def _with_digits(count, rest):
+    """A positive int of exactly `count` decimal digits."""
+    return 10 ** (count - 1) + rest % (9 * 10 ** (count - 1))
+
+
+# Digit counts on both sides of the interpreter's 4,300-digit default limit.
+_digit_counts = st.one_of(st.integers(1, 40), st.integers(4290, 4310))
+_parts = st.builds(_with_digits, _digit_counts, st.integers(0, 2**128))
+_rationals = st.one_of(
+    st.builds(lambda sign, n: sign * n, st.sampled_from([1, -1]), _parts),
+    st.builds(
+        lambda sign, n, d: Fraction(sign * n, d),
+        st.sampled_from([1, -1]),
+        _parts,
+        _parts,
+    ),
+)
+
+
+@given(_rationals)
+def test_rat_text_is_str_and_inverts_rat_parse(q):
+    text = rat_text(q)
+    assert rat_parse(text) == q
+    try:
+        expected = str(q)
+    except ValueError:
+        with no_int_str_limit():
+            expected = str(q)
+    assert text == expected
+
+
+def test_rat_parse_errors_past_the_int_str_limit():
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat_parse("1/" + "0" * 5000)
+    with pytest.raises(ValueError, match="malformed rational"):
+        rat_parse("1" * 5000 + "/2/3")
 
 
 def _random_poly(rng, max_degree=20):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from medina_arctan import taylor_baseline
 from medina_arctan.medina import medina_h
-from medina_arctan.oracle import arctan_enclosure
+from medina_arctan.oracle import Enclosure, arctan_enclosure
 from medina_arctan.poly_core import poly, poly_eval_horner
 from medina_arctan.taylor_baseline import (
     COMPARISON_COLUMNS,
@@ -374,3 +374,91 @@ def test_floor_met_at_the_cutoff_itself_reaches_the_oracle_walk(monkeypatch):
     monkeypatch.setattr(taylor_baseline, "DEGREE_CUTOFF", 7)
     with pytest.raises(DegreeLimitError, match="no degree up to 7 meets"):
         taylor_min_degree(x, eps, oracle_mode=True)
+
+
+@st.composite
+def unit_rationals(draw):
+    """a/b in [0, 1], with a and b of independently drawn bit sizes."""
+    b = draw(st.integers(1, 2 ** draw(st.integers(1, 3000))))
+    return Fraction(draw(st.integers(0, min(b, 2 ** draw(st.integers(0, 3000))))), b)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(unit_points(64), unit_rationals()),
+    st.integers(0, 300).map(lambda i: 2 * i + 1),
+    st.data(),
+)
+def test_floor_shortcut_agrees_with_the_exact_inequality(x, n, data):
+    k = n + 2
+    floor = x**k / (k * (1 + x * x))
+    eps = data.draw(
+        st.one_of(
+            st.integers(0, 4000).map(lambda j: Fraction(1, 2**j)),
+            st.integers(0, 1200).map(lambda j: Fraction(1, 10**j)),
+            # Next to the floor itself, where the answer turns.
+            st.integers(-2, 2).map(lambda t: floor * Fraction(2) ** t),
+        ).filter(lambda eps: eps > 0)
+    )
+    (a, b), (e, d) = x.as_integer_ratio(), eps.as_integer_ratio()
+    exact = a**k * d < e * k * b**n * (a * a + b * b)
+    assert taylor_baseline._floor_meets(x, eps, n) == exact
+
+
+# Where bit lengths come closest to the answer: x just below a power of two
+# and the floor at eps itself, which it does not meet.
+@pytest.mark.parametrize(
+    "x, n",
+    [
+        (Fraction(3, 4), 13),
+        (Fraction(1023, 1024), 1),
+        (Fraction(1), 1),
+        (Fraction(2**64 - 1, 2**65), 1),
+        (Fraction(2**64 - 1, 2**65), 101),
+        (Fraction(1, 2**64 + 1), 11),
+    ],
+)
+def test_floor_shortcut_at_the_turn(x, n):
+    floor = x ** (n + 2) / ((n + 2) * (1 + x * x))
+    assert not taylor_baseline._floor_meets(x, floor, n)
+    assert taylor_baseline._floor_meets(x, floor * (1 + Fraction(1, 2**40)), n)
+
+
+def test_comparison_row_at_a_tiny_argument():
+    # The floor check settles from bit lengths instead of raising
+    # 10^5000 to the cutoff's power; the row renders past 4,300 digits.
+    row = comparison_row(Fraction(1, 10**5000), Fraction(1, 1000))
+    assert (row["taylor_min_degree"], row["medina_min_m"]) == (1, 1)
+    assert row["x"] == "1/1" + "0" * 5000
+    assert row["eps"] == "1/1000"
+
+
+# The messages below name rationals past the int-to-str digit limit.
+def test_domain_message_past_the_int_str_limit():
+    x = Fraction(10**5000 + 1, 10**5000)
+    message = r"^x must lie in \[0, 1\], got 10{4999}1/10{5000}$"
+    with pytest.raises(ValueError, match=message):
+        comparison_row(x, "1e-3")
+    with pytest.raises(ValueError, match=r"^degree must be odd, got 20{5000}$"):
+        taylor_poly(2 * 10**5000)
+
+
+def test_cutoff_message_past_the_int_str_limit(monkeypatch):
+    monkeypatch.setattr(taylor_baseline, "arctan_enclosure", refuse_the_oracle)
+    message = r"^no degree up to 10001 meets eps=1/10{5000} at x=1$"
+    with pytest.raises(DegreeLimitError, match=message):
+        taylor_min_degree(1, Fraction(1, 10**5000), oracle_mode=True)
+
+
+def test_tie_message_past_the_int_str_limit(monkeypatch):
+    # An enclosure that always straddles the tie never lets the test decide.
+    x, eps = Fraction(1, 10**5000), Fraction(10**5000 + 1, 10**5001)
+    monkeypatch.setattr(
+        taylor_baseline, "arctan_enclosure", lambda x, width: Enclosure(-eps, eps)
+    )
+    message = (
+        r"^could not separate the error at x=1/10{5000} from eps=10{4999}1/10{5001} "
+        "after repeated enclosure tightening$"
+    )
+    with pytest.raises(DegreeLimitError, match=message):
+        taylor_baseline._certifier(x, eps)(Fraction(0))

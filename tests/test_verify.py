@@ -7,7 +7,9 @@ import pytest
 from medina_arctan import medina, verify
 from medina_arctan.medina import medina_h
 from medina_arctan.poly_core import poly_mul
+from medina_arctan.poly_core import rat_parse
 from medina_arctan.verify import (
+    Witness,
     WorkLimitExceeded,
     corrupted_seed,
     run_suite,
@@ -161,3 +163,12 @@ def test_report_json_shape():
     by_id = {entry["id"]: entry for entry in doc["checks"]}
     assert by_id["L1"]["witness"] == {"x": "1/2", "m": None, "lhs": "1/4", "rhs": "1/4"}
     assert by_id["L3"]["witness"] is None
+
+
+def test_witness_json_past_the_int_str_limit():
+    x, lhs, rhs = Fraction(1, 3**9100), Fraction(-(10**5000)), Fraction(2, 7)
+    doc = Witness(x=x, m=4, lhs=lhs, rhs=rhs).to_json()
+    assert doc["m"] == 4
+    assert [rat_parse(doc[key]) for key in ("x", "lhs", "rhs")] == [x, lhs, rhs]
+    assert doc["lhs"] == "-1" + "0" * 5000
+    assert doc["rhs"] == "2/7"
