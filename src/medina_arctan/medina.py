@@ -15,8 +15,8 @@ guarantee
 
 The shipped h_m comes from the closed form on integers (a binomial row,
 divided in place) with one Fraction per coefficient at the end; the
-recurrence, grown by one lazy walk, is the reference it is checked
-against.  Only medina_h is memoized, one write-once entry per index.
+recurrence, grown by one lazy walk, is the reference.  Both hand out
+Prepared tuples; medina_h keeps the latest 16, the only cross-call cache.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from itertools import islice
 
 from .poly_core import (
     Poly,
+    Prepared,
     RatLike,
     check_int,
     check_positive,
@@ -61,9 +62,8 @@ def window_poly(m: int) -> Poly:
 def approximant(p: Poly, m: int) -> Poly:
     """h_m from p_m: the antiderivative of p_m / ((-1)^(m+1) 4^m), anchored at 0."""
     s = medina_scale(m).numerator
-    return (Fraction(0),) + tuple(
-        Fraction(c.numerator, c.denominator * s * (i + 1)) for i, c in enumerate(p)
-    )
+    terms = (Fraction(c.numerator, c.denominator * s * k) for k, c in enumerate(p, 1))
+    return Prepared((Fraction(0), *terms))
 
 
 def recurrence(seed: Poly):
@@ -73,11 +73,11 @@ def recurrence(seed: Poly):
     for.  Any seed is accepted, so the verifier can grow a corrupted one.
     """
     step = window_poly(1)
-    p, shift = seed, Fraction(1)
+    p, shift = Prepared(seed), Fraction(1)
     while True:
         yield p
         shift *= -4
-        p = poly_add(poly_mul(step, p), poly_scale(seed, shift))
+        p = Prepared(poly_add(poly_mul(step, p), poly_scale(seed, shift)))
 
 
 def medina_p_recurrence(m: int) -> Poly:
@@ -114,7 +114,7 @@ def medina_scale(m: int) -> Fraction:
     return Fraction((-1) ** (m + 1) * 4**m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def medina_h(m: int) -> Poly:
     """Approximant h_m of degree 8m - 1, built from the closed form of p_m."""
     return approximant(medina_p_closed(check_int(m, "sequence index", 1)), m)

@@ -10,8 +10,8 @@ mathematical equality.
 Scalars are ``fractions.Fraction`` throughout, which keeps every value
 gcd-reduced with a positive denominator.  Nothing here ever rounds, and all
 values are immutable.  Horner evaluation runs on integers over one common
-denominator, a form kept for the last few tuples evaluated, and makes one
-Fraction at the end; ``poly_eval_powers`` stays in Fraction arithmetic.
+denominator, a form a ``Prepared`` tuple keeps, and makes one Fraction at
+the end; ``poly_eval_powers`` stays in Fraction arithmetic.
 ``rat_text`` writes the one text form of a rational that ``rat_parse``
 reads, at any length.
 """
@@ -21,8 +21,8 @@ from __future__ import annotations
 import decimal
 import math
 import re
-import threading
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple, Union
 
 Rational = Fraction
@@ -49,31 +49,31 @@ def rat(value: RatLike) -> Fraction:
     raise TypeError(f"cannot coerce {type(value).__name__} to an exact rational")
 
 
-# Fraction refuses even well-formed text once a part passes the interpreter's
-# int-from-str digit limit; rat_text's form is then read through decimal,
-# which has no such limit.
-_RAT_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# Fraction refuses even well-formed text with a part past the int-from-str
+# digit limit.  Form does not depend on the length of digit runs, so Fraction
+# judges a copy with each run cut to "1", and decimal, unlimited, reads it.
+_DIGIT_RUN = re.compile(r"\d+")
 
 
 def rat_parse(text: str) -> Fraction:
     """Parse "-3", "19/20", "0.95", or "1e-9" into an exact Fraction.
 
-    Decimal and exponent notation convert exactly, and everything rat_text
-    writes reads back, however long.  Malformed text or a zero denominator
-    raises ValueError.
+    Whatever Fraction reads, rat_parse reads to the same value at any length;
+    whatever it refuses raises ValueError here, as do a zero denominator and
+    an exponent too large for any exact value.
     """
     # U+2212 is the typographic minus that tends to arrive via copy-paste.
     cleaned = text.strip().replace("−", "-")
+    num, slash, den = cleaned.partition("/")
     try:
-        try:
-            return Fraction(cleaned)
-        except ValueError:
-            if not _RAT_TEXT.fullmatch(cleaned):
-                raise
-        num, _, den = cleaned.partition("/")
-        return Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den or 1)))
+        Fraction(_DIGIT_RUN.sub("1", cleaned))
+        if slash:
+            return Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den)))
+        return Fraction(decimal.Decimal(cleaned))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational {text!r}") from None
+    except decimal.InvalidOperation:  # an exponent past 10^18
+        raise ValueError(f"exponent out of range in rational {text!r}") from None
     except ValueError:
         raise ValueError(f"malformed rational {text!r}") from None
 
@@ -132,27 +132,14 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-# Horner's integer form of the last few tuples evaluated, by id, so one
-# polynomial evaluated at many points pays for its lcm and divisions once.
-# An entry holds its tuple, so the id cannot be reused while it lives.
-# Lists are mutable, so their form is never kept.
-_HORNER_FORMS: dict = {}
-_HORNER_FORMS_MAX = 16
-_HORNER_FORMS_LOCK = threading.Lock()
+class Prepared(tuple):
+    """A polynomial tuple that keeps its Horner form once first evaluated."""
 
-
-def _horner_form(p: Poly) -> Tuple[int, List[int]]:
-    """(D, [D*c_i] highest power first), D the lcm of p's denominators."""
-    entry = _HORNER_FORMS.get(id(p))
-    if entry is None or entry[0] is not p:
-        den = math.lcm(*(c.denominator for c in p))
-        entry = (p, den, [den // c.denominator * c.numerator for c in reversed(p)])
-        if isinstance(p, tuple):
-            with _HORNER_FORMS_LOCK:
-                if len(_HORNER_FORMS) >= _HORNER_FORMS_MAX:
-                    del _HORNER_FORMS[next(iter(_HORNER_FORMS))]
-                _HORNER_FORMS[id(p)] = entry
-    return entry[1], entry[2]
+    @cached_property
+    def horner_form(self) -> Tuple[int, List[int]]:
+        """(D, [D*c_i] highest power first), D the lcm of the denominators."""
+        den = math.lcm(*(c.denominator for c in self))
+        return den, [den // c.denominator * c.numerator for c in reversed(self)]
 
 
 def poly_eval_horner(p: Poly, x: RatLike) -> Fraction:
@@ -162,7 +149,7 @@ def poly_eval_horner(p: Poly, x: RatLike) -> Fraction:
     acc ends at D*b^n*p(x), and one Fraction, acc*b / (D*b^(n+1)), is made.
     """
     a, b = rat(x).as_integer_ratio()
-    den, scaled = _horner_form(p)
+    den, scaled = (p if isinstance(p, Prepared) else Prepared(p)).horner_form
     acc, scale = 0, 1
     for c in scaled:
         acc = acc * a + c * scale

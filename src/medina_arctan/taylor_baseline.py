@@ -150,15 +150,22 @@ def _partial_sums(x: Fraction):
 def _floor_meets(x: Fraction, eps: Fraction, n: int) -> bool:
     """Whether x^k/(k(1+x^2)) < eps, with k = n+2, x = a/b and eps = e/d.
 
-    Exactly, that is a^k d < e k b^n (a^2+b^2).  Bit lengths settle it first
-    when they can: x < 2^-s with s = bl(b) - bl(a) - 1 and
-    eps > 2^(bl(e) - bl(d) - 1), so k s > bl(d) - bl(e) gives x^k < eps.
+    Exactly, that is a^k d < e k b^n (a^2+b^2).  The floor rises with x, so an x
+    with b > 2^64 is settled at its neighbours on the grid 2^-64 if they agree.
     """
-    (a, b), (e, d) = x.as_integer_ratio(), eps.as_integer_ratio()
+    e, d = eps.as_integer_ratio()
     k = n + 2
-    if k * (b.bit_length() - a.bit_length() - 1) > d.bit_length() - e.bit_length():
-        return True
-    return a**k * d < e * k * b**n * (a * a + b * b)
+
+    def meets(a: int, b: int) -> bool:
+        return a**k * d < e * k * b**n * (a * a + b * b)
+
+    a, b = x.as_integer_ratio()
+    if b > 1 << 64:  # then lo < x < lo + 1, over 2^64
+        lo = (a << 64) // b
+        upper = meets(lo + 1, 1 << 64)
+        if upper or not meets(lo, 1 << 64):
+            return upper
+    return meets(a, b)
 
 
 def taylor_min_degree(x: RatLike, eps: RatLike, oracle_mode: bool = False) -> int:
@@ -178,7 +185,11 @@ def taylor_min_degree(x: RatLike, eps: RatLike, oracle_mode: bool = False) -> in
         # |T_n(x) - arctan x| = int_0^x t^(n+1)/(1+t^2) dt >= x^(n+2)/((n+2)(1+x^2)),
         # which falls as n grows; at the largest odd n it must meet eps.
         n = DEGREE_CUTOFF if DEGREE_CUTOFF % 2 else DEGREE_CUTOFF - 1
-        _first("degree", x, eps, [(n, _floor_meets(x, eps, n))], bool)
+        if not _floor_meets(x, eps, n):
+            raise DegreeLimitError(
+                f"no degree up to {DEGREE_CUTOFF} meets eps={rat_text(eps)} "
+                f"at x={rat_text(x)}"
+            )
         return _first("degree", x, eps, _partial_sums(x), _certifier(x, eps))
     return _first("degree", x, eps, _omitted_terms(x), lambda bound: bound < eps)
 

@@ -38,6 +38,7 @@ from .medina import (
 from .oracle import arctan_enclosure
 from .poly_core import (
     Poly,
+    Prepared,
     check_int,
     poly,
     poly_antiderivative,
@@ -218,7 +219,7 @@ def run_suite(
 
     def integral_bound(m):
         cap = Fraction(1, 4 ** (4 * m))
-        anti = poly_antiderivative(window_poly(m))
+        anti = Prepared(poly_antiderivative(window_poly(m)))
         # Both caps at once: 4^{-4m} x, and 4^{-4m} itself.
         return lambda x: (poly_eval_horner(anti, x), min(cap * x, cap))
 

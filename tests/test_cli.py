@@ -240,6 +240,17 @@ def test_compare_past_the_int_str_limit(capsys):
     assert err == f"error: no degree up to 10001 meets eps=1/1{'0' * 5000} at x=1\n"
 
 
+def test_compare_at_a_long_argument_near_a_half(capsys):
+    # The floor check brackets x on a 64-bit grid instead of raising its
+    # 2,000-digit parts to the cutoff's power.
+    text = "0.5" + "0" * 1998 + "1"
+    code, out, err = run_cli(capsys, "compare", "--x", text, "--eps", "1e-3")
+    assert (code, err) == (0, "")
+    row = _parse_csv(out)[0]
+    assert rat_parse(row["x"]) == rat_parse(text)
+    assert (row["taylor_min_degree"], row["medina_min_m"]) == ("5", "1")
+
+
 def test_verify_clean_run(capsys):
     code, out, _ = run_cli(capsys, "verify", "--grid", "16", "--m-max", "2")
     assert code == 0

@@ -25,6 +25,7 @@ from medina_arctan.medina import (
 )
 from medina_arctan.oracle import arctan_enclosure
 from medina_arctan.poly_core import (
+    Prepared,
     degree,
     poly,
     poly_add,
@@ -95,6 +96,33 @@ def p_by_index_loop(seed, m):
 def test_walk_matches_the_per_index_loop(seed):
     walk = list(islice(medina.recurrence(seed), 12))
     assert walk == [p_by_index_loop(seed, m) for m in range(1, 13)]
+    assert all(isinstance(p, Prepared) for p in walk)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 17, 34])
+def test_approximants_are_prepared_and_unchanged(m):
+    # The rule h_m was built by before it kept its Horner form.
+    old = poly_scale(poly_antiderivative(medina_p_closed(m)), 1 / medina_scale(m))
+    for h in (medina_h(m), approximant(medina_p_recurrence(m), m)):
+        assert isinstance(h, Prepared)
+        assert h == old and tuple(h) == old
+
+
+def test_medina_h_cache_is_a_bounded_lru():
+    assert medina_h.cache_info().maxsize == 16
+    medina_h.cache_clear()
+    medina_h(1)
+    for m in range(2, 17):  # fifteen others: index 1 is still kept
+        medina_h(m)
+    hits = medina_h.cache_info().hits
+    medina_h(1)
+    assert medina_h.cache_info().hits == hits + 1
+    for m in range(17, 33):  # sixteen others since index 1 was last used
+        medina_h(m)
+    misses = medina_h.cache_info().misses
+    medina_h(1)
+    assert medina_h.cache_info().misses == misses + 1
+    assert medina_h.cache_info().currsize == 16
 
 
 @pytest.mark.parametrize(

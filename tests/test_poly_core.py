@@ -8,7 +8,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import no_int_str_limit
@@ -16,6 +16,7 @@ from medina_arctan.arctan_eval import pi_estimate
 from medina_arctan import poly_core
 from medina_arctan.medina import medina_h
 from medina_arctan.poly_core import (
+    Prepared,
     degree,
     normalize,
     poly,
@@ -132,13 +133,14 @@ def assert_horner_exact(p, x):
     st.lists(points, min_size=1, max_size=3),
 )
 def test_repeated_eval_horner_matches_fraction_loop(p, xs):
-    # The integer form is reused from the second call on; a value-equal
-    # copy, a same-length neighbour and more than the memo's bound of other
-    # tuples in between must not change any answer.
+    # A Prepared polynomial reuses its integer form from the second call on;
+    # the plain tuple, a value-equal copy, a same-length neighbour and other
+    # tuples evaluated in between must not change any answer.
+    prepared = Prepared(p)
     neighbour = tuple(c + 1 for c in p)
-    others = [p + (Fraction(k + 1),) for k in range(poly_core._HORNER_FORMS_MAX + 1)]
+    others = [p + (Fraction(k + 1),) for k in range(17)]
     for x in xs:
-        for q in (p, p, tuple(list(p)), neighbour, p, *others, p, neighbour):
+        for q in (prepared, p, prepared, tuple(list(p)), neighbour, *others, prepared):
             assert_horner_exact(q, x)
 
 
@@ -155,7 +157,7 @@ def test_eval_horner_rereads_a_mutated_list():
     assert poly_eval_horner(p, 3) == 16
 
 
-def test_eval_horner_forms_once_per_tuple(monkeypatch):
+def test_eval_horner_forms_once_per_prepared(monkeypatch):
     calls = []
 
     def lcm(*args):
@@ -164,35 +166,31 @@ def test_eval_horner_forms_once_per_tuple(monkeypatch):
 
     monkeypatch.setattr(poly_core, "math", SimpleNamespace(lcm=lcm))
     p = poly(["1/3", "2/5", "-7/2"])
+    prepared = Prepared(p)
+    assert prepared == p and isinstance(prepared, tuple)
+    for x in range(20):
+        assert_horner_exact(prepared, x)
+    assert len(calls) == 1
+    # A plain tuple keeps nothing: its form is made again on every call.
     for x in range(20):
         assert_horner_exact(p, x)
-    assert len(calls) == 1
+    assert len(calls) == 21
 
 
-def test_eval_horner_memo_stays_bounded():
-    bound = poly_core._HORNER_FORMS_MAX
-    kept = [poly([k, 1, Fraction(1, k + 1)]) for k in range(3 * bound)]
-    for p in kept:
-        assert_horner_exact(p, 2)
-        assert len(poly_core._HORNER_FORMS) <= bound
-    # The oldest entries went first; the latest are all still there.
-    assert all(poly_core._HORNER_FORMS[id(p)][0] is p for p in kept[-bound:])
-    assert all(id(p) not in poly_core._HORNER_FORMS for p in kept[:bound])
-
-
-def test_eval_horner_memo_under_threads():
-    bound = poly_core._HORNER_FORMS_MAX
+def test_eval_horner_prepared_under_threads():
+    # Every thread may be the first to ask for the form of one fresh Prepared.
+    rng = random.Random(7)
+    p = Prepared(Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(60))
     failures = []
+    start = threading.Barrier(8)
 
     def work(seed):
         rng = random.Random(seed)
-        for _ in range(300):
-            p = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4))
+        start.wait(timeout=60)
+        for _ in range(100):
             x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             if poly_eval_horner(p, x) != horner_by_fractions(p, x):
-                failures.append((p, x))
-            if len(poly_core._HORNER_FORMS) > bound:
-                failures.append("memo past its bound")
+                failures.append(x)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -346,6 +344,68 @@ def test_rat_text_is_str_and_inverts_rat_parse(q):
         with no_int_str_limit():
             expected = str(q)
     assert text == expected
+
+
+# Text of either form on both sides of the digit limit, well-formed or not.
+_digit_runs = st.builds(
+    lambda head, digit, count: head + digit * count,
+    st.text("0123456789", max_size=4),
+    st.sampled_from("0123456789"),
+    _digit_counts,
+)
+
+
+def _maybe(strategy):
+    return st.one_of(st.just(""), strategy)
+
+
+_texts = st.one_of(
+    st.builds(
+        "{}{}{}{}{}".format,
+        _maybe(st.sampled_from(["-", "+", "−", " "])),
+        _maybe(_digit_runs),
+        _maybe(st.one_of(st.just("."), _digit_runs.map(".{}".format))),
+        _maybe(st.builds("{}{}".format, st.sampled_from("eE"), st.integers(-60, 60))),
+        _maybe(st.sampled_from([" ", "/3", "_1"])),
+    ),
+    st.builds(
+        "{}{}{}{}".format,
+        _maybe(st.sampled_from(["-", "+", "−"])),
+        _digit_runs,
+        st.sampled_from(["/", " / ", "//"]),
+        _digit_runs,
+    ),
+)
+
+
+@given(_texts)
+@example("1 / 3")
+@example("1e-9/3")
+@example("nan")
+@example("0x10")
+@example("1_000/3_0")
+def test_rat_parse_reads_what_fraction_reads(text):
+    # Under the default digit limit, rat_parse gives what Fraction gives with
+    # the limit lifted, and raises where Fraction raises.
+    with no_int_str_limit():
+        try:
+            expected = Fraction(text.replace("−", "-"))
+        except (ValueError, ZeroDivisionError) as error:
+            expected = type(error)
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="^malformed rational"):
+            rat_parse(text)
+    elif expected is ZeroDivisionError:
+        with pytest.raises(ValueError, match="^zero denominator"):
+            rat_parse(text)
+    else:
+        assert rat_parse(text) == expected
+
+
+def test_rat_parse_refuses_a_long_part_with_a_giant_exponent():
+    # Fraction would need 10^(10^19); decimal refuses such an exponent.
+    with pytest.raises(ValueError, match="^exponent out of range"):
+        rat_parse("1" * 5000 + "e" + "9" * 19)
 
 
 def test_rat_parse_errors_past_the_int_str_limit():

@@ -378,18 +378,18 @@ def test_floor_met_at_the_cutoff_itself_reaches_the_oracle_walk(monkeypatch):
 
 @st.composite
 def unit_rationals(draw):
-    """a/b in [0, 1], with a and b of independently drawn bit sizes."""
-    b = draw(st.integers(1, 2 ** draw(st.integers(1, 3000))))
-    return Fraction(draw(st.integers(0, min(b, 2 ** draw(st.integers(0, 3000))))), b)
+    """a/b in [0, 1], a and b of independently drawn sizes up to 3,000 digits."""
+    b = draw(st.integers(1, 2 ** draw(st.integers(1, 9966))))
+    return Fraction(draw(st.integers(0, min(b, 2 ** draw(st.integers(0, 9966))))), b)
 
 
 @settings(deadline=None)
-@given(
-    st.one_of(unit_points(64), unit_rationals()),
-    st.integers(0, 300).map(lambda i: 2 * i + 1),
-    st.data(),
-)
-def test_floor_shortcut_agrees_with_the_exact_inequality(x, n, data):
+@given(st.one_of(unit_points(64), unit_rationals()), st.data())
+def test_floor_shortcut_agrees_with_the_exact_inequality(x, data):
+    # The exact side costs about bits(x) * k squared; past 3,000 bits k stays
+    # small enough to keep an example well under a second.
+    most = 300 if max(x.numerator, x.denominator).bit_length() <= 3000 else 30
+    n = 2 * data.draw(st.integers(0, most)) + 1
     k = n + 2
     floor = x**k / (k * (1 + x * x))
     eps = data.draw(
@@ -405,8 +405,8 @@ def test_floor_shortcut_agrees_with_the_exact_inequality(x, n, data):
     assert taylor_baseline._floor_meets(x, eps, n) == exact
 
 
-# Where bit lengths come closest to the answer: x just below a power of two
-# and the floor at eps itself, which it does not meet.
+# eps at the floor itself, which x does not meet, and just above it; the
+# denominators past 2^64 take the grid bracket, the others the exact check.
 @pytest.mark.parametrize(
     "x, n",
     [
@@ -424,9 +424,26 @@ def test_floor_shortcut_at_the_turn(x, n):
     assert taylor_baseline._floor_meets(x, floor * (1 + Fraction(1, 2**40)), n)
 
 
+def test_floor_check_decides_a_straddle_exactly():
+    # x sits 10^-2000 above the grid point 1/2, so for eps at or just above
+    # the floor at x, the floors at x's grid neighbours fall on both sides.
+    n = 11
+    k = n + 2
+
+    def floor(t):
+        return t**k / (k * (1 + t * t))
+
+    x = Fraction(1, 2) + Fraction(1, 10**2000)
+    lo, hi = Fraction(1, 2), Fraction(2**63 + 1, 2**64)
+    above = floor(x) + (floor(hi) - floor(x)) / 2
+    for eps, meets in [(floor(x), False), (above, True)]:
+        assert floor(lo) < eps < floor(hi)
+        assert taylor_baseline._floor_meets(x, eps, n) is meets
+
+
 def test_comparison_row_at_a_tiny_argument():
-    # The floor check settles from bit lengths instead of raising
-    # 10^5000 to the cutoff's power; the row renders past 4,300 digits.
+    # The floor check settles at the grid point 2^-64 above x instead of
+    # raising 10^5000 to the cutoff's power; the row renders past 4,300 digits.
     row = comparison_row(Fraction(1, 10**5000), Fraction(1, 1000))
     assert (row["taylor_min_degree"], row["medina_min_m"]) == (1, 1)
     assert row["x"] == "1/1" + "0" * 5000
