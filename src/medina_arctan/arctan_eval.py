@@ -27,7 +27,7 @@ from .poly_core import (
     rat_text,
 )
 
-# Decimal places printed when the caller asks to see past the guarantee.
+# Least decimal places printed when the caller asks to see past the guarantee.
 FULL_DECIMAL_DIGITS = 30
 
 
@@ -158,9 +158,9 @@ def decimal_str(value: RatLike, digits: int) -> str:
 
 
 def approx_result_json(result: ApproxResult, *, full: bool = False) -> dict:
-    """JSON document for one result; `full` prints past the guaranteed places."""
+    """JSON document for one result; `full` adds places up to FULL_DECIMAL_DIGITS."""
     digits = guaranteed_digits(result.error_bound)
-    shown = FULL_DECIMAL_DIGITS if full else digits
+    shown = max(digits, FULL_DECIMAL_DIGITS) if full else digits
     return {
         "value": rat_text(result.value),
         "error_bound": rat_text(result.error_bound),

@@ -6,6 +6,10 @@ is the benchmark harness's job (perfbench/run.py in the repository).
 Machine-readable output, JSON or CSV, goes to stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 usage or
 resource error.
+
+Each shared option (--m, --x, --eps, --full) is declared once, on a parent
+parser, and the parser is built once per process (PARSER); every parse
+makes a fresh namespace, so no call sees another's options.
 """
 
 from __future__ import annotations
@@ -43,70 +47,61 @@ def _rat_arg(text: str) -> Fraction:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    m, x, eps, full = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    m.add_argument("--m", type=int, required=True, help="sequence index, >= 1")
+    x.add_argument("--x", type=_rat_arg, required=True, help="rational argument")
+    eps.add_argument("--eps", type=_rat_arg, required=True, help="target accuracy, > 0")
+    full.add_argument(
+        "--full",
+        action="store_true",
+        help="print at least 30 decimal places, never fewer than the bound guarantees",
+    )
+
     parser = argparse.ArgumentParser(
         prog="medina-arctan",
         description="Exact-arithmetic arctangent via Medina's polynomial sequence.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser(
-        "gen", help="construct (m, p_m, h_m, bound) and print it as JSON"
-    )
-    gen.add_argument("--m", type=int, required=True, help="sequence index, >= 1")
-    gen.add_argument(
+    def command(name, func, help, *parents):
+        cmd = sub.add_parser(name, help=help, parents=parents)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    command(
+        "gen", cmd_gen, "construct (m, p_m, h_m, bound) and print it as JSON", m
+    ).add_argument(
         "--form",
         choices=("recurrence", "closed", "both"),
         default="closed",
         help="construction route for p_m; 'both' also reports their agreement",
     )
-    gen.set_defaults(func=cmd_gen)
 
-    ev = sub.add_parser("eval", help="approximate arctan(x) with a fixed index m")
-    ev.add_argument("--m", type=int, required=True, help="sequence index, >= 1")
-    ev.add_argument("--x", type=_rat_arg, required=True, help="rational argument")
-    ev.add_argument(
-        "--full",
-        action="store_true",
-        help="print more decimal places than the bound guarantees",
+    command("eval", cmd_eval, "approximate arctan(x) with a fixed index m", m, x, full)
+    command(
+        "arctan",
+        cmd_arctan,
+        "approximate arctan(x) to a requested accuracy",
+        x,
+        eps,
+        full,
     )
-    ev.set_defaults(func=cmd_eval)
 
-    at = sub.add_parser(
-        "arctan", help="approximate arctan(x) to a requested accuracy"
-    )
-    at.add_argument("--x", type=_rat_arg, required=True, help="rational argument")
-    at.add_argument(
-        "--eps", type=_rat_arg, required=True, help="target error bound, > 0"
-    )
-    at.add_argument(
-        "--full",
-        action="store_true",
-        help="print more decimal places than the bound guarantees",
-    )
-    at.set_defaults(func=cmd_arctan)
-
-    cmp_ = sub.add_parser(
+    command(
         "compare",
-        help="one CSV row comparing minimal Taylor degree against minimal index m",
-    )
-    cmp_.add_argument(
-        "--x", type=_rat_arg, required=True, help="argument in [0, 1]"
-    )
-    cmp_.add_argument(
-        "--eps", type=_rat_arg, required=True, help="target accuracy, > 0"
-    )
-    cmp_.add_argument(
+        cmd_compare,
+        "one CSV row comparing minimal Taylor degree against minimal index m",
+        x,
+        eps,
+    ).add_argument(
         "--taylor-mode",
         choices=("oracle", "bound"),
         default="oracle",
         help="judge Taylor degrees by certified true error or by the remainder bound",
     )
-    cmp_.set_defaults(func=cmd_compare)
 
-    ver = sub.add_parser("verify", help="run the lemma suite and print the report")
-    ver.add_argument(
-        "--grid", type=int, required=True, help="grid denominator, >= 2"
-    )
+    ver = command("verify", cmd_verify, "run the lemma suite and print the report")
+    ver.add_argument("--grid", type=int, required=True, help="grid denominator, >= 2")
     ver.add_argument(
         "--m-max", type=int, required=True, help="largest index checked, >= 1"
     )
@@ -115,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="corrupt the seed polynomial first (exercises the failure report)",
     )
-    ver.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -199,9 +193,12 @@ def _join_negative_values(argv):
     return out
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_values(argv))
+    args = PARSER.parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
     except (DegreeLimitError, ValueError) as exc:

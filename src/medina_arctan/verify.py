@@ -29,6 +29,7 @@ from typing import Optional
 from .medina import (
     HUMP,
     approximant,
+    medina_error_bound,
     medina_h,
     medina_p1,
     medina_scale,
@@ -235,7 +236,7 @@ def run_suite(
         return lambda x: (poly_eval_horner(p, x) - scale / (1 + x * x), Fraction(0))
 
     def final_bound(m):
-        h, bound = h_of(m), Fraction(1, 4 ** (5 * m))
+        h, bound = h_of(m), medina_error_bound(m)
         width = bound / 16
 
         def sides(x):

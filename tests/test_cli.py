@@ -1,8 +1,10 @@
 """Command-line surface: output documents, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -89,6 +91,16 @@ def test_eval_decimal_matches_reference_to_three_places(capsys):
     # as does the reference arctangent 0.7597627...
     assert Fraction(doc["value"]) == Fraction(81723680137, 107520000000)
     assert doc["decimal"].startswith("0.760")
+
+
+def test_full_keeps_every_guaranteed_place(capsys):
+    # At m = 17 the bound guarantees 50 places, more than the 30 of --full.
+    _, plain, _ = run_cli(capsys, "eval", "--m", "17", "--x", "1/2")
+    _, full, _ = run_cli(capsys, "eval", "--m", "17", "--x", "1/2", "--full")
+    plain, full = json.loads(plain), json.loads(full)
+    assert plain["decimal_digits_guaranteed"] == 50
+    assert len(full["decimal"].split(".")[1]) >= 50
+    assert full["decimal"].startswith(plain["decimal"])
 
 
 @pytest.mark.parametrize("bad_x", ["abc", "1/0", "1.2.3"])
@@ -316,3 +328,69 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as caught:
         main([])
     assert caught.value.code == 2
+
+
+ONE_CALL_EACH = [
+    ["gen", "--m", "1"],
+    ["eval", "--m", "1", "--x", "1/2"],
+    ["arctan", "--x", "2", "--eps", "1e-3"],
+    ["compare", "--x", "1/2", "--eps", "1e-3"],
+    ["verify", "--grid", "2", "--m-max", "1"],
+]
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in ONE_CALL_EACH:
+        assert run_cli(capsys, *argv)[0] == 0
+    assert built == []
+
+
+def test_full_does_not_outlive_its_call(capsys):
+    argv = ["arctan", "--x", "1/2", "--eps", "1e-20"]
+    run_cli(capsys, *argv, "--full")
+    doc = json.loads(run_cli(capsys, *argv)[1])
+    assert len(doc["decimal"].split(".")[1]) == doc["decimal_digits_guaranteed"]
+
+
+def test_form_does_not_outlive_its_call(capsys):
+    run_cli(capsys, "gen", "--m", "2", "--form", "both")
+    code, out, _ = run_cli(capsys, "gen", "--m", "2")
+    assert code == 0
+    assert "equal" not in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", ONE_CALL_EACH)
+def test_usage_error_leaves_no_trace(capsys, argv):
+    alone = run_cli(capsys, *argv)
+    # --x and --full parse before the missing value stops the parse.
+    with pytest.raises(SystemExit) as caught:
+        main(["arctan", "--x", "1/3", "--full", "--eps"])
+    assert caught.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, *argv) == alone
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("gen", {"--m", "--form"}),
+        ("eval", {"--m", "--x", "--full"}),
+        ("arctan", {"--x", "--eps", "--full"}),
+        ("compare", {"--x", "--eps", "--taylor-mode"}),
+        ("verify", {"--grid", "--m-max", "--inject-fault"}),
+    ],
+)
+def test_subcommand_help_names_exactly_its_options(capsys, command, options):
+    with pytest.raises(SystemExit) as caught:
+        main([command, "--help"])
+    assert caught.value.code == 0
+    named = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert named == options | {"--help"}

@@ -64,6 +64,20 @@ def test_corrupted_seed_fails_identity_with_witness():
     assert broken.witness.m is not None
 
 
+def test_final_bound_checks_the_reported_bound(monkeypatch):
+    # L7 reads medina_error_bound, so a bound 4x too tight is caught there.
+    def too_tight(m):
+        return Fraction(1, 4 ** (5 * m + 1))
+
+    monkeypatch.setattr(verify, "medina_error_bound", too_tight)
+    report = run_suite(16, 3)
+    assert [c.id for c in report.checks if not c.passed] == ["L7"]
+    witness = next(c.witness for c in report.checks if c.id == "L7")
+    assert (witness.x, witness.m) == (Fraction(5, 8), 1)
+    assert witness.rhs == Fraction(1, 4**6)
+    assert witness.lhs > witness.rhs
+
+
 def test_failed_checks_always_carry_witnesses():
     report = run_suite(8, 2, base_poly=corrupted_seed())
     for check in report.checks:
