@@ -4,11 +4,11 @@ Any rational argument is folded into [0, 1] through two exact identities,
 arctan(-x) = -arctan(x) and arctan(x) = pi/2 - arctan(1/x), and the fold is
 recorded step by step so every result carries its own derivation.  On the
 reduced argument the value comes from the approximant h_m.  pi is not a
-baked-in constant: it is bootstrapped from the same family as 4 * h_M(1),
-so a reciprocal step adds the bootstrap's own budget, 4 * 4^(-5M), to the
-bound.  Every result is an exact rational paired with an exact rational
-bound on its distance from the true arctangent; decimal rendering happens
-at the very end, correctly rounded from the exact value.
+baked-in constant: it is bootstrapped from the same family as 4 * h_M(1).
+Every result is exact, and its bound is the sum of a ledger of exact lines,
+one per error source: h_m's 4^(-5m), plus pi's bootstrap bound when the
+reciprocal identity applied.  One plan picks the least m whose ledger meets
+eps.  Decimals are rendered last, correctly rounded from the exact value.
 """
 
 from __future__ import annotations
@@ -72,60 +72,74 @@ def pi_estimate(source_m: int) -> PiEstimate:
     M = 1 gives the classic 22/7.
     """
     value = 4 * poly_eval_horner(medina_h(source_m), Fraction(1))
-    return PiEstimate(
-        value=value,
-        error_bound=4 * medina_error_bound(source_m),
-        source_m=source_m,
-    )
+    return PiEstimate(value=value, error_bound=_pi_bound(source_m), source_m=source_m)
+
+
+def _pi_bound(source_m: int) -> Fraction:
+    """pi_estimate's bound, read by the ledger without evaluating h_M."""
+    return 4 * medina_error_bound(source_m)
+
+
+Ledger = tuple[tuple[str, Fraction], ...]
 
 
 @dataclass(frozen=True)
 class ApproxResult:
-    """An exact rational answer with its certified bound and derivation."""
+    """An exact answer, its bound (the sum of the ledger's lines) and derivation."""
 
     value: Fraction
     error_bound: Fraction
     m: int
     trace: ReductionTrace
-    pi_terms_used: int
+    ledger: Ledger
 
 
-def _bound_multiple(trace: ReductionTrace) -> int:
-    """A result's bound in units of 4^(-5m): 1 for h_m, plus 4 for pi's
-    bootstrap when the reciprocal identity applied."""
-    return 5 if ReductionStep.RECIPROCAL in trace.steps else 1
+def _ledger(trace: ReductionTrace, m: int) -> Ledger:
+    """(term, exact bound) lines at m: h_m's, and pi's after a reciprocal step."""
+    lines = (("approximant", medina_error_bound(m)),)
+    if ReductionStep.RECIPROCAL in trace.steps:
+        lines += (("pi", _pi_bound(m)),)
+    return lines
+
+
+def _plan(trace: ReductionTrace, eps: Fraction) -> tuple[int, Ledger]:
+    """The least m whose ledger sums to at most eps, with that ledger.
+
+    Every ledger holds 4^(-5m), so the search starts at the least m for it.
+    """
+    m = medina_min_m_for(eps)
+    ledger = _ledger(trace, m)
+    while sum(b for _, b in ledger) > eps:
+        m += 1
+        ledger = _ledger(trace, m)
+    return m, ledger
 
 
 def medina_arctan(x: RatLike, m: int) -> ApproxResult:
     """Approximate arctan(x) with h_m after range reduction.
 
-    The bound is 4^(-5m) from the approximant plus a full pi-bootstrap
-    budget of 4 * 4^(-5m) whenever the reciprocal identity was applied
-    (the bootstrap reuses the same index m).
+    The bound is the sum of the ledger at m: 4^(-5m) for the approximant,
+    plus the pi bootstrap's bound when the reciprocal identity was applied.
     """
-    return _arctan_reduced(reduce(x), m)
+    trace = reduce(x)
+    return _arctan_reduced(trace, m, _ledger(trace, m))
 
 
-def _arctan_reduced(trace: ReductionTrace, m: int) -> ApproxResult:
-    """medina_arctan's result for the argument that `trace` reduced."""
+def _arctan_reduced(trace: ReductionTrace, m: int, ledger: Ledger) -> ApproxResult:
+    """The result at index m for the argument that `trace` reduced."""
     value = poly_eval_horner(medina_h(m), trace.reduced)
-    pi_terms = 0
     if ReductionStep.RECIPROCAL in trace.steps:
-        pi_terms = 1
         value = pi_estimate(m).value / 2 - value
     if ReductionStep.NEGATE in trace.steps:
         value = -value
-    bound = medina_error_bound(m) * _bound_multiple(trace)
-    return ApproxResult(
-        value=value, error_bound=bound, m=m, trace=trace, pi_terms_used=pi_terms
-    )
+    return ApproxResult(value, sum(b for _, b in ledger), m, trace, ledger)
 
 
 def arctan_auto(x: RatLike, eps: RatLike) -> ApproxResult:
-    """The smallest-m result whose whole budget, pi bootstrap included, meets eps."""
+    """The result at the least m whose ledger, pi bootstrap included, meets eps."""
     eps = check_positive(eps, "eps")
     trace = reduce(x)
-    return _arctan_reduced(trace, medina_min_m_for(eps / _bound_multiple(trace)))
+    return _arctan_reduced(trace, *_plan(trace, eps))
 
 
 def guaranteed_digits(bound: RatLike) -> int:

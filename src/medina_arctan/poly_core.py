@@ -53,6 +53,8 @@ def rat(value: RatLike) -> Fraction:
 # digit limit.  Form does not depend on the length of digit runs, so Fraction
 # judges a copy with each run cut to "1", and decimal, unlimited, reads it.
 _DIGIT_RUN = re.compile(r"\d+")
+# Fraction computes 10^exponent; a written exponent past this is refused first.
+MAX_EXPONENT = 100_000
 
 
 def rat_parse(text: str) -> Fraction:
@@ -60,19 +62,22 @@ def rat_parse(text: str) -> Fraction:
 
     Whatever Fraction reads, rat_parse reads to the same value at any length;
     whatever it refuses raises ValueError here, as do a zero denominator and
-    an exponent too large for any exact value.
+    an exponent past MAX_EXPONENT in magnitude.
     """
     # U+2212 is the typographic minus that tends to arrive via copy-paste.
     cleaned = text.strip().replace("−", "-")
     num, slash, den = cleaned.partition("/")
     try:
         Fraction(_DIGIT_RUN.sub("1", cleaned))
+        exponent = cleaned.lower().partition("e")[2].replace("_", "").lstrip("+-0")
+        if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
+            raise decimal.InvalidOperation
         if slash:
             return Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den)))
         return Fraction(decimal.Decimal(cleaned))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational {text!r}") from None
-    except decimal.InvalidOperation:  # an exponent past 10^18
+    except decimal.InvalidOperation:
         raise ValueError(f"exponent out of range in rational {text!r}") from None
     except ValueError:
         raise ValueError(f"malformed rational {text!r}") from None

@@ -19,6 +19,7 @@ from medina_arctan.arctan_eval import (
     pi_estimate,
     reduce,
 )
+from medina_arctan.medina import medina_min_m_for
 from medina_arctan.oracle import arctan_enclosure
 
 
@@ -73,7 +74,7 @@ def test_pi_estimate_accuracy():
 def test_eval_at_zero():
     result = medina_arctan(0, 3)
     assert result.value == 0
-    assert result.pi_terms_used == 0
+    assert [name for name, _ in result.ledger] == ["approximant"]
 
 
 def test_eval_at_one():
@@ -89,7 +90,7 @@ def test_eval_above_one():
     result = medina_arctan(2, 1)
     assert result.value == Fraction(11909, 10752)
     assert result.error_bound == Fraction(5, 1024)
-    assert result.pi_terms_used == 1
+    assert [name for name, _ in result.ledger] == ["approximant", "pi"]
     assert [s.value for s in result.trace.steps] == ["Reciprocal"]
 
 
@@ -156,6 +157,37 @@ def test_auto_budget_meets_request():
         for eps in (Fraction(1, 100), "1e-7"):
             result = arctan_auto(x, eps)
             assert result.error_bound <= Fraction(eps)
+
+
+_signed_rationals = st.builds(
+    Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4)
+)
+_eps = st.builds(
+    lambda a, k: Fraction(a, 10**k),
+    st.one_of(st.just(1), st.integers(1, 10**6)),
+    st.integers(0, 120),
+)
+
+
+@given(_signed_rationals, _eps)
+def test_auto_ledger_is_the_least_sufficient_budget(x, eps):
+    result = arctan_auto(x, eps)
+    assert result.error_bound == sum(bound for _, bound in result.ledger)
+    assert result.error_bound <= eps
+    below = arctan_eval._ledger(result.trace, result.m - 1) if result.m > 1 else ()
+    assert result.m == 1 or sum(bound for _, bound in below) > eps
+    # Bit for bit the rule the ledger replaced: a multiple of 4^(-5m), 5
+    # after a reciprocal step and 1 otherwise, with m chosen for eps over it.
+    multiple = 5 if ReductionStep.RECIPROCAL in result.trace.steps else 1
+    assert result.error_bound == multiple * Fraction(1, 4 ** (5 * result.m))
+    assert result.m == medina_min_m_for(eps / multiple)
+    names = ["approximant", "pi"] if multiple == 5 else ["approximant"]
+    assert [name for name, _ in result.ledger] == names
+
+
+def test_pi_line_is_pi_estimates_bound():
+    for m in (1, 2, 7):
+        assert dict(medina_arctan(3, m).ledger)["pi"] == pi_estimate(m).error_bound
 
 
 def test_auto_budget_monotone_in_eps():

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import re
@@ -179,6 +180,32 @@ def test_missing_option_value_is_still_a_usage_error(capsys):
         main(["arctan", "--x", "--eps", "1e-3"])
     assert caught.value.code == 2
     assert "argument --x: expected one argument" in capsys.readouterr().err
+
+
+# SHA-256 of stdout, captured before the bound moved into a per-request
+# ledger; the ledger changes no printed byte.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("arctan --x 2 --eps 1e-20", "a7f4b39eb72b3d79a43a0d61301fcc9a211d87d44678fed044e89b25710819e9"),
+        ("eval --m 3 --x -5", "28bf39de9bddb5ee2b01e1522d2b5eb7f2624e934902e0ae8f51bcda7b9e2e61"),
+        ("eval --m 1 --x 1", "f34f5df30fceba00a7bcb9f76a7391b42789db450d95e9a6e49aa3764d6f42b6"),
+        ("arctan --x -1/7 --eps 1e-50 --full", "045f88323e2996ea43acd638df1d7b4af81fc8cd3427d2b728237beea97a8972"),
+        ("arctan --x 40503/65536 --eps 1e-100", "648ad512d549a8af09bfd9a254c7ffe7b3ebe90436ff60c54548a46b37fca2d3"),
+    ],
+)
+def test_golden_stdout(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_giant_exponent_is_refused_before_any_power(capsys):
+    # 24 bytes of text for which Fraction would compute 10^(10^18).
+    with pytest.raises(SystemExit) as caught:
+        main(["arctan", "--x", "1", "--eps", "1e999999999999999999"])
+    assert caught.value.code == 2
+    assert "exponent out of range" in capsys.readouterr().err
 
 
 def test_arctan_rejects_nonpositive_eps(capsys):

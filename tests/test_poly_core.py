@@ -408,6 +408,17 @@ def test_rat_parse_refuses_a_long_part_with_a_giant_exponent():
         rat_parse("1" * 5000 + "e" + "9" * 19)
 
 
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+def test_rat_parse_caps_the_written_exponent(sign):
+    # The cap is checked before any power of ten is computed, so a 24-byte
+    # text with an 18-digit exponent is refused at once.
+    assert rat_parse(f"1e{sign}100000") == Fraction(10) ** int(f"{sign}100000")
+    assert rat_parse(f"1E{sign}0_100_000") == rat_parse(f"1e{sign}100000")
+    for text in (f"1e{sign}100001", f"2.5E{sign}1_000_000", f"1e{sign}" + "9" * 18):
+        with pytest.raises(ValueError, match="^exponent out of range in rational"):
+            rat_parse(text)
+
+
 def test_rat_parse_errors_past_the_int_str_limit():
     with pytest.raises(ValueError, match="zero denominator"):
         rat_parse("1/" + "0" * 5000)
