@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from .arctan_eval import approx_result_json, arctan_auto, medina_arctan
-from .medina import medina_p_closed, medina_pair
+from .medina import MAX_INDEX, medina_p_recurrence, medina_pair
 from .poly_core import rat_parse
 from .taylor_baseline import COMPARISON_COLUMNS, DegreeLimitError, comparison_row
 from .verify import WorkLimitExceeded, corrupted_seed, run_suite
@@ -48,7 +48,7 @@ def _rat_arg(text: str) -> Fraction:
 
 def build_parser() -> argparse.ArgumentParser:
     m, x, eps, full = (argparse.ArgumentParser(add_help=False) for _ in range(4))
-    m.add_argument("--m", type=int, required=True, help="sequence index, >= 1")
+    m.add_argument("--m", type=int, required=True, help=f"index, 1..{MAX_INDEX}")
     x.add_argument("--x", type=_rat_arg, required=True, help="rational argument")
     eps.add_argument("--eps", type=_rat_arg, required=True, help="target accuracy, > 0")
     full.add_argument(
@@ -72,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         "gen", cmd_gen, "construct (m, p_m, h_m, bound) and print it as JSON", m
     ).add_argument(
         "--form",
-        choices=("recurrence", "closed", "both"),
+        choices=("closed", "both"),
         default="closed",
-        help="construction route for p_m; 'both' also reports their agreement",
+        help="'both' also builds p_m by the reference recurrence and adds 'equal'",
     )
 
     command("eval", cmd_eval, "approximate arctan(x) with a fixed index m", m, x, full)
@@ -115,12 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
+    pair = medina_pair(args.m)
+    doc = pair.to_json()
     if args.form == "both":
-        pair = medina_pair(args.m)
-        doc = pair.to_json()
-        doc["equal"] = medina_p_closed(args.m) == pair.p
-    else:
-        doc = medina_pair(args.m, closed=(args.form == "closed")).to_json()
+        doc["equal"] = medina_p_recurrence(args.m) == pair.p
     print(json.dumps(doc))
     return EXIT_OK
 

@@ -13,10 +13,11 @@ guarantee
 
     |h_m(x) - arctan(x)| <= 4^(-5m)    for all x in [0, 1].
 
-The shipped h_m comes from the closed form on integers (a binomial row,
-divided in place) with one Fraction per coefficient at the end; the
+The shipped p_m and h_m come from the closed form on integers (a binomial
+row, divided in place) with one Fraction per coefficient at the end; the
 recurrence, grown by one lazy walk, is the reference.  Both hand out
 Prepared tuples; medina_h keeps the latest 16, the only cross-call cache.
+Every index runs from 1 to MAX_INDEX.
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ from .poly_core import (
 _SEED: Poly = poly([4, 0, -4, 0, 5, -4, 1])
 HUMP: Poly = poly([0, 1, -1])  # x(1 - x), the factor that damps each step
 
+MAX_INDEX = 2000  # 4^(-5m) is about 1e-6020 here; h_m costs order m^2 bits
+
+
+def _check_index(m, name: str = "sequence index") -> int:
+    """m itself when it is an int in [1, MAX_INDEX]; ValueError otherwise."""
+    if check_int(m, name, 1) > MAX_INDEX:
+        raise ValueError(f"{name} must be <= {MAX_INDEX}, got {rat_text(m)}")
+    return m
+
 
 def medina_p1() -> Poly:
     """The degree-6 seed polynomial 4 - 4x^2 + 5x^4 - 4x^5 + x^6."""
@@ -51,7 +61,7 @@ def medina_p1() -> Poly:
 
 def window_poly(m: int) -> Poly:
     """x^{4m} (1-x)^{4m}, tiny on [0, 1]: (-1)^k C(4m, k) at power 4m + k."""
-    n = 4 * check_int(m, "sequence index", 1)
+    n = 4 * _check_index(m)
     row, c = [], 1
     for k in range(n + 1):
         row.append(Fraction(-c if k % 2 else c))
@@ -82,8 +92,7 @@ def recurrence(seed: Poly):
 
 def medina_p_recurrence(m: int) -> Poly:
     """p_m built by unfolding the recurrence; degree 8m - 2."""
-    m = check_int(m, "sequence index", 1)
-    return next(islice(recurrence(_SEED), m - 1, None))
+    return next(islice(recurrence(_SEED), _check_index(m) - 1, None))
 
 
 def medina_closed_numerator(m: int) -> Poly:
@@ -110,19 +119,19 @@ def medina_p_closed(m: int) -> Poly:
 
 def medina_scale(m: int) -> Fraction:
     """The normalizer (-1)^(m+1) * 4^m: 4, -16, 64, ..."""
-    check_int(m, "sequence index", 1)
+    _check_index(m)
     return Fraction((-1) ** (m + 1) * 4**m)
 
 
 @lru_cache(maxsize=16)
 def medina_h(m: int) -> Poly:
     """Approximant h_m of degree 8m - 1, built from the closed form of p_m."""
-    return approximant(medina_p_closed(check_int(m, "sequence index", 1)), m)
+    return approximant(medina_p_closed(_check_index(m)), m)
 
 
 def medina_error_bound(m: int) -> Fraction:
     """The guaranteed uniform bound 4^(-5m) on |h_m - arctan| over [0, 1]."""
-    check_int(m, "sequence index", 1)
+    _check_index(m)
     return Fraction(1, 4 ** (5 * m))
 
 
@@ -155,7 +164,6 @@ class MedinaPair:
         }
 
 
-def medina_pair(m: int, *, closed: bool = False) -> MedinaPair:
-    """Bundle (m, p_m, h_m, bound); closed=True takes p_m from the closed form."""
-    p = medina_p_closed(m) if closed else medina_p_recurrence(m)
-    return MedinaPair(m=m, p=p, h=medina_h(m), bound=medina_error_bound(m))
+def medina_pair(m: int) -> MedinaPair:
+    """Bundle (m, p_m, h_m, bound), with p_m from the closed form as shipped."""
+    return MedinaPair(m, medina_p_closed(m), medina_h(m), medina_error_bound(m))

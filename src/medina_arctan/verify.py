@@ -28,6 +28,7 @@ from typing import Optional
 
 from .medina import (
     HUMP,
+    _check_index,
     approximant,
     medina_error_bound,
     medina_h,
@@ -131,13 +132,14 @@ def run_suite(
 ) -> VerificationReport:
     """Check every lemma on the k/grid_n grid for indices 1..m_max.
 
-    base_poly overrides the seed of the sequence (the fault-injection hook);
-    the default checks the polynomials the package actually ships.  One
+    By default L5, L6, L8 and L9 check the reference recurrence's p_m, and
+    L7 and L9 the shipped medina_h.  base_poly overrides the seed (the
+    fault-injection hook), and h_m is then integrated from its p_m.  One
     recurrence walk serves the run, and nothing is grown or integrated
     before the work meter has paid for the step that needs it.
     """
     check_int(grid_n, "grid_n", 2)
-    check_int(m_max, "m_max", 1)
+    _check_index(m_max, "m_max")
     limit = check_int(
         DEFAULT_WORK_LIMIT if work_limit is None else work_limit, "work limit", 1
     )

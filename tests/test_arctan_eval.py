@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import REF_ARCTAN_1, REF_ARCTAN_95, REF_PI, no_int_str_limit
-from medina_arctan import arctan_eval
+from medina_arctan import arctan_eval, medina
 from medina_arctan.arctan_eval import (
     FULL_DECIMAL_DIGITS,
     ReductionStep,
@@ -202,6 +202,13 @@ def test_auto_eps_validation():
         arctan_auto(1, 0)
     with pytest.raises(ValueError):
         arctan_auto(1, "-1/4")
+
+
+def test_auto_refuses_an_index_past_the_limit(monkeypatch):
+    # eps = 1e-40 needs m = 14; the plan stops at the first index past 10.
+    monkeypatch.setattr(medina, "MAX_INDEX", 10)
+    with pytest.raises(ValueError, match="sequence index must be <= 10, got 14"):
+        arctan_auto(2, "1e-40")
 
 
 def test_guaranteed_digits():

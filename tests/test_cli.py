@@ -14,9 +14,9 @@ import pytest
 
 from conftest import no_int_str_limit
 from medina_arctan.arctan_eval import decimal_str, medina_arctan
-from medina_arctan import medina
+from medina_arctan import cli, medina
 from medina_arctan.cli import main
-from medina_arctan.medina import medina_p_closed
+from medina_arctan.medina import medina_p_closed, medina_p_recurrence
 from medina_arctan.oracle import arctan_enclosure
 from medina_arctan.poly_core import rat_parse
 
@@ -44,9 +44,24 @@ def test_gen_both_forms_agree(capsys):
 
 
 def test_gen_closed_form_matches(capsys):
-    _, recur, _ = run_cli(capsys, "gen", "--m", "3", "--form", "recurrence")
     _, default, _ = run_cli(capsys, "gen", "--m", "3")
-    assert json.loads(recur)["p"] == json.loads(default)["p"]
+    assert json.loads(default)["p"] == [str(c) for c in medina_p_recurrence(3)]
+
+
+def test_gen_both_reports_a_differing_reference(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "medina_p_recurrence", lambda m: medina_p_closed(m + 1))
+    code, out, _ = run_cli(capsys, "gen", "--m", "2", "--form", "both")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["equal"] is False
+    assert doc["p"] == [str(c) for c in medina_p_closed(2)]
+
+
+def test_gen_has_no_recurrence_form(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["gen", "--m", "3", "--form", "recurrence"])
+    assert caught.value.code == 2
+    assert "invalid choice: 'recurrence'" in capsys.readouterr().err
 
 
 def test_gen_defaults_to_the_closed_form(capsys, monkeypatch):
@@ -65,6 +80,21 @@ def test_gen_invalid_index(capsys):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--m", "11", "--x", "1/2"], "sequence index must be <= 10, got 11"),
+        (["verify", "--grid", "2", "--m-max", "11"], "m_max must be <= 10, got 11"),
+        (["gen", "--m", "11"], "sequence index must be <= 10, got 11"),
+    ],
+)
+def test_index_past_the_limit_exits_2(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(medina, "MAX_INDEX", 10)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_eval_landmark(capsys):
@@ -183,7 +213,8 @@ def test_missing_option_value_is_still_a_usage_error(capsys):
 
 
 # SHA-256 of stdout, captured before the bound moved into a per-request
-# ledger; the ledger changes no printed byte.
+# ledger (the gen rows before gen served only the closed form); neither
+# change alters a printed byte.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -192,6 +223,9 @@ def test_missing_option_value_is_still_a_usage_error(capsys):
         ("eval --m 1 --x 1", "f34f5df30fceba00a7bcb9f76a7391b42789db450d95e9a6e49aa3764d6f42b6"),
         ("arctan --x -1/7 --eps 1e-50 --full", "045f88323e2996ea43acd638df1d7b4af81fc8cd3427d2b728237beea97a8972"),
         ("arctan --x 40503/65536 --eps 1e-100", "648ad512d549a8af09bfd9a254c7ffe7b3ebe90436ff60c54548a46b37fca2d3"),
+        ("gen --m 1", "c5941cf642fa16b4bb9f8194a95c1b9fde5eff7fee4403ab92280e2b041b5028"),
+        ("gen --m 3", "6e7e1a62cf6d613e9f637a3619bbb3f98db4330e0d29fe68c1aaee9cce9c46de"),
+        ("gen --m 40 --form both", "900359a3d12cc5bd00c061421de0eb949032a9abc734ab6f818151b880b32d9d"),
     ],
 )
 def test_golden_stdout(capsys, argv, digest):

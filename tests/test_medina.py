@@ -222,6 +222,20 @@ def test_index_validation(bad):
         medina_h(bad)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [window_poly, medina_p_recurrence, medina_scale, medina_h, medina_error_bound],
+)
+def test_index_past_the_limit_is_refused(monkeypatch, build):
+    monkeypatch.setattr(medina, "MAX_INDEX", 10)
+    medina_h.cache_clear()  # a kept h_11 would be handed out unchecked
+    assert build(10)
+    with pytest.raises(ValueError, match="sequence index must be <= 10, got 11"):
+        build(11)
+    with pytest.raises(ValueError, match="sequence index must be an integer >= 1"):
+        build(0)
+
+
 def test_endpoint_values():
     # From the closed form: p_m(0) = -(-4)^m and 2 p_m(1) = -(-4)^m.
     for m in range(2, 11):
@@ -280,7 +294,18 @@ def test_pair_bundle_and_json():
         "h": ["0", "1", "0", "-1/3", "0", "1/4", "-1/6", "1/28"],
         "bound": "1/1024",
     }
-    assert medina_pair(4, closed=True).p == medina_pair(4).p
+    assert medina_pair(4).p == medina_p_recurrence(4)
+
+
+def test_pair_is_built_without_the_recurrence(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("medina_pair must take p_m from the closed form")
+
+    monkeypatch.setattr(medina, "medina_p_recurrence", refuse)
+    monkeypatch.setattr(medina, "recurrence", refuse)
+    for m in [*range(1, 6), 400]:
+        pair = medina_pair(m)
+        assert (pair.m, pair.p) == (m, medina_p_closed(m))
 
 
 def test_pair_json_past_the_int_str_limit():
