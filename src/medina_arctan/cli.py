@@ -5,7 +5,9 @@ degree-comparison table (compare) and the lemma suite (verify).  Timing
 is the benchmark harness's job (perfbench/run.py in the repository).
 Machine-readable output, JSON or CSV, goes to stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 usage or
-resource error.
+resource error.  Each limit raises where it is decided, and main is the
+one place that maps a refusal (ValueError, DegreeLimitError, or
+WorkLimitExceeded, whose partial report it prints first) to exit 2.
 
 Each shared option (--m, --x, --eps, --full) is declared once, on a parent
 parser, and the parser is built once per process (PARSER); every parse
@@ -155,19 +157,9 @@ def _work_limit_from_env():
 
 def cmd_verify(args) -> int:
     seed = corrupted_seed() if args.inject_fault else None
-    try:
-        report = run_suite(
-            args.grid,
-            args.m_max,
-            base_poly=seed,
-            work_limit=_work_limit_from_env(),
-        )
-    except WorkLimitExceeded as exc:
-        doc = exc.partial.to_json()
-        doc["partial"] = True
-        print(json.dumps(doc))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = run_suite(
+        args.grid, args.m_max, base_poly=seed, work_limit=_work_limit_from_env()
+    )
     print(json.dumps(report.to_json()))
     if not report.all_passed:
         failed = ", ".join(c.id for c in report.checks if not c.passed)
@@ -199,7 +191,9 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
-    except (DegreeLimitError, ValueError) as exc:
+    except (DegreeLimitError, ValueError, WorkLimitExceeded) as exc:
+        if isinstance(exc, WorkLimitExceeded):
+            print(json.dumps({**exc.partial.to_json(), "partial": True}))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

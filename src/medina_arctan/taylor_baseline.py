@@ -176,8 +176,8 @@ def taylor_min_degree(x: RatLike, eps: RatLike, oracle_mode: bool = False) -> in
     search walks n = 1, 3, 5, ... and raises DegreeLimitError past
     DEGREE_CUTOFF, which x = 1 with a small eps will hit: the bound decays
     like 1/n there.  Oracle mode first checks a floor under the true error
-    at the largest degree and raises the same error at once when even that
-    floor does not meet eps.
+    at the largest degree, and when even that floor does not meet eps it
+    offers the search no candidates, so it refuses at once with that error.
     """
     x = _check_unit_interval(x)
     eps = check_positive(eps, "eps")
@@ -185,12 +185,8 @@ def taylor_min_degree(x: RatLike, eps: RatLike, oracle_mode: bool = False) -> in
         # |T_n(x) - arctan x| = int_0^x t^(n+1)/(1+t^2) dt >= x^(n+2)/((n+2)(1+x^2)),
         # which falls as n grows; at the largest odd n it must meet eps.
         n = DEGREE_CUTOFF if DEGREE_CUTOFF % 2 else DEGREE_CUTOFF - 1
-        if not _floor_meets(x, eps, n):
-            raise DegreeLimitError(
-                f"no degree up to {DEGREE_CUTOFF} meets eps={rat_text(eps)} "
-                f"at x={rat_text(x)}"
-            )
-        return _first("degree", x, eps, _partial_sums(x), _certifier(x, eps))
+        sums = _partial_sums(x) if _floor_meets(x, eps, n) else ()
+        return _first("degree", x, eps, sums, _certifier(x, eps))
     return _first("degree", x, eps, _omitted_terms(x), lambda bound: bound < eps)
 
 

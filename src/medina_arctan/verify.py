@@ -13,8 +13,9 @@ The suite reports every lemma with a pass/fail flag and, when a claim
 fails, a witness pinning down where.  A deliberately corrupted seed
 polynomial can be injected to exercise that failure path end to end.
 
-Workload is metered in grid-point evaluations; exceeding the caller's
-limit aborts with the completed portion of the report attached.
+Workload is metered in grid-point evaluations; the meter itself raises
+WorkLimitExceeded once the caller's limit is passed, with the report of
+the checks completed so far attached.
 """
 
 from __future__ import annotations
@@ -119,10 +120,6 @@ class WorkLimitExceeded(RuntimeError):
         self.partial = partial
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def run_suite(
     grid_n: int,
     m_max: int,
@@ -136,7 +133,9 @@ def run_suite(
     L7 and L9 the shipped medina_h.  base_poly overrides the seed (the
     fault-injection hook), and h_m is then integrated from its p_m.  One
     recurrence walk serves the run, and nothing is grown or integrated
-    before the work meter has paid for the step that needs it.
+    before the work meter has paid for the step that needs it.  The meter
+    raises WorkLimitExceeded where the limit is passed, attaching the
+    report of the checks completed before it.
     """
     check_int(grid_n, "grid_n", 2)
     _check_index(m_max, "m_max")
@@ -145,10 +144,15 @@ def run_suite(
     )
 
     used = count(1)
+    checks: list[LemmaCheck] = []
 
     def spend() -> None:
         if next(used) > limit:
-            raise _BudgetExhausted()
+            raise WorkLimitExceeded(
+                f"work limit {limit} exhausted during {lemmas[len(checks)][0]} "
+                f"({len(checks)} of {len(lemmas)} checks completed)",
+                VerificationReport(checks=tuple(checks), grid_size=grid_n, m_max=m_max),
+            )
 
     indices = range(1, m_max + 1)
     seed = None if base_poly is None else poly(base_poly)
@@ -316,24 +320,8 @@ def run_suite(
         ),
     )
 
-    checks: list[LemmaCheck] = []
     for lemma_id, description, runner in lemmas:
-        try:
-            passed, witness = runner()
-        except _BudgetExhausted:
-            done = VerificationReport(
-                checks=tuple(checks), grid_size=grid_n, m_max=m_max
-            )
-            raise WorkLimitExceeded(
-                f"work limit {limit} exhausted during {lemma_id} "
-                f"({len(checks)} of {len(lemmas)} checks completed)",
-                done,
-            ) from None
-        checks.append(
-            LemmaCheck(
-                id=lemma_id, description=description, passed=passed, witness=witness
-            )
-        )
+        checks.append(LemmaCheck(lemma_id, description, *runner()))
     return VerificationReport(checks=tuple(checks), grid_size=grid_n, m_max=m_max)
 
 

@@ -226,11 +226,60 @@ def test_missing_option_value_is_still_a_usage_error(capsys):
         ("gen --m 1", "c5941cf642fa16b4bb9f8194a95c1b9fde5eff7fee4403ab92280e2b041b5028"),
         ("gen --m 3", "6e7e1a62cf6d613e9f637a3619bbb3f98db4330e0d29fe68c1aaee9cce9c46de"),
         ("gen --m 40 --form both", "900359a3d12cc5bd00c061421de0eb949032a9abc734ab6f818151b880b32d9d"),
+        ("verify --grid 16 --m-max 3", "fdd912f72255f58b51844a8e53a4d0a5441a0cc022d838fe1c78d08475e8c607"),
     ],
 )
 def test_golden_stdout(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_NO_OUTPUT = hashlib.sha256(b"").hexdigest()
+
+
+# Exit code, SHA-256 of stdout and stripped stderr of each refusal and of the
+# failing verify report, captured before every refusal was mapped to exit 2
+# in main alone; that change alters no printed byte.
+@pytest.mark.parametrize(
+    "argv, work_limit, code, digest, message",
+    [
+        (
+            "verify --grid 16 --m-max 3 --inject-fault", None, 1,
+            "13650e0dd9cc49ac7086a7e3ced6e640829b32e8643d0a318bb83998dfa85fd6",
+            "verification failed: L5, L6, L7",
+        ),
+        (
+            "verify --grid 64 --m-max 3", "200", 2,
+            "ec982f66f57b867e423248da6501318ce06fea01a58ea262033b010ea2588186",
+            "error: work limit 200 exhausted during L3 (2 of 9 checks completed)",
+        ),
+        (
+            "verify --grid 64 --m-max 3", "abc", 2, _NO_OUTPUT,
+            "error: MEDINA_WORK_LIMIT must be an integer, got 'abc'",
+        ),
+        (
+            "compare --x 1 --eps 1e-6", None, 2, _NO_OUTPUT,
+            "error: no degree up to 10001 meets eps=1/1000000 at x=1",
+        ),
+        (
+            "compare --x 0.999 --eps 1e-30 --taylor-mode bound", None, 2, _NO_OUTPUT,
+            "error: no degree up to 10001 meets "
+            "eps=1/1000000000000000000000000000000 at x=999/1000",
+        ),
+        (
+            "eval --m 2001 --x 1/2", None, 2, _NO_OUTPUT,
+            "error: sequence index must be <= 2000, got 2001",
+        ),
+    ],
+)
+def test_golden_refusals(capsys, monkeypatch, argv, work_limit, code, digest, message):
+    if work_limit is None:
+        monkeypatch.delenv(cli.WORK_LIMIT_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.WORK_LIMIT_ENV, work_limit)
+    got, out, err = run_cli(capsys, *argv.split())
+    assert (got, err.strip()) == (code, message)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -167,6 +167,27 @@ def test_work_meter_sweep_matches_per_lemma_units():
     }
 
 
+@pytest.mark.parametrize("seed", [None, corrupted_seed()], ids=["clean", "corrupted"])
+def test_partial_reports_are_prefixes_of_the_full_report(seed):
+    # Every limit short of the least that completes runs short, and the
+    # checks it reports, witnesses included, open the unlimited report.
+    full = run_suite(8, 2, base_poly=seed)
+    limit = 1
+    while True:
+        try:
+            report = run_suite(8, 2, base_poly=seed, work_limit=limit)
+        except WorkLimitExceeded as exc:
+            done = exc.partial
+            assert (done.grid_size, done.m_max) == (8, 2)
+            assert len(done.checks) < len(LEMMA_IDS)
+            assert done.checks == full.checks[: len(done.checks)]
+            limit += 1
+        else:
+            break
+    assert report == full
+    assert limit > len(LEMMA_IDS)
+
+
 def test_report_json_shape():
     doc = run_suite(2, 1).to_json()
     assert set(doc) == {"grid_size", "m_max", "all_passed", "checks"}
