@@ -1,11 +1,12 @@
 """Machine checks for the inequality chain behind the h_m guarantee.
 
 Each lemma below is a concrete claim about the constructed polynomials,
-checked in exact rational arithmetic on the grid x = k/grid_n over [0, 1]
-for every index up to m_max.  There is no tolerance anywhere: symbolic
-claims are coefficient equalities, pointwise claims are exact comparisons
-of rationals.  Only the last step, comparing h_m against arctangent
-itself, consults the enclosure oracle, and it does so at a width two
+checked in exact rational arithmetic for every index up to m_max, with no
+tolerance anywhere.  Identities are compared coefficient by coefficient:
+L5 and L8 for each index, L1's square and L2's derivative once.  The
+pointwise claims (L1, L3, L4, L6, L7, L9) are exact comparisons of
+rationals sampled on the grid x = k/grid_n over [0, 1].  Only L7, h_m
+against arctangent itself, consults the enclosure oracle, at a width two
 factors of 4 below the asserted bound so that enclosure slack can never
 mask a violation.
 
@@ -13,7 +14,8 @@ The suite reports every lemma with a pass/fail flag and, when a claim
 fails, a witness pinning down where.  A deliberately corrupted seed
 polynomial can be injected to exercise that failure path end to end.
 
-Workload is metered in grid-point evaluations; the meter itself raises
+The work meter charges grid_n + 1 units a grid row, one an index of an
+identity and one for L2, each row paid for before it is built.  It raises
 WorkLimitExceeded once the caller's limit is passed, with the report of
 the checks completed so far attached.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import count, zip_longest
+from itertools import zip_longest
 from operator import eq, ge, le
 from typing import Optional
 
@@ -44,6 +46,7 @@ from .poly_core import (
     Prepared,
     check_int,
     poly,
+    poly_add,
     poly_antiderivative,
     poly_derivative,
     poly_eval_horner,
@@ -127,15 +130,16 @@ def run_suite(
     base_poly=None,
     work_limit: Optional[int] = None,
 ) -> VerificationReport:
-    """Check every lemma on the k/grid_n grid for indices 1..m_max.
+    """Check every lemma for indices 1..m_max.
 
-    By default L5, L6, L8 and L9 check the reference recurrence's p_m, and
-    L7 and L9 the shipped medina_h.  base_poly overrides the seed (the
-    fault-injection hook), and h_m is then integrated from its p_m.  One
-    recurrence walk serves the run, and nothing is grown or integrated
-    before the work meter has paid for the step that needs it.  The meter
-    raises WorkLimitExceeded where the limit is passed, attaching the
-    report of the checks completed before it.
+    L5 and L8 are compared coefficient by coefficient for each index, and
+    L1, L3, L4, L6, L7 and L9 sampled on the k/grid_n grid.  By default L5,
+    L6, L8 and L9 check the reference recurrence's p_m, and L7 and L9 the
+    shipped medina_h.  base_poly overrides the seed (the fault-injection
+    hook), and h_m is then integrated from its p_m.  One recurrence walk
+    serves the run.  Each row (an index, or a pass over the grid) is paid
+    for before anything in it is grown, integrated or made, and the meter
+    raises WorkLimitExceeded past the limit, with the checks done so far.
     """
     check_int(grid_n, "grid_n", 2)
     _check_index(m_max, "m_max")
@@ -143,11 +147,13 @@ def run_suite(
         DEFAULT_WORK_LIMIT if work_limit is None else work_limit, "work limit", 1
     )
 
-    used = count(1)
+    used = 0
     checks: list[LemmaCheck] = []
 
-    def spend() -> None:
-        if next(used) > limit:
+    def spend(units: int = 1) -> None:
+        nonlocal used
+        used += units
+        if used > limit:
             raise WorkLimitExceeded(
                 f"work limit {limit} exhausted during {lemmas[len(checks)][0]} "
                 f"({len(checks)} of {len(lemmas)} checks completed)",
@@ -158,6 +164,7 @@ def run_suite(
     seed = None if base_poly is None else poly(base_poly)
     walk = recurrence(medina_p1() if seed is None else seed)
     grown: list[Poly] = []
+    points: list[Fraction] = []
 
     def p_of(m: int) -> Poly:
         """p_m from the run's one walk, grown a member at a time as asked for."""
@@ -170,31 +177,36 @@ def run_suite(
         """h_m: the shipped one, or one integrated from the injected seed's p_m."""
         return medina_h(m) if seed is None else approximant(p_of(m), m)
 
-    points: list[Fraction] = []
-
-    def grid():
-        """The points k/grid_n, each made after its first unit of work is spent."""
-        for k in range(grid_n + 1):
-            spend()
-            if k == len(points):
-                points.append(Fraction(k, grid_n))
-            yield points[k]
+    def grid() -> list[Fraction]:
+        """The points k/grid_n, one unit each, paid for before they are made."""
+        spend(grid_n + 1)
+        if not points:
+            points.extend(Fraction(k, grid_n) for k in range(grid_n + 1))
+        return points
 
     def scan(claim, holds, rows=None):
         """(True, None), or (False, witness) at the first point where the
         claim fails: holds(lhs, rhs) is false for (lhs, rhs) = sides(x).
 
         rows yields the arguments of claim, m first; by default (m,) for
-        each index.  sides = claim(*row) is made once the row's first unit
-        is spent.
+        each index.  sides = claim(*row) is made once the row is paid for.
         """
         for row in rows or ((m,) for m in indices):
-            sides = None
-            for x in grid():
-                sides = sides or claim(*row)
+            xs, sides = grid(), claim(*row)
+            for x in xs:
                 lhs, rhs = sides(x)
                 if not holds(lhs, rhs):
                     return False, Witness(x=x, m=row[0], lhs=lhs, rhs=rhs)
+        return True, None
+
+    def identity(sides):
+        """(True, None), or (False, witness) at the lowest-power coefficients
+        where the polynomials sides(m) first differ, each m paid for first."""
+        for m in indices:
+            spend()
+            for a, b in zip_longest(*sides(m), fillvalue=Fraction(0)):
+                if a != b:
+                    return False, Witness(x=None, m=m, lhs=a, rhs=b)
         return True, None
 
     def check_peak_bound():
@@ -231,11 +243,7 @@ def run_suite(
         return lambda x: (poly_eval_horner(anti, x), min(cap * x, cap))
 
     def closed_identity(m):
-        p, shift = p_of(m), Fraction((-4) ** m)
-        return lambda x: (
-            (1 + x * x) * poly_eval_horner(p, x) + shift,
-            (x * (1 - x)) ** (4 * m),
-        )
+        return poly_add(poly_mul((1, 0, 1), p_of(m)), ((-4) ** m,)), window_poly(m)
 
     def integrand_sign(m):
         p, scale = p_of(m), medina_scale(m)
@@ -251,16 +259,8 @@ def run_suite(
 
         return sides
 
-    def check_round_trip():
-        for m in indices:
-            spend()
-            p = p_of(m)
-            derived = poly_derivative(poly_antiderivative(p))
-            # Witness the first differing coefficient.
-            for a, b in zip_longest(derived, p, fillvalue=Fraction(0)):
-                if a != b:
-                    return False, Witness(x=None, m=m, lhs=a, rhs=b)
-        return True, None
+    def round_trip(m):
+        return poly_derivative(poly_antiderivative(p_of(m))), p_of(m)
 
     def schemes_agree(m, which):
         target = (p_of, h_of)[which](m)
@@ -292,7 +292,7 @@ def run_suite(
         (
             "L5",
             "(1 + x^2) p_m(x) + (-4)^m equals x^{4m}(1-x)^{4m} identically",
-            partial(scan, closed_identity, eq),
+            partial(identity, closed_identity),
         ),
         (
             "L6",
@@ -309,7 +309,7 @@ def run_suite(
             "L8",
             "differentiating the antiderivative of p_m gives back p_m "
             "coefficient for coefficient",
-            check_round_trip,
+            partial(identity, round_trip),
         ),
         (
             "L9",

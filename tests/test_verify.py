@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from medina_arctan import medina, verify
-from medina_arctan.medina import medina_h
-from medina_arctan.poly_core import poly_mul
-from medina_arctan.poly_core import rat_parse
+from medina_arctan.medina import medina_h, medina_p1
+from medina_arctan.poly_core import poly_add, poly_mul, rat_parse
 from medina_arctan.verify import (
     Witness,
     WorkLimitExceeded,
@@ -59,9 +58,23 @@ def test_corrupted_seed_fails_identity_with_witness():
     # the claims not involving p_m are untouched by the corruption
     assert {"L1", "L2", "L3", "L4"}.isdisjoint(failed)
     broken = next(c for c in report.checks if c.id == "L5")
-    assert broken.witness is not None
-    assert broken.witness.lhs != broken.witness.rhs
-    assert broken.witness.m is not None
+    # L5 is compared by coefficients: the x^2 coefficients of its two sides.
+    assert broken.witness == Witness(x=None, m=1, lhs=Fraction(8), rhs=Fraction(0))
+
+
+@pytest.mark.parametrize("grid_n,m_max", [(2, 1), (16, 3)])
+def test_seed_that_vanishes_on_the_grid_fails_the_identity(grid_n, m_max):
+    # p_1 plus a polynomial that is zero at every k/grid_n: sampling L5 on
+    # the grid cannot tell this seed from Medina's, comparing coefficients can.
+    vanishing = (Fraction(1),)
+    for k in range(grid_n + 1):
+        vanishing = poly_mul(vanishing, (Fraction(-k, grid_n), Fraction(1)))
+    report = run_suite(grid_n, m_max, base_poly=poly_add(medina_p1(), vanishing))
+    by_id = {c.id: c for c in report.checks}
+    assert all(by_id[i].passed for i in ("L1", "L2", "L3", "L4"))
+    assert not by_id["L5"].passed
+    assert by_id["L5"].witness.x is None
+    assert by_id["L5"].witness.m == 1
 
 
 def test_final_bound_checks_the_reported_bound(monkeypatch):
@@ -117,12 +130,17 @@ def test_work_limit_is_spent_before_anything_is_built(monkeypatch):
 
     monkeypatch.setattr(medina, "poly_mul", refuse)
     monkeypatch.setattr(verify, "approximant", refuse)
+    # Every grid point is a Fraction made in verify, after its row is paid for.
+    monkeypatch.setattr(verify, "Fraction", refuse)
     before = medina_h.cache_info()
     for seed in (None, corrupted_seed()):
         with pytest.raises(WorkLimitExceeded):
             run_suite(2, 30, base_poly=seed, work_limit=1)
     after = medina_h.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+    with pytest.raises(WorkLimitExceeded) as caught:
+        run_suite(10**12, 1)
+    assert caught.value.partial.checks == ()
 
 
 @pytest.mark.parametrize("seed", [None, corrupted_seed()], ids=["shipped", "corrupted"])
@@ -146,12 +164,14 @@ def test_huge_grid_exhausts_the_limit_at_once():
 
 
 def test_work_meter_sweep_matches_per_lemma_units():
-    # run_suite(8, 2) spends L1 9, L2 1, L3-L7 18 each, L8 2 and L9 36 units:
-    # one per grid point and index (L9 two, for p_m and h_m), one for L2,
-    # one per index for L8.  So each limit below is the least that runs
-    # short in that lemma, and 138 is the least that completes.
+    # run_suite(8, 2) spends L1 9, L2 1, L3 and L4 18 each, L5 2, L6 and L7
+    # 18 each, L8 2 and L9 36 units: one per grid point and index (L9 two,
+    # for p_m and h_m), one for L2, one per index for the identities L5 and
+    # L8.  Each row is paid in full before it is built, so each limit below
+    # is the least that runs short in that lemma, and 122 the least that
+    # completes.
     first_short = {}
-    for limit in range(1, 139):
+    for limit in range(1, 123):
         try:
             report = run_suite(8, 2, work_limit=limit)
         except WorkLimitExceeded as exc:
@@ -163,7 +183,7 @@ def test_work_meter_sweep_matches_per_lemma_units():
             first_short.setdefault("pass", limit)
     assert first_short == {
         "L1": 1, "L2": 9, "L3": 10, "L4": 28, "L5": 46,
-        "L6": 64, "L7": 82, "L8": 100, "L9": 102, "pass": 138,
+        "L6": 48, "L7": 66, "L8": 84, "L9": 86, "pass": 122,
     }
 
 
