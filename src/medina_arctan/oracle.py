@@ -12,7 +12,9 @@ arctan(x) = arctan(1/2) + arctan(u) with u = (x - 1/2) / (1 + x/2).
 
 For y in [0, 1/2] the series terms alternate in sign and decrease, so
 consecutive partial sums bracket the limit; that yields two-sided bounds
-with no rounding analysis at all.  Arguments in (1/2, 1] are pivoted about
+with no rounding analysis at all.  The partial sums are kept as integer
+numerators over one common denominator, and each endpoint becomes a
+Fraction only at the end.  Arguments in (1/2, 1] are pivoted about
 1/2 as above, with u landing in (0, 1/3].  Arguments beyond 1 use
 arctan(x) = pi/2 - arctan(1/x), where pi itself is enclosed as 4*arctan(1)
 through the pivoted route, so nothing is circular and no decimal constant
@@ -21,6 +23,7 @@ is baked in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,19 +64,34 @@ def _series_enclosure(x: Fraction, eps: Fraction) -> Enclosure:
 
     Stops at the first term not exceeding eps; that term is the width of the
     returned interval.
+
+    Runs on integers, with x = a/b: the stopping rule
+    a^(2k+1) / ((2k+1) b^(2k+1)) <= eps is decided by cross-multiplication,
+    and one Fraction is made per endpoint, the same rationals as summing
+    Fractions but without a gcd at every step.
     """
     assert 0 < x <= _HALF
-    prev = x  # partial sum through degree 1
-    power = x
-    xsq = x * x
+    a, b = x.as_integer_ratio()
+    eps_num, eps_den = eps.as_integer_ratio()
+    asq, bsq = a * a, b * b
+    # At the top of each step, the partial sum through degree 2k-1 is
+    # num / (lcm * scale), with lcm = lcm(1, 3, ..., 2k-1), scale = b^(2k-1)
+    # and power = a^(2k-1).
+    power, scale, lcm, num = a, b, 1, a
     k = 1
     while True:
-        power *= xsq
-        term = power / (2 * k + 1)
-        cur = prev - term if k % 2 else prev + term
-        if term <= eps:
-            return Enclosure(min(prev, cur), max(prev, cur))
-        prev = cur
+        odd = 2 * k + 1
+        grow = odd // math.gcd(lcm, odd)
+        power *= asq
+        # The term of degree odd over the next common denominator.
+        term = power * (lcm * grow // odd)
+        cur = num * grow * bsq
+        cur = cur - term if k % 2 else cur + term
+        if power * eps_den <= eps_num * odd * scale * bsq:
+            prev = Fraction(num, lcm * scale)
+            cur = Fraction(cur, lcm * grow * scale * bsq)
+            return Enclosure(cur, prev) if k % 2 else Enclosure(prev, cur)
+        num, lcm, scale = cur, lcm * grow, scale * bsq
         k += 1
 
 

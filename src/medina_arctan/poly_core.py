@@ -11,7 +11,8 @@ Scalars are ``fractions.Fraction`` throughout, which keeps every value
 gcd-reduced with a positive denominator.  Nothing here ever rounds, and all
 values are immutable.  Horner evaluation runs on integers over one common
 denominator, a form a ``Prepared`` tuple keeps, and makes one Fraction at
-the end; ``poly_eval_powers`` stays in Fraction arithmetic.
+the end; ``poly_eval_powers`` makes each term from integer powers and sums
+the terms as Fractions, with no common denominator.
 ``rat_text`` writes the one text form of a rational that ``rat_parse``
 reads, at any length.
 """
@@ -73,7 +74,12 @@ def rat_parse(text: str) -> Fraction:
         if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
             raise decimal.InvalidOperation
         if slash:
-            return Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den)))
+            # Checked first: Fraction's own message would write out the
+            # numerator, which past the digit limit raises ValueError.
+            den = int(decimal.Decimal(den))
+            if not den:
+                raise ZeroDivisionError
+            return Fraction(int(decimal.Decimal(num)), den)
         return Fraction(decimal.Decimal(cleaned))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational {text!r}") from None
@@ -166,10 +172,14 @@ def poly_eval_powers(p: Poly, x: RatLike) -> Fraction:
     """Evaluate as the sum of c_i * x**i with independently computed powers.
 
     Agrees with poly_eval_horner on every input; kept as a second route so
-    the two schemes can be checked against each other.
+    the two schemes can be checked against each other.  With x = a/b, each
+    nonzero term is made from integer powers as one Fraction,
+    (n_i a^i) / (d_i b^i), and the terms are summed as Fractions, with no
+    common denominator.
     """
-    x = rat(x)
-    return sum((c * x**i for i, c in enumerate(p)), Fraction(0))
+    a, b = rat(x).as_integer_ratio()
+    terms = (Fraction(c.numerator * a**i, c.denominator * b**i) for i, c in enumerate(p) if c)
+    return sum(terms, Fraction(0))
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:

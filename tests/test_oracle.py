@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     REF_ARCTAN_1,
@@ -12,7 +14,7 @@ from conftest import (
     REF_PI,
     REF_SLACK,
 )
-from medina_arctan.oracle import Enclosure, arctan_enclosure, pi_enclosure
+from medina_arctan.oracle import Enclosure, _series_enclosure, arctan_enclosure, pi_enclosure
 from medina_arctan.poly_core import rat_parse
 
 
@@ -130,3 +132,56 @@ def test_eps_validation(eps):
 def test_rejects_float_arguments():
     with pytest.raises(TypeError):
         arctan_enclosure(0.5, "1e-6")
+
+
+def series_by_fractions(x, eps):
+    """The series loop in Fraction arithmetic, one Fraction a step: the
+    reference the integer partial sums of _series_enclosure must match."""
+    prev = x  # partial sum through degree 1
+    power = x
+    xsq = x * x
+    k = 1
+    while True:
+        power *= xsq
+        term = power / (2 * k + 1)
+        cur = prev - term if k % 2 else prev + term
+        if term <= eps:
+            return Enclosure(min(prev, cur), max(prev, cur))
+        prev = cur
+        k += 1
+
+
+# Arguments in (0, 1/2]: short parts anywhere in the range, and 300-digit
+# parts of size about 2^-shift.
+_short_args = st.integers(2, 10**6).flatmap(
+    lambda d: st.integers(1, d // 2).map(lambda n: Fraction(n, d))
+)
+_long_args = st.builds(
+    lambda d, shift, r: Fraction(max(1, (d >> shift) - r), d),
+    st.integers(10**299, 10**300 - 1),
+    st.integers(1, 1000),
+    st.integers(0, 2**64),
+)
+# eps = c / 10^e from 1e-2 down to 1e-300, with c not always 1, as the
+# pivot's eps/2 is not.
+_series_eps = st.builds(
+    lambda c, e: Fraction(c, 10**e), st.integers(1, 9), st.integers(2, 300)
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(_short_args, _long_args), _series_eps)
+@example(Fraction(1, 2), Fraction(1, 24))  # the first term equals eps
+@example(Fraction(1, 2), Fraction(1, 25))
+@example(Fraction(1, 2), Fraction(1, 10**300))
+@example(Fraction(1, 3), Fraction(1, 10**300))
+def test_series_enclosure_is_bit_identical_to_the_fraction_loop(x, eps):
+    # The reference pays a Fraction gcd at every step, and at 300-digit
+    # parts that grows as the cube of the step count; keep it to ~40 steps.
+    # Each step shrinks the term by about 2^-(2 * bits), bits = -log2 x.
+    bits = x.denominator.bit_length() - x.numerator.bit_length()
+    assume(eps.denominator.bit_length() <= 80 * max(bits, 1) or x.denominator < 10**6)
+    got, want = _series_enclosure(x, eps), series_by_fractions(x, eps)
+    assert (got.lo.numerator, got.lo.denominator) == (want.lo.numerator, want.lo.denominator)
+    assert (got.hi.numerator, got.hi.denominator) == (want.hi.numerator, want.hi.denominator)
+    assert got.width <= eps

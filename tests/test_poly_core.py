@@ -8,7 +8,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import no_int_str_limit
@@ -232,6 +232,46 @@ def test_eval_powers_examples():
     assert poly_eval_powers(poly([1, 1, 1]), Fraction(1, 2)) == Fraction(7, 4)
 
 
+def powers_by_fractions(p, x):
+    """The powers route in Fraction arithmetic, a multiply and an add a term:
+    the reference for poly_eval_powers, which builds each term on integers."""
+    x = rat(x)
+    return sum((c * x**i for i, c in enumerate(p)), Fraction(0))
+
+
+# Coefficients with zeros among them, as ints (plain tuples) or Fractions.
+_coeffs = st.one_of(
+    st.just(0),
+    st.integers(-50, 50),
+    st.fractions(max_denominator=10**6),
+    st.builds(Fraction, st.integers(-(10**300), 10**300), st.integers(1, 10**300)),
+)
+_long_points = st.builds(
+    Fraction, st.integers(-(10**300), 10**300), st.integers(10**299, 10**300)
+)
+_points = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-3, 7)]),
+    st.integers(-9, 9),
+    st.fractions(min_value=-4, max_value=4, max_denominator=10**6),
+    _long_points,
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_coeffs, max_size=40), _points)
+@example([0, 0, 0], 0)
+@example([0, 0, 5], 0)
+@example([Fraction(1, 3), 0, 0, -2], 1)
+@example([], Fraction(-7, 2))
+@example(list(medina_h(8)), Fraction(-65535, 65536))
+def test_eval_powers_is_bit_identical_to_the_fraction_sum(coeffs, x):
+    p = tuple(coeffs)
+    got, want = poly_eval_powers(p, x), powers_by_fractions(p, x)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == poly_eval_horner(normalize(rat(c) for c in p), x)
+
+
 def test_add_examples():
     assert poly_add(poly([1, 2]), poly([0, -2])) == (Fraction(1),)
     assert poly_add(P1, poly([])) == P1
@@ -384,6 +424,7 @@ _texts = st.one_of(
 @example("nan")
 @example("0x10")
 @example("1_000/3_0")
+@example("1" * 4301 + "/0")
 def test_rat_parse_reads_what_fraction_reads(text):
     # Under the default digit limit, rat_parse gives what Fraction gives with
     # the limit lifted, and raises where Fraction raises.
