@@ -33,6 +33,7 @@ from .medina import (
 )
 from .oracle import Enclosure, arctan_enclosure, pi_enclosure
 from .poly_core import (
+    IntPoly,
     Poly,
     Rational,
     degree,

@@ -13,23 +13,27 @@ guarantee
 
     |h_m(x) - arctan(x)| <= 4^(-5m)    for all x in [0, 1].
 
-The shipped p_m and h_m come from the closed form on integers (a binomial
-row, divided in place) with one Fraction per coefficient at the end; the
-recurrence, grown by one lazy walk, is the reference.  Both hand out
-Prepared tuples; medina_h keeps the latest 16, the only cross-call cache.
-Every index runs from 1 to MAX_INDEX.
+The shipped p_m and h_m come from one integer row: the binomial row of
+the numerator, divided in place.  medina_h integrates that row straight
+into Horner's integer form (an IntPoly) and makes no Fraction; it keeps
+the latest 16, the only cross-call cache.  window_poly and medina_p_closed
+make one Fraction per coefficient at the end, and medina_pair takes h_m
+from that p_m by approximant, the Fraction rule for h_m.  The
+recurrence, grown by one lazy walk, is the reference.  Every index runs
+from 1 to MAX_INDEX.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
 from .poly_core import (
+    IntPoly,
     Poly,
-    Prepared,
     RatLike,
     check_int,
     check_positive,
@@ -59,21 +63,30 @@ def medina_p1() -> Poly:
     return _SEED
 
 
-def window_poly(m: int) -> Poly:
-    """x^{4m} (1-x)^{4m}, tiny on [0, 1]: (-1)^k C(4m, k) at power 4m + k."""
+def _window_row(m: int) -> list[int]:
+    """x^{4m} (1-x)^{4m} on integers: (-1)^k C(4m, k) at power 4m + k."""
     n = 4 * _check_index(m)
-    row, c = [], 1
+    row, c = [0] * n, 1
     for k in range(n + 1):
-        row.append(Fraction(-c if k % 2 else c))
+        row.append(-c if k % 2 else c)
         c = c * (n - k) // (k + 1)  # C(n, k+1), exactly
-    return (Fraction(0),) * n + tuple(row)
+    return row
+
+
+def window_poly(m: int) -> Poly:
+    """x^{4m} (1-x)^{4m}, tiny on [0, 1]."""
+    return tuple(map(Fraction, _window_row(m)))
 
 
 def approximant(p: Poly, m: int) -> Poly:
-    """h_m from p_m: the antiderivative of p_m / ((-1)^(m+1) 4^m), anchored at 0."""
+    """h_m from p_m: the antiderivative of p_m / ((-1)^(m+1) 4^m), anchored at 0.
+
+    The Fraction rule, for any p: medina_h builds the same polynomial on
+    integers from the closed form's row.
+    """
     s = medina_scale(m).numerator
     terms = (Fraction(c.numerator, c.denominator * s * k) for k, c in enumerate(p, 1))
-    return Prepared((Fraction(0), *terms))
+    return (Fraction(0), *terms)
 
 
 def recurrence(seed: Poly):
@@ -83,11 +96,11 @@ def recurrence(seed: Poly):
     for.  Any seed is accepted, so the verifier can grow a corrupted one.
     """
     step = window_poly(1)
-    p, shift = Prepared(seed), Fraction(1)
+    p, shift = seed, Fraction(1)
     while True:
         yield p
         shift *= -4
-        p = Prepared(poly_add(poly_mul(step, p), poly_scale(seed, shift)))
+        p = poly_add(poly_mul(step, p), poly_scale(seed, shift))
 
 
 def medina_p_recurrence(m: int) -> Poly:
@@ -95,26 +108,34 @@ def medina_p_recurrence(m: int) -> Poly:
     return next(islice(recurrence(_SEED), _check_index(m) - 1, None))
 
 
-def medina_closed_numerator(m: int) -> Poly:
-    """x^{4m} (1-x)^{4m} - (-4)^m, the numerator divided by 1 + x^2 below."""
-    return poly_add(window_poly(m), poly([-((-4) ** m)]))
+def medina_closed_numerator(m: int) -> list[int]:
+    """x^{4m} (1-x)^{4m} - (-4)^m as an integer row, divided by 1 + x^2 below."""
+    row = _window_row(m)
+    row[0] -= (-4) ** m
+    return row
 
 
-def medina_p_closed(m: int) -> Poly:
-    """p_m via exact division of the closed-form numerator by 1 + x^2.
+def _p_row(m: int) -> list[int]:
+    """p_m's integer row: the closed-form numerator divided by 1 + x^2.
 
-    The divisor is monic: dividing the integer numerator in place from the
-    top is one subtraction per coefficient.  A nonzero remainder means the
+    The divisor is monic: dividing the numerator in place from the top is
+    one subtraction per coefficient.  A nonzero remainder means the
     construction is broken, so that raises instead of truncating.
     """
-    rem = [c.numerator for c in medina_closed_numerator(m)]
+    rem = list(medina_closed_numerator(m))
     for i in range(len(rem) - 1, 1, -1):
         rem[i - 2] -= rem[i]
     if rem[0] or rem[1]:
         raise ArithmeticError(
             f"1 + x^2 does not divide the closed-form numerator at m={m}"
         )
-    return tuple(Fraction(c) for c in rem[2:])
+    del rem[:2]
+    return rem
+
+
+def medina_p_closed(m: int) -> Poly:
+    """p_m via exact division of the closed-form numerator by 1 + x^2."""
+    return tuple(map(Fraction, _p_row(m)))
 
 
 def medina_scale(m: int) -> Fraction:
@@ -123,10 +144,35 @@ def medina_scale(m: int) -> Fraction:
     return Fraction((-1) ** (m + 1) * 4**m)
 
 
+def _integrate(row: list[int], m: int) -> IntPoly:
+    """approximant on p_m's integer row, made straight into Horner's form.
+
+    h_k = p_{k-1} / (s k) with s = (-1)^(m+1) 4^m.  Write k = 2^v o with o
+    odd, and let 2^w be the power of 2 in p_{k-1}: the reduced denominator
+    of h_k is 2^max(0, 2m+v-w) times o / gcd(p_{k-1}, o).  So the lcm of
+    them all, the form's den, is 2^E times the lcm of odd numbers below
+    8m.  p_m's top coefficient is 1, at the odd k = 8m - 1, so E >= 2m,
+    and each numerator den p_{k-1} / (s k) is (den / 4^m) p_{k-1} / (+-k),
+    an exact division.
+    """
+    top, odds = 2 * m, []
+    for k, c in enumerate(row, 1):
+        if c:
+            v = (k & -k).bit_length() - 1
+            top = max(top, 2 * m + v - (c & -c).bit_length() + 1)
+            odds.append((k >> v) // math.gcd(c, k >> v))
+    den = math.lcm(*odds) << top
+    unit = den >> 2 * m if m % 2 else -(den >> 2 * m)
+    return IntPoly(den, (0, *(unit * c // k for k, c in enumerate(row, 1))))
+
+
 @lru_cache(maxsize=16)
-def medina_h(m: int) -> Poly:
-    """Approximant h_m of degree 8m - 1, built from the closed form of p_m."""
-    return approximant(medina_p_closed(_check_index(m)), m)
+def medina_h(m: int) -> IntPoly:
+    """Approximant h_m of degree 8m - 1 in integer form, from p_m's closed form.
+
+    medina_h(m).poly() gives its coefficients as Fractions.
+    """
+    return _integrate(_p_row(_check_index(m)), m)
 
 
 def medina_error_bound(m: int) -> Fraction:
@@ -165,5 +211,10 @@ class MedinaPair:
 
 
 def medina_pair(m: int) -> MedinaPair:
-    """Bundle (m, p_m, h_m, bound), with p_m from the closed form as shipped."""
-    return MedinaPair(m, medina_p_closed(m), medina_h(m), medina_error_bound(m))
+    """Bundle (m, p_m, h_m, bound), with p_m from the closed form as shipped.
+
+    h_m comes by approximant from that p_m: medina_h(m).poly() would pay a
+    gcd of two long integers per coefficient (12 s against 1 s at m = 2000).
+    """
+    p = medina_p_closed(m)
+    return MedinaPair(m, p, approximant(p, m), medina_error_bound(m))

@@ -10,9 +10,9 @@ mathematical equality.
 Scalars are ``fractions.Fraction`` throughout, which keeps every value
 gcd-reduced with a positive denominator.  Nothing here ever rounds, and all
 values are immutable.  Horner evaluation runs on integers over one common
-denominator, a form a ``Prepared`` tuple keeps, and makes one Fraction at
-the end; ``poly_eval_powers`` makes each term from integer powers and sums
-the terms as Fractions, with no common denominator.
+denominator, the form an ``IntPoly`` holds, and makes one Fraction at the
+end; ``poly_eval_powers`` makes each term from integer powers and sums the
+terms as Fractions, with no common denominator.
 ``rat_text`` writes the one text form of a rational that ``rat_parse``
 reads, at any length.
 """
@@ -23,7 +23,6 @@ import decimal
 import math
 import re
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple, Union
 
 Rational = Fraction
@@ -143,29 +142,64 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-class Prepared(tuple):
-    """A polynomial tuple that keeps its Horner form once first evaluated."""
+class IntPoly:
+    """A polynomial as integer numerators over one common denominator.
 
-    @cached_property
-    def horner_form(self) -> Tuple[int, List[int]]:
-        """(D, [D*c_i] highest power first), D the lcm of the denominators."""
-        den = math.lcm(*(c.denominator for c in self))
-        return den, [den // c.denominator * c.numerator for c in reversed(self)]
+    nums[i] / den is the coefficient of x**i, low power first, and den is
+    the lcm of the reduced coefficients' denominators, so each polynomial
+    has one form.  Iterating yields the numerators; poly() gives the
+    Fraction tuple.  Immutable; a plain class, since a frozen dataclass
+    costs about 1 ms at each import, a few percent of a cold start.
+    """
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self, den: int, nums: Tuple[int, ...]):
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: IntPoly is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, IntPoly):
+            return NotImplemented
+        return (self.den, self.nums) == (other.den, other.nums)
+
+    def __repr__(self):
+        return f"IntPoly({self.den!r}, {self.nums!r})"
+
+    @classmethod
+    def of(cls, p: Sequence[Union[int, Fraction]]) -> "IntPoly":
+        """The form of a coefficient sequence (ints or Fractions): one lcm."""
+        den = math.lcm(*(c.denominator for c in p))
+        return cls(den, tuple(den // c.denominator * c.numerator for c in p))
+
+    def __iter__(self):
+        return iter(self.nums)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def poly(self) -> Poly:
+        """The coefficients as Fractions, one per power: a gcd with den each."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
 
-def poly_eval_horner(p: Poly, x: RatLike) -> Fraction:
+def poly_eval_horner(p: Union[Poly, IntPoly], x: RatLike) -> Fraction:
     """Evaluate by nested multiplication: c0 + x*(c1 + x*(...)).
 
-    On integers: with x = a/b, n = deg p and D the lcm of the denominators,
-    acc ends at D*b^n*p(x), and one Fraction, acc*b / (D*b^(n+1)), is made.
+    On integers: with x = a/b, n = deg p and D the common denominator, acc
+    ends at D*b^n*p(x), and one Fraction, acc*b / (D*b^(n+1)), is made.  A
+    Poly is put into integer form first, on every call.
     """
     a, b = rat(x).as_integer_ratio()
-    den, scaled = (p if isinstance(p, Prepared) else Prepared(p)).horner_form
+    form = p if isinstance(p, IntPoly) else IntPoly.of(p)
     acc, scale = 0, 1
-    for c in scaled:
+    for c in reversed(form.nums):
         acc = acc * a + c * scale
         scale *= b
-    return Fraction(acc * b, den * scale)
+    return Fraction(acc * b, form.den * scale)
 
 
 def poly_eval_powers(p: Poly, x: RatLike) -> Fraction:

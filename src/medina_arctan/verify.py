@@ -42,8 +42,8 @@ from .medina import (
 )
 from .oracle import arctan_enclosure
 from .poly_core import (
+    IntPoly,
     Poly,
-    Prepared,
     check_int,
     poly,
     poly_add,
@@ -173,9 +173,14 @@ def run_suite(
         return grown[m - 1]
 
     @cache
-    def h_of(m: int) -> Poly:
+    def p_form(m: int) -> IntPoly:
+        """p_m in integer form, made once for the rows that evaluate it."""
+        return IntPoly.of(p_of(m))
+
+    @cache
+    def h_of(m: int) -> IntPoly:
         """h_m: the shipped one, or one integrated from the injected seed's p_m."""
-        return medina_h(m) if seed is None else approximant(p_of(m), m)
+        return medina_h(m) if seed is None else IntPoly.of(approximant(p_of(m), m))
 
     def grid() -> list[Fraction]:
         """The points k/grid_n, one unit each, paid for before they are made."""
@@ -238,7 +243,7 @@ def run_suite(
 
     def integral_bound(m):
         cap = Fraction(1, 4 ** (4 * m))
-        anti = Prepared(poly_antiderivative(window_poly(m)))
+        anti = IntPoly.of(poly_antiderivative(window_poly(m)))
         # Both caps at once: 4^{-4m} x, and 4^{-4m} itself.
         return lambda x: (poly_eval_horner(anti, x), min(cap * x, cap))
 
@@ -246,7 +251,7 @@ def run_suite(
         return poly_add(poly_mul((1, 0, 1), p_of(m)), ((-4) ** m,)), window_poly(m)
 
     def integrand_sign(m):
-        p, scale = p_of(m), medina_scale(m)
+        p, scale = p_form(m), medina_scale(m)
         return lambda x: (poly_eval_horner(p, x) - scale / (1 + x * x), Fraction(0))
 
     def final_bound(m):
@@ -263,8 +268,9 @@ def run_suite(
         return poly_derivative(poly_antiderivative(p_of(m))), p_of(m)
 
     def schemes_agree(m, which):
-        target = (p_of, h_of)[which](m)
-        return lambda x: (poly_eval_horner(target, x), poly_eval_powers(target, x))
+        form = (p_form, h_of)[which](m)
+        target = form.poly()
+        return lambda x: (poly_eval_horner(form, x), poly_eval_powers(target, x))
 
     lemmas = (
         (

@@ -1,5 +1,6 @@
 """Sequence construction: frozen landmarks, degree laws, both build routes."""
 
+import math
 from fractions import Fraction
 from itertools import islice
 from math import comb
@@ -7,7 +8,7 @@ from math import comb
 import pytest
 
 from conftest import REF_ARCTAN_1, REF_ARCTAN_HALF
-from medina_arctan import medina
+from medina_arctan import medina, poly_core
 from medina_arctan.medina import (
     HUMP,
     MedinaPair,
@@ -25,7 +26,7 @@ from medina_arctan.medina import (
 )
 from medina_arctan.oracle import arctan_enclosure
 from medina_arctan.poly_core import (
-    Prepared,
+    IntPoly,
     degree,
     poly,
     poly_add,
@@ -64,7 +65,7 @@ def test_closed_form_matches_recurrence():
     for m in [*range(1, 11), 16, 24]:
         recurrence = medina_p_recurrence(m)
         assert medina_p_closed(m) == recurrence
-        assert medina_h(m) == approximant(recurrence, m)
+        assert medina_h(m).poly() == approximant(recurrence, m)
         assert window_poly(m) == poly_pow(HUMP, 4 * m)
         _, remainder = poly_divmod(medina_closed_numerator(m), poly([1, 0, 1]))
         assert remainder == ()
@@ -78,7 +79,7 @@ def test_shipped_approximant_skips_the_recurrence(monkeypatch):
 
     monkeypatch.setattr(medina, "recurrence", refuse)
     monkeypatch.setattr(medina, "poly_mul", refuse)
-    assert medina_h.__wrapped__(5) == expected
+    assert medina_h.__wrapped__(5).poly() == expected
 
 
 def p_by_index_loop(seed, m):
@@ -96,16 +97,60 @@ def p_by_index_loop(seed, m):
 def test_walk_matches_the_per_index_loop(seed):
     walk = list(islice(medina.recurrence(seed), 12))
     assert walk == [p_by_index_loop(seed, m) for m in range(1, 13)]
-    assert all(isinstance(p, Prepared) for p in walk)
+    # Plain Fraction tuples: the verifier puts each into integer form once.
+    assert all(type(p) is tuple for p in walk)
+    assert all(type(c) is Fraction for p in walk for c in p)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 17, 34])
 def test_approximants_are_prepared_and_unchanged(m):
-    # The rule h_m was built by before it kept its Horner form.
+    # The rule h_m was built by before it kept its Horner form.  The shipped
+    # h_m comes in that form, the one IntPoly.of makes from the old tuple.
     old = poly_scale(poly_antiderivative(medina_p_closed(m)), 1 / medina_scale(m))
-    for h in (medina_h(m), approximant(medina_p_recurrence(m), m)):
-        assert isinstance(h, Prepared)
-        assert h == old and tuple(h) == old
+    assert approximant(medina_p_recurrence(m), m) == old
+    assert medina_h(m) == IntPoly.of(old)
+    assert medina_h(m).poly() == old
+
+
+def approximant_by_fractions(p, m):
+    """approximant as it was before medina_h moved to integers (it returned
+    the tuple as a Prepared, which kept the form below on first use)."""
+    s = medina_scale(m).numerator
+    terms = (Fraction(c.numerator, c.denominator * s * k) for k, c in enumerate(p, 1))
+    return (Fraction(0), *terms)
+
+
+def horner_form(p):
+    """Prepared.horner_form before IntPoly: (D, [D*c_i] highest power first)."""
+    den = math.lcm(*(c.denominator for c in p))
+    return den, [den // c.denominator * c.numerator for c in reversed(p)]
+
+
+def test_integer_form_is_the_old_horner_form():
+    # Reduced once at construction: the same D and numerators as before, so
+    # evaluation does the same integer work.
+    for m in [*range(1, 81), 160, 333, 665]:
+        h = medina_h(m)
+        den, scaled = horner_form(approximant_by_fractions(medina_p_closed(m), m))
+        assert (h.den, h.nums) == (den, tuple(reversed(scaled)))
+        assert list(h) == list(h.nums) and all(type(c) is int for c in h)
+
+
+def test_integer_form_reads_as_the_reference_approximant():
+    for m in range(1, 25):
+        h = medina_h(m).poly()
+        assert h == approximant(medina_p_recurrence(m), m) == medina_pair(m).h
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 34, 80])
+def test_shipped_approximant_makes_no_fraction(monkeypatch, m):
+    def refuse(*args, **kwargs):
+        raise AssertionError("medina_h made a Fraction")
+
+    monkeypatch.setattr(medina, "Fraction", refuse)
+    monkeypatch.setattr(poly_core, "Fraction", refuse)
+    h = medina_h.__wrapped__(m)
+    assert type(h) is IntPoly and len(h) == 8 * m
 
 
 def test_medina_h_cache_is_a_bounded_lru():
@@ -157,6 +202,13 @@ def test_closed_form_refuses_an_indivisible_numerator(monkeypatch):
         medina_p_closed(1)
 
 
+def test_shipped_approximant_refuses_an_indivisible_numerator(monkeypatch):
+    # medina_h divides the same numerator, through the same check.
+    monkeypatch.setattr(medina, "medina_closed_numerator", lambda m: [0, 1, 1])
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        medina_h.__wrapped__(1)
+
+
 @pytest.mark.parametrize(
     "numerator",
     [poly([2, 0, 1]), poly([0, 0, 0, 1])],
@@ -166,6 +218,15 @@ def test_closed_form_reads_both_remainder_coefficients(monkeypatch, numerator):
     monkeypatch.setattr(medina, "medina_closed_numerator", lambda m: numerator)
     with pytest.raises(ArithmeticError, match="does not divide"):
         medina_p_closed(1)
+
+
+@pytest.mark.parametrize(
+    "numerator", [[2, 0, 1], [0, 0, 0, 1]], ids=["2+x^2 leaves 1", "x^3 leaves -x"]
+)
+def test_shipped_approximant_reads_both_remainder_coefficients(monkeypatch, numerator):
+    monkeypatch.setattr(medina, "medina_closed_numerator", lambda m: numerator)
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        medina_h.__wrapped__(1)
 
 
 def test_in_place_division_matches_long_division():
@@ -188,7 +249,8 @@ def test_scale_values():
 
 def test_first_approximant():
     h1 = medina_h(1)
-    assert h1 == poly([0, 1, 0, "-1/3", 0, "1/4", "-1/6", "1/28"])
+    assert h1 == IntPoly(84, (0, 84, 0, -28, 0, 21, -14, 3))
+    assert h1.poly() == poly([0, 1, 0, "-1/3", 0, "1/4", "-1/6", "1/28"])
     # 1 - 1/3 + 1/4 - 1/6 + 1/28 = 66/84
     assert poly_eval_horner(h1, 1) == Fraction(11, 14)
 
@@ -285,7 +347,7 @@ def test_window_poly():
 def test_pair_bundle_and_json():
     pair = medina_pair(1)
     assert pair == MedinaPair(
-        m=1, p=medina_p1(), h=medina_h(1), bound=Fraction(1, 1024)
+        m=1, p=medina_p1(), h=medina_h(1).poly(), bound=Fraction(1, 1024)
     )
     doc = pair.to_json()
     assert doc == {

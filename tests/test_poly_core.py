@@ -16,7 +16,7 @@ from medina_arctan.arctan_eval import pi_estimate
 from medina_arctan import poly_core
 from medina_arctan.medina import medina_h
 from medina_arctan.poly_core import (
-    Prepared,
+    IntPoly,
     degree,
     normalize,
     poly,
@@ -125,7 +125,8 @@ def test_eval_horner_matches_fraction_loop(p, x):
 
 
 def assert_horner_exact(p, x):
-    assert poly_eval_horner(p, x) == horner_by_fractions(p, x)
+    coeffs = p.poly() if isinstance(p, IntPoly) else p
+    assert poly_eval_horner(p, x) == horner_by_fractions(coeffs, x)
 
 
 @given(
@@ -133,10 +134,10 @@ def assert_horner_exact(p, x):
     st.lists(points, min_size=1, max_size=3),
 )
 def test_repeated_eval_horner_matches_fraction_loop(p, xs):
-    # A Prepared polynomial reuses its integer form from the second call on;
+    # An IntPoly is the integer form, made once and reused on every call;
     # the plain tuple, a value-equal copy, a same-length neighbour and other
     # tuples evaluated in between must not change any answer.
-    prepared = Prepared(p)
+    prepared = IntPoly.of(p)
     neighbour = tuple(c + 1 for c in p)
     others = [p + (Fraction(k + 1),) for k in range(17)]
     for x in xs:
@@ -166,8 +167,10 @@ def test_eval_horner_forms_once_per_prepared(monkeypatch):
 
     monkeypatch.setattr(poly_core, "math", SimpleNamespace(lcm=lcm))
     p = poly(["1/3", "2/5", "-7/2"])
-    prepared = Prepared(p)
-    assert prepared == p and isinstance(prepared, tuple)
+    prepared = IntPoly.of(p)
+    assert prepared == IntPoly(30, (10, 12, -105)) and list(prepared) == [10, 12, -105]
+    assert prepared.poly() == p
+    assert len(calls) == 1
     for x in range(20):
         assert_horner_exact(prepared, x)
     assert len(calls) == 1
@@ -178,9 +181,10 @@ def test_eval_horner_forms_once_per_prepared(monkeypatch):
 
 
 def test_eval_horner_prepared_under_threads():
-    # Every thread may be the first to ask for the form of one fresh Prepared.
+    # Every thread evaluates one shared integer form at once.
     rng = random.Random(7)
-    p = Prepared(Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(60))
+    coeffs = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(60)]
+    p = IntPoly.of(coeffs)
     failures = []
     start = threading.Barrier(8)
 
@@ -189,7 +193,7 @@ def test_eval_horner_prepared_under_threads():
         start.wait(timeout=60)
         for _ in range(100):
             x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            if poly_eval_horner(p, x) != horner_by_fractions(p, x):
+            if poly_eval_horner(p, x) != horner_by_fractions(coeffs, x):
                 failures.append(x)
 
     interval = sys.getswitchinterval()
@@ -220,10 +224,10 @@ EVAL_POINTS = [
 def test_eval_horner_bit_identical_on_approximants(m):
     h = medina_h(m)
     for x in EVAL_POINTS:
-        got, want = poly_eval_horner(h, x), horner_by_fractions(h, x)
+        got, want = poly_eval_horner(h, x), horner_by_fractions(h.poly(), x)
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
     if m in (1, 7, 34):
-        assert pi_estimate(m).value == 4 * horner_by_fractions(h, 1)
+        assert pi_estimate(m).value == 4 * horner_by_fractions(h.poly(), 1)
 
 
 def test_eval_powers_examples():
@@ -263,7 +267,7 @@ _points = st.one_of(
 @example([0, 0, 5], 0)
 @example([Fraction(1, 3), 0, 0, -2], 1)
 @example([], Fraction(-7, 2))
-@example(list(medina_h(8)), Fraction(-65535, 65536))
+@example(list(medina_h(8).poly()), Fraction(-65535, 65536))
 def test_eval_powers_is_bit_identical_to_the_fraction_sum(coeffs, x):
     p = tuple(coeffs)
     got, want = poly_eval_powers(p, x), powers_by_fractions(p, x)

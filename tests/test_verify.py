@@ -6,7 +6,7 @@ import pytest
 
 from medina_arctan import medina, verify
 from medina_arctan.medina import medina_h, medina_p1
-from medina_arctan.poly_core import poly_add, poly_mul, rat_parse
+from medina_arctan.poly_core import IntPoly, poly_add, poly_mul, rat_parse
 from medina_arctan.verify import (
     Witness,
     WorkLimitExceeded,
@@ -155,6 +155,23 @@ def test_suite_grows_the_recurrence_once(monkeypatch, seed):
     monkeypatch.setattr(medina, "poly_mul", counting)
     run_suite(2, 40, base_poly=seed)
     assert len(steps) == 39
+
+
+@pytest.mark.parametrize("seed", [None, corrupted_seed()], ids=["shipped", "corrupted"])
+def test_suite_forms_each_polynomial_once(monkeypatch, seed):
+    # Each polynomial evaluated on the grid is put into integer form once a
+    # run, not once a point: p_m (L6 and L9) and the integral (L4) for each
+    # index, L2's slope, and h_m when it is integrated from an injected seed.
+    formed = []
+    of = IntPoly.of.__func__
+
+    def counting(cls, p):
+        formed.append(tuple(p))
+        return of(cls, p)
+
+    monkeypatch.setattr(IntPoly, "of", classmethod(counting))
+    assert run_suite(16, 3, base_poly=seed).all_passed == (seed is None)
+    assert len(formed) == len(set(formed)) == (7 if seed is None else 10)
 
 
 def test_huge_grid_exhausts_the_limit_at_once():
