@@ -11,8 +11,9 @@ Scalars are ``fractions.Fraction`` throughout, which keeps every value
 gcd-reduced with a positive denominator.  Nothing here ever rounds, and all
 values are immutable.  Horner evaluation runs on integers over one common
 denominator, the form an ``IntPoly`` holds, and makes one Fraction at the
-end; ``poly_eval_powers`` makes each term from integer powers and sums the
-terms as Fractions, with no common denominator.
+end.  ``poly_eval_powers`` also makes one Fraction, but by a second scheme:
+it sums integer terms, each from its own freshly raised powers, over the lcm
+of the coefficients' denominators, and never nests or forms an ``IntPoly``.
 ``rat_text`` writes the one text form of a rational that ``rat_parse``
 reads, at any length.
 """
@@ -206,14 +207,17 @@ def poly_eval_powers(p: Poly, x: RatLike) -> Fraction:
     """Evaluate as the sum of c_i * x**i with independently computed powers.
 
     Agrees with poly_eval_horner on every input; kept as a second route so
-    the two schemes can be checked against each other.  With x = a/b, each
-    nonzero term is made from integer powers as one Fraction,
-    (n_i a^i) / (d_i b^i), and the terms are summed as Fractions, with no
-    common denominator.
+    the two schemes can be checked against each other.  With x = a/b,
+    n = deg p and L the lcm of the reduced c_i = n_i/d_i's denominators, it
+    sums (L/d_i) n_i a^i b^(n-i), raising a^i and b^(n-i) afresh for each
+    term, and makes one Fraction over L b^n.  Fractions are canonical, so
+    that is bit for bit the Fraction sum of the terms; no nesting, no IntPoly.
     """
     a, b = rat(x).as_integer_ratio()
-    terms = (Fraction(c.numerator * a**i, c.denominator * b**i) for i, c in enumerate(p) if c)
-    return sum(terms, Fraction(0))
+    n, den = len(p) - 1, math.lcm(*(c.denominator for c in p))
+    terms = (den // c.denominator * c.numerator * a**i * b ** (n - i)
+             for i, c in enumerate(p) if c)
+    return Fraction(sum(terms), den * b ** max(n, 0))
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:

@@ -90,25 +90,26 @@ def taylor_remainder_bound(n: int, x: RatLike) -> Fraction:
 def _certifier(x: Fraction, eps: Fraction):
     """The test |arctan(x) - value| < eps; one search makes one, with one memo.
 
-    A test returns True/False once the enclosure of arctan(x) is narrow
-    enough that the answer cannot flip.  The ties eps and the enclosure
-    endpoints are all rational, so equality is detected exactly and treated
-    as "not below".  A tie closer than the last of 12 tightenings raises
+    cuts(width) holds hi - eps, lo + eps, lo - eps and hi + eps for the
+    enclosure [lo, hi] of arctan(x) at that width.  A value strictly between
+    the first two is True; one at or past either of the last two is False, so
+    a tie with eps is exactly "not below".  Any other value is tried at a width
+    2^10 times narrower, and one undecided at the last of 12 widths raises
     DegreeLimitError.
     """
-    enclosures = cache(lambda width: arctan_enclosure(x, width))
+
+    @cache
+    def cuts(width: Fraction) -> tuple:
+        enc = arctan_enclosure(x, width)
+        return enc.hi - eps, enc.lo + eps, enc.lo - eps, enc.hi + eps
 
     def certified_below(value: Fraction) -> bool:
         width = eps / 2**20
         for _ in range(12):
-            enc = enclosures(width)
-            worst = max(abs(value - enc.lo), abs(value - enc.hi))
-            if worst < eps:
+            inner_lo, inner_hi, outer_lo, outer_hi = cuts(width)
+            if inner_lo < value < inner_hi:
                 return True
-            best = Fraction(0) if enc.contains(value) else min(
-                abs(value - enc.lo), abs(value - enc.hi)
-            )
-            if best >= eps:
+            if value <= outer_lo or value >= outer_hi:
                 return False
             width /= 2**10
         raise DegreeLimitError(

@@ -216,7 +216,10 @@ def test_missing_option_value_is_still_a_usage_error(capsys):
 # ledger (the gen rows before gen served only the closed form; the certify
 # suite and the oracle-mode compare rows before the oracle's series and the
 # powers route moved to integers; the m = 80 rows before h_m was built as
-# one integer row); no such change alters a printed byte.
+# one integer row; the compare rows at 1/10 and 1/2, the other two certify
+# landmarks, before the powers route summed over one common denominator and
+# the Taylor certifier decided against cuts); no such change alters a
+# printed byte.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -232,6 +235,8 @@ def test_missing_option_value_is_still_a_usage_error(capsys):
         ("verify --grid 64 --m-max 4", "8b1e3d12e136db429a25c6d95aad7070e5df0c9ce83ff1127deba895d7d3abfe"),
         ("compare --x 1 --eps 1/1000", "5b5e927b6ce210d7e6b704a9ca35563b8056bcfcdef2ea431111a09a1e97d76b"),
         ("compare --x 0.95 --eps 0.0005", "22dcfa3e494f0e5a279d99bebec2bc33d354bf16364c8fd0aa7f0e4743ea0563"),
+        ("compare --x 1/10 --eps 1/1000000000000", "2fb0acb77a5c225d27cde42ebbbdfcc8536a6baf8d381a2143dae13a846a50d5"),
+        ("compare --x 1/2 --eps 1/1000", "bfec0a434d8b01b5972aae813604c5383be397c4f22f3c1a92ed54d46d8e2463"),
         ("arctan --x 37/64 --eps 1e-240", "f0b91f87f383bb2f4d40d7e694605495fd1a80e517e93a6301ccb6afdc627b6f"),
         ("arctan --x 64/37 --eps 1e-240", "b6c4523ef5cc69154858ff1403de5f94d938667bb9719f71e77b8e2b68e59e07"),
         ("eval --m 80 --x 40503/65536", "a88c9a182e79b8de98a5d33fa79b19f862764c6c78bf8a815896a5fafcc4af57"),

@@ -238,9 +238,18 @@ def test_eval_powers_examples():
 
 def powers_by_fractions(p, x):
     """The powers route in Fraction arithmetic, a multiply and an add a term:
-    the reference for poly_eval_powers, which builds each term on integers."""
+    the reference for poly_eval_powers, which sums integer terms."""
     x = rat(x)
     return sum((c * x**i for i, c in enumerate(p)), Fraction(0))
+
+
+def powers_by_integer_terms(p, x):
+    """The powers route with each nonzero term made from integer powers as one
+    Fraction, (n_i a^i) / (d_i b^i), and the terms added as Fractions with no
+    common denominator: the second reference for poly_eval_powers."""
+    a, b = rat(x).as_integer_ratio()
+    terms = (Fraction(c.numerator * a**i, c.denominator * b**i) for i, c in enumerate(p) if c)
+    return sum(terms, Fraction(0))
 
 
 # Coefficients with zeros among them, as ints (plain tuples) or Fractions.
@@ -268,12 +277,26 @@ _points = st.one_of(
 @example([Fraction(1, 3), 0, 0, -2], 1)
 @example([], Fraction(-7, 2))
 @example(list(medina_h(8).poly()), Fraction(-65535, 65536))
+@example(list(medina_h(80).poly()), Fraction(40503, 65536))
 def test_eval_powers_is_bit_identical_to_the_fraction_sum(coeffs, x):
     p = tuple(coeffs)
-    got, want = poly_eval_powers(p, x), powers_by_fractions(p, x)
+    got = poly_eval_powers(p, x)
     assert type(got) is Fraction
-    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    for want in (powers_by_fractions(p, x), powers_by_integer_terms(p, x)):
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
     assert got == poly_eval_horner(normalize(rat(c) for c in p), x)
+
+
+def test_eval_powers_shares_nothing_with_horner(monkeypatch):
+    # A second scheme: no integer form and no Horner nesting behind it.
+    def refuse(*args):
+        raise AssertionError("the powers route reached the Horner side")
+
+    h = medina_h(8).poly()
+    want = [horner_by_fractions(h, x) for x in EVAL_POINTS]
+    monkeypatch.setattr(IntPoly, "of", classmethod(refuse))
+    monkeypatch.setattr(poly_core, "poly_eval_horner", refuse)
+    assert [poly_eval_powers(h, x) for x in EVAL_POINTS] == want
 
 
 def test_add_examples():

@@ -1,16 +1,17 @@
 """Taylor baseline: partial sums, remainder bound, minimal-degree searches."""
 
 from fractions import Fraction
+from functools import cache
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medina_arctan import taylor_baseline
 from medina_arctan.medina import medina_h
 from medina_arctan.oracle import Enclosure, arctan_enclosure
-from medina_arctan.poly_core import poly, poly_eval_horner
+from medina_arctan.poly_core import poly, poly_eval_horner, rat_text
 from medina_arctan.taylor_baseline import (
     COMPARISON_COLUMNS,
     DEGREE_CUTOFF,
@@ -248,6 +249,72 @@ def outcome(search, x, eps):
         return search(x, eps)
     except DegreeLimitError as error:
         return f"DegreeLimitError: {error}"
+
+
+def certified_below_by_abs(x, eps):
+    """The certifier as it was before it was decided against cuts, the
+    reference for the cut rule: subtractions and abs against each enclosure."""
+    enclosures = cache(lambda width: taylor_baseline.arctan_enclosure(x, width))
+
+    def certified_below(value: Fraction) -> bool:
+        width = eps / 2**20
+        for _ in range(12):
+            enc = enclosures(width)
+            worst = max(abs(value - enc.lo), abs(value - enc.hi))
+            if worst < eps:
+                return True
+            best = Fraction(0) if enc.contains(value) else min(
+                abs(value - enc.lo), abs(value - enc.hi)
+            )
+            if best >= eps:
+                return False
+            width /= 2**10
+        raise DegreeLimitError(
+            f"could not separate the error at x={rat_text(x)} "
+            f"from eps={rat_text(eps)} "
+            "after repeated enclosure tightening"
+        )
+
+    return certified_below
+
+
+# A fixed enclosure 3/10 of EPS wide, so that every region is wide: True
+# strictly between HI - EPS and LO + EPS, undecided in (LO - EPS, HI - EPS]
+# and [LO + EPS, HI + EPS), False beyond.  An enclosure that never narrows
+# leaves an undecided value undecided, so the search raises.  The shrinking
+# one keeps its centre and narrows with the width asked for, from EPS wide
+# at the first width, so most values are decided on a later round.
+EPS = Fraction(1, 1000)
+LO = Fraction(1, 3)
+HI = LO + 3 * EPS / 10
+FAKE_ORACLES = {
+    "fixed": lambda x, width: Enclosure(LO, HI),
+    "shrinking": lambda x, width: Enclosure(LO - width * 2**19, LO + width * 2**19),
+}
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(sorted(FAKE_ORACLES)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**4).map(lambda f: LO + f * EPS),
+)
+@example("fixed", LO)
+@example("fixed", HI)
+@example("fixed", LO - EPS)
+@example("fixed", LO + EPS)
+@example("fixed", HI - EPS)
+@example("fixed", HI + EPS)
+@example("shrinking", LO)
+@example("shrinking", LO - EPS)
+@example("shrinking", LO + EPS)
+@example("shrinking", LO - EPS / 2)
+@example("shrinking", LO + 3 * EPS / 2)
+def test_certifier_cuts_decide_as_the_abs_rule(oracle, value):
+    x = Fraction(1, 2)
+    with mock.patch.object(taylor_baseline, "arctan_enclosure", FAKE_ORACLES[oracle]):
+        got = outcome(lambda x, eps: taylor_baseline._certifier(x, eps)(value), x, EPS)
+        want = outcome(lambda x, eps: certified_below_by_abs(x, eps)(value), x, EPS)
+    assert got == want
 
 
 def unit_points(max_den):

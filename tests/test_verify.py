@@ -6,7 +6,13 @@ import pytest
 
 from medina_arctan import medina, verify
 from medina_arctan.medina import medina_h, medina_p1
-from medina_arctan.poly_core import IntPoly, poly_add, poly_mul, rat_parse
+from medina_arctan.poly_core import (
+    IntPoly,
+    poly_add,
+    poly_eval_horner,
+    poly_mul,
+    rat_parse,
+)
 from medina_arctan.verify import (
     Witness,
     WorkLimitExceeded,
@@ -89,6 +95,26 @@ def test_final_bound_checks_the_reported_bound(monkeypatch):
     assert (witness.x, witness.m) == (Fraction(5, 8), 1)
     assert witness.rhs == Fraction(1, 4**6)
     assert witness.lhs > witness.rhs
+
+
+def test_schemes_lemma_catches_a_wrong_shipped_approximant(monkeypatch):
+    # L9's powers side reads h_m by the Fraction rule from the reference p_m,
+    # not the shipped form, so one numerator off by one fails it at that m.
+    good = medina_h(2)
+    nums = list(good.nums)
+    nums[3] += 1
+    bad = IntPoly(good.den, tuple(nums))
+    monkeypatch.setattr(verify, "medina_h", lambda m: bad if m == 2 else medina_h(m))
+    report = run_suite(16, 3)
+    failed = {c.id for c in report.checks if not c.passed}
+    assert "L9" in failed
+    assert {"L1", "L2", "L3", "L4", "L5", "L6", "L8"}.isdisjoint(failed)
+    witness = next(c.witness for c in report.checks if c.id == "L9")
+    # x^3 vanishes at 0, so the first grid point that sees the change is 1/16.
+    assert (witness.x, witness.m) == (Fraction(1, 16), 2)
+    assert witness.lhs == poly_eval_horner(bad, witness.x)
+    assert witness.rhs == poly_eval_horner(good, witness.x)
+    assert witness.lhs - witness.rhs == Fraction(1, 16**3 * good.den)
 
 
 def test_failed_checks_always_carry_witnesses():
