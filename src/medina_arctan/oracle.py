@@ -15,7 +15,9 @@ consecutive partial sums bracket the limit; that yields two-sided bounds
 with no rounding analysis at all.  The partial sums are kept as integer
 numerators over one common denominator, and each endpoint becomes a
 Fraction only at the end.  Arguments in (1/2, 1] are pivoted about
-1/2 as above, with u landing in (0, 1/3].  Arguments beyond 1 use
+1/2 as above, with u landing in (0, 1/3]; the base half, arctan(1/2) at
+width eps/2, is kept in a small memo keyed by that width, since a grid of
+points asks for it at one width again and again.  Arguments beyond 1 use
 arctan(x) = pi/2 - arctan(1/x), where pi itself is enclosed as 4*arctan(1)
 through the pivoted route, so nothing is circular and no decimal constant
 is baked in.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .poly_core import RatLike, check_positive, rat, rat_text
 
@@ -95,6 +98,12 @@ def _series_enclosure(x: Fraction, eps: Fraction) -> Enclosure:
         k += 1
 
 
+@lru_cache(maxsize=16)
+def _pivot_base(width: Fraction) -> Enclosure:
+    """arctan(1/2) within width: the pivot's base half, once per width."""
+    return _series_enclosure(_HALF, width)
+
+
 def arctan_enclosure(x: RatLike, eps: RatLike) -> Enclosure:
     """A rational interval containing arctan(x), of width at most eps."""
     x = rat(x)
@@ -109,7 +118,7 @@ def arctan_enclosure(x: RatLike, eps: RatLike) -> Enclosure:
     if x <= 1:
         # Pivot about 1/2; u lies in (0, 1/3], where the series is fast.
         u = (x - _HALF) / (1 + x / 2)
-        base = _series_enclosure(_HALF, eps / 2)
+        base = _pivot_base(eps / 2)
         rest = _series_enclosure(u, eps / 2)
         return Enclosure(base.lo + rest.lo, base.hi + rest.hi)
     # arctan(x) = pi/2 - arctan(1/x); both halves get half the budget.
@@ -121,8 +130,9 @@ def arctan_enclosure(x: RatLike, eps: RatLike) -> Enclosure:
 def pi_enclosure(eps: RatLike) -> Enclosure:
     """A rational interval containing pi, of width at most eps.
 
-    Scaled up from arctan(1), which resolves through the pivot at 1/2; the
-    quarter-circle budget eps/4 widens by exactly 4 on scaling.
+    Scaled up from arctan(1), which resolves through the pivot at 1/2 and
+    so shares its memo of arctan(1/2); the quarter-circle budget eps/4
+    widens by exactly 4 on scaling.
     """
     eps = check_positive(eps, "eps")
     quarter = arctan_enclosure(Fraction(1), eps / 4)

@@ -14,6 +14,9 @@ denominator, the form an ``IntPoly`` holds, and makes one Fraction at the
 end.  ``poly_eval_powers`` also makes one Fraction, but by a second scheme:
 it sums integer terms, each from its own freshly raised powers, over the lcm
 of the coefficients' denominators, and never nests or forms an ``IntPoly``.
+Each route's integer loop, ``horner_numerator`` and ``powers_numerator``,
+returns the unreduced numerator at x = a/b, so values at points that share
+b share a denominator and compare by cross-multiplication.
 ``rat_text`` writes the one text form of a rational that ``rat_parse``
 reads, at any length.
 """
@@ -187,37 +190,69 @@ class IntPoly:
         return tuple(Fraction(n, self.den) for n in self.nums)
 
 
-def poly_eval_horner(p: Union[Poly, IntPoly], x: RatLike) -> Fraction:
-    """Evaluate by nested multiplication: c0 + x*(c1 + x*(...)).
+def horner_numerator(form: IntPoly, a: int, b: int) -> int:
+    """D*b^n*p(a/b) for the form (D, nums) of p, n = len(nums) - 1, any b > 0.
 
-    On integers: with x = a/b, n = deg p and D the common denominator, acc
-    ends at D*b^n*p(x), and one Fraction, acc*b / (D*b^(n+1)), is made.  A
-    Poly is put into integer form first, on every call.
+    Nested multiplication on integers, one product and one sum a step; the
+    result is not reduced, so a caller may compare it across a row of points
+    that share b.
     """
-    a, b = rat(x).as_integer_ratio()
-    form = p if isinstance(p, IntPoly) else IntPoly.of(p)
     acc, scale = 0, 1
     for c in reversed(form.nums):
         acc = acc * a + c * scale
         scale *= b
-    return Fraction(acc * b, form.den * scale)
+    return acc
+
+
+def poly_eval_horner(p: Union[Poly, IntPoly], x: RatLike) -> Fraction:
+    """Evaluate by nested multiplication: c0 + x*(c1 + x*(...)).
+
+    With x = a/b, n = deg p and D the common denominator, horner_numerator
+    gives D*b^n*p(x), and one Fraction is made over D*b^n.  A Poly is put
+    into integer form first, on every call.
+    """
+    a, b = rat(x).as_integer_ratio()
+    form = p if isinstance(p, IntPoly) else IntPoly.of(p)
+    n = len(form.nums) - 1
+    return Fraction(horner_numerator(form, a, b), form.den * b ** max(n, 0))
+
+
+def powers_form(p: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
+    """(L, nums), the powers route's own scaling of the coefficients.
+
+    L is the lcm of the reduced c_i = n_i/d_i's denominators and nums[i] is
+    (L/d_i) n_i, so c_i = nums[i] / L.  Made from the coefficients
+    themselves, never from an IntPoly.
+    """
+    den = math.lcm(*(c.denominator for c in p))
+    return den, tuple(den // c.denominator * c.numerator for c in p)
+
+
+def powers_numerator(nums: Sequence[int], a: int, b: int) -> int:
+    """L*b^n*p(a/b) from powers_form(p)'s nums, n = len(nums) - 1, any b > 0.
+
+    The sum of nums[i] a^i b^(n-i) over the nonzero terms, with a^i and
+    b^(n-i) raised afresh for each term: no nesting, so it shares no step
+    with horner_numerator.  Not reduced, like horner_numerator.
+    """
+    n = len(nums) - 1
+    return sum(c * a**i * b ** (n - i) for i, c in enumerate(nums) if c)
 
 
 def poly_eval_powers(p: Poly, x: RatLike) -> Fraction:
     """Evaluate as the sum of c_i * x**i with independently computed powers.
 
     Agrees with poly_eval_horner on every input; kept as a second route so
-    the two schemes can be checked against each other.  With x = a/b,
-    n = deg p and L the lcm of the reduced c_i = n_i/d_i's denominators, it
-    sums (L/d_i) n_i a^i b^(n-i), raising a^i and b^(n-i) afresh for each
-    term, and makes one Fraction over L b^n.  Fractions are canonical, so
-    that is bit for bit the Fraction sum of the terms; no nesting, no IntPoly.
+    the two schemes can be checked against each other.  With x = a/b and
+    n = deg p, powers_form(p) gives the lcm L and the scaled numerators,
+    powers_numerator gives L*b^n*p(x), and one Fraction is made over L*b^n.
+    Fractions are canonical, so that is bit for bit the Fraction sum of the
+    terms.  It never nests and never reads an IntPoly, so it shares no step
+    and no data with Horner's route.
     """
     a, b = rat(x).as_integer_ratio()
-    n, den = len(p) - 1, math.lcm(*(c.denominator for c in p))
-    terms = (den // c.denominator * c.numerator * a**i * b ** (n - i)
-             for i, c in enumerate(p) if c)
-    return Fraction(sum(terms), den * b ** max(n, 0))
+    den, nums = powers_form(p)
+    return Fraction(powers_numerator(nums, a, b), den * b ** max(len(p) - 1, 0))
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:

@@ -5,10 +5,15 @@ checked in exact rational arithmetic for every index up to m_max, with no
 tolerance anywhere.  Identities are compared coefficient by coefficient:
 L5 and L8 for each index, L1's square and L2's derivative once.  The
 pointwise claims (L1, L3, L4, L6, L7, L9) are exact comparisons of
-rationals sampled on the grid x = k/grid_n over [0, 1].  Only L7, h_m
-against arctangent itself, consults the enclosure oracle, at a width two
-factors of 4 below the asserted bound so that enclosure slack can never
-mask a violation.
+rationals sampled on the grid x = k/grid_n over [0, 1].  Every point of a
+row shares the denominator grid_n, so each claim is decided on integers:
+a polynomial's value at k/grid_n is its integer numerator over the row's
+common denominator D grid_n^deg, and the two sides are cross-multiplied,
+with no gcd at any point.  Fractions appear only in witnesses, made at
+the failing point from the claim's two sides.  Only L7, h_m against
+arctangent itself, consults the enclosure oracle, at a width two factors
+of 4 below the asserted bound so that enclosure slack can never mask a
+violation.
 
 The suite reports every lemma with a pass/fail flag and, when a claim
 fails, a witness pinning down where.  A deliberately corrupted seed
@@ -25,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import zip_longest
-from operator import eq, ge, le
+from itertools import filterfalse, zip_longest
 from typing import Optional
 
 from .medina import (
@@ -45,6 +49,7 @@ from .poly_core import (
     IntPoly,
     Poly,
     check_int,
+    horner_numerator,
     poly,
     poly_add,
     poly_antiderivative,
@@ -53,6 +58,8 @@ from .poly_core import (
     poly_eval_powers,
     poly_mul,
     poly_sub,
+    powers_form,
+    powers_numerator,
     rat_text,
 )
 
@@ -123,6 +130,95 @@ class WorkLimitExceeded(RuntimeError):
         self.partial = partial
 
 
+# Each grid claim below, for the row of points k/n, returns (holds, sides):
+# holds(k) decides the claim at k/n on integers, and sides(x) gives its two
+# sides as Fractions, which only a witness reads.  A polynomial's value at
+# k/n is horner_numerator(form, k, n) over _row_den(form, n).
+
+
+def _row_den(form: IntPoly, n: int) -> int:
+    """D n^d, the denominator of every horner_numerator(form, k, n)."""
+    return form.den * n ** max(len(form) - 1, 0)
+
+
+def _peak_claim(n: int):
+    """L1: x(1-x) <= 1/4 with equality only at 1/2, as 4k(n-k) <= n^2 with
+    equality only at 2k = n."""
+    top = n * n
+
+    def holds(k):
+        value = 4 * k * (n - k)
+        return value <= top and (value == top) == (2 * k == n)
+
+    return holds, lambda x: (x * (1 - x), _QUARTER)
+
+
+def _power_claim(n: int, m: int):
+    """L3: (x(1-x))^{4m} <= 4^{-4m}, as (4k(n-k))^{4m} <= n^{8m}."""
+    e = 4 * m
+    top, cap = n ** (2 * e), Fraction(1, 4**e)
+    return (
+        lambda k: (4 * k * (n - k)) ** e <= top,
+        lambda x: ((x * (1 - x)) ** e, cap),
+    )
+
+
+def _integral_claim(n: int, m: int, anti: IntPoly):
+    """L4: anti(x) <= min(4^{-4m} x, 4^{-4m}), as H 4^{4m} n <= D n^d min(k, n)
+    with H/(D n^d) = anti(k/n)."""
+    cap = Fraction(1, 4 ** (4 * m))
+    left, right = 4 ** (4 * m) * n, _row_den(anti, n)
+    return (
+        lambda k: horner_numerator(anti, k, n) * left <= right * min(k, n),
+        lambda x: (poly_eval_horner(anti, x), min(cap * x, cap)),
+    )
+
+
+def _sign_claim(n: int, p: IntPoly, scale: Fraction):
+    """L6: p(x) - s/(1 + x^2) >= 0 for the integer s = scale, as
+    H (n^2 + k^2) >= s D n^{d+2} with H/(D n^d) = p(k/n)."""
+    right = scale.numerator * _row_den(p, n) * n * n
+    return (
+        lambda k: horner_numerator(p, k, n) * (n * n + k * k) >= right,
+        lambda x: (poly_eval_horner(p, x) - scale / (1 + x * x), Fraction(0)),
+    )
+
+
+def _final_claim(n: int, h: IntPoly, bound: Fraction, width: Fraction):
+    """L7: |h(x) - mid| + width/2 <= bound against the enclosure [lo, hi] of
+    arctan(x).  The left side is max(h - lo, hi - h), so the claim is
+    hi - bound <= h <= lo + bound, both cross-multiplied."""
+    q, (bn, bd) = _row_den(h, n), bound.as_integer_ratio()
+
+    def holds(k):
+        enc = arctan_enclosure(Fraction(k, n), width)
+        (ln, ld), (un, ud) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+        value = horner_numerator(h, k, n)
+        if (un * bd - bn * ud) * q > value * ud * bd:  # h below hi - bound
+            return False
+        return value * ld * bd <= (ln * bd + bn * ld) * q  # h at most lo + bound
+
+    def sides(x):
+        enc = arctan_enclosure(x, width)
+        return abs(poly_eval_horner(h, x) - enc.mid) + enc.width / 2, bound
+
+    return holds, sides
+
+
+def _schemes_claim(n: int, form: IntPoly, target: Poly):
+    """L9: Horner on form equals the powers route on the Fraction tuple
+    target, as H L n^{d'} = S D n^d over the row, each side's power of n
+    cut by the smaller degree."""
+    den, nums = powers_form(target)
+    dh, dp = len(form) - 1, len(nums) - 1
+    left, right = den * n ** max(dp - dh, 0), form.den * n ** max(dh - dp, 0)
+    return (
+        lambda k: horner_numerator(form, k, n) * left
+        == powers_numerator(nums, k, n) * right,
+        lambda x: (poly_eval_horner(form, x), poly_eval_powers(target, x)),
+    )
+
+
 def run_suite(
     grid_n: int,
     m_max: int,
@@ -164,7 +260,6 @@ def run_suite(
     seed = None if base_poly is None else poly(base_poly)
     walk = recurrence(medina_p1() if seed is None else seed)
     grown: list[Poly] = []
-    points: list[Fraction] = []
 
     def p_of(m: int) -> Poly:
         """p_m from the run's one walk, grown a member at a time as asked for."""
@@ -182,26 +277,21 @@ def run_suite(
         """h_m: the shipped one, or one integrated from the injected seed's p_m."""
         return medina_h(m) if seed is None else IntPoly.of(approximant(p_of(m), m))
 
-    def grid() -> list[Fraction]:
-        """The points k/grid_n, one unit each, paid for before they are made."""
-        spend(grid_n + 1)
-        if not points:
-            points.extend(Fraction(k, grid_n) for k in range(grid_n + 1))
-        return points
-
-    def scan(claim, holds, rows=None):
-        """(True, None), or (False, witness) at the first point where the
-        claim fails: holds(lhs, rhs) is false for (lhs, rhs) = sides(x).
+    def scan(claim, rows=None):
+        """(True, None), or (False, witness) at the first point x = k/grid_n
+        where holds(k) is false, with (lhs, rhs) = sides(x).
 
         rows yields the arguments of claim, m first; by default (m,) for
-        each index.  sides = claim(*row) is made once the row is paid for.
+        each index.  Each row's grid_n + 1 points cost one unit each, paid
+        before (holds, sides) = claim(*row) is made.
         """
         for row in rows or ((m,) for m in indices):
-            xs, sides = grid(), claim(*row)
-            for x in xs:
-                lhs, rhs = sides(x)
-                if not holds(lhs, rhs):
-                    return False, Witness(x=x, m=row[0], lhs=lhs, rhs=rhs)
+            spend(grid_n + 1)
+            holds, sides = claim(*row)
+            k = next(filterfalse(holds, range(grid_n + 1)), None)
+            if k is not None:
+                x = Fraction(k, grid_n)
+                return False, Witness(x, row[0], *sides(x))
         return True, None
 
     def identity(sides):
@@ -220,14 +310,11 @@ def run_suite(
         )
         if not symbolic:
             return False, Witness(x=None, m=None, lhs=Fraction(0), rhs=_QUARTER)
-        witness = None
-        for x in grid():
-            value = x * (1 - x)
-            if value > _QUARTER or (value == _QUARTER) != (x == _HALF):
-                return False, Witness(x=x, m=None, lhs=value, rhs=_QUARTER)
-            if x == _HALF:
-                witness = Witness(x=x, m=None, lhs=value, rhs=_QUARTER)
-        return True, witness
+        passed, witness = scan(lambda m: _peak_claim(grid_n), ((None,),))
+        if passed and grid_n % 2 == 0:
+            # The equality the claim allows, where the grid reaches it.
+            witness = Witness(x=_HALF, m=None, lhs=_QUARTER, rhs=_QUARTER)
+        return passed, witness
 
     def check_peak_slope():
         spend()
@@ -237,32 +324,18 @@ def run_suite(
             return False, Witness(x=_HALF, m=None, lhs=at_half, rhs=Fraction(0))
         return True, None
 
-    def power_bound(m):
-        cap = Fraction(1, 4 ** (4 * m))
-        return lambda x: ((x * (1 - x)) ** (4 * m), cap)
-
     def integral_bound(m):
-        cap = Fraction(1, 4 ** (4 * m))
-        anti = IntPoly.of(poly_antiderivative(window_poly(m)))
-        # Both caps at once: 4^{-4m} x, and 4^{-4m} itself.
-        return lambda x: (poly_eval_horner(anti, x), min(cap * x, cap))
+        return _integral_claim(grid_n, m, IntPoly.of(poly_antiderivative(window_poly(m))))
 
     def closed_identity(m):
         return poly_add(poly_mul((1, 0, 1), p_of(m)), ((-4) ** m,)), window_poly(m)
 
     def integrand_sign(m):
-        p, scale = p_form(m), medina_scale(m)
-        return lambda x: (poly_eval_horner(p, x) - scale / (1 + x * x), Fraction(0))
+        return _sign_claim(grid_n, p_form(m), medina_scale(m))
 
     def final_bound(m):
         h, bound = h_of(m), medina_error_bound(m)
-        width = bound / 16
-
-        def sides(x):
-            enc = arctan_enclosure(x, width)
-            return abs(poly_eval_horner(h, x) - enc.mid) + enc.width / 2, bound
-
-        return sides
+        return _final_claim(grid_n, h, bound, bound / 16)
 
     def round_trip(m):
         return poly_derivative(poly_antiderivative(p_of(m))), p_of(m)
@@ -271,7 +344,7 @@ def run_suite(
         # No data shared: the powers side reads the reference Fraction tuple.
         form = (p_form, h_of)[which](m)
         target = approximant(p_of(m), m) if which else p_of(m)
-        return lambda x: (poly_eval_horner(form, x), poly_eval_powers(target, x))
+        return _schemes_claim(grid_n, form, target)
 
     lemmas = (
         (
@@ -288,13 +361,13 @@ def run_suite(
         (
             "L3",
             "(x(1-x))^{4m} <= 4^{-4m} on [0, 1]",
-            partial(scan, power_bound, le),
+            partial(scan, partial(_power_claim, grid_n)),
         ),
         (
             "L4",
             "the integral of x^{4m}(1-x)^{4m} from 0 to x is at most "
             "4^{-4m} x, hence at most 4^{-4m}",
-            partial(scan, integral_bound, le),
+            partial(scan, integral_bound),
         ),
         (
             "L5",
@@ -304,13 +377,13 @@ def run_suite(
         (
             "L6",
             "p_m(x) - ((-1)^{m+1} 4^m)/(1 + x^2) >= 0 on [0, 1]",
-            partial(scan, integrand_sign, ge),
+            partial(scan, integrand_sign),
         ),
         (
             "L7",
             "|h_m(x) - arctan(x)| <= 4^{-5m} on [0, 1], decided against "
             "enclosures of width 4^{-5m-2}",
-            partial(scan, final_bound, le),
+            partial(scan, final_bound),
         ),
         (
             "L8",
@@ -323,7 +396,7 @@ def run_suite(
             "Horner and explicit-powers evaluation agree on p_m and h_m "
             "at every grid point",
             # p_m at every point, then h_m, for each m in turn.
-            partial(scan, schemes_agree, eq, ((m, i) for m in indices for i in (0, 1))),
+            partial(scan, schemes_agree, ((m, i) for m in indices for i in (0, 1))),
         ),
     )
 

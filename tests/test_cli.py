@@ -265,6 +265,13 @@ _NO_OUTPUT = hashlib.sha256(b"").hexdigest()
             "27342648d3a0aea329a98865ca9ce3d524f13cbe58f4376281b9c54a92853ccb",
             "verification failed: L5, L6, L7",
         ),
+        # Captured before the grid claims were decided on integers: the L6
+        # and L7 witnesses on a finer grid, built at the first failing point.
+        (
+            "verify --grid 64 --m-max 4 --inject-fault", None, 1,
+            "41dfc0c4898ed6d2e0e981a6325fd88f4dc02e6509a1fd6d8b3d432d9723ca99",
+            "verification failed: L5, L6, L7",
+        ),
         (
             "verify --grid 64 --m-max 3", "200", 2,
             "ec982f66f57b867e423248da6501318ce06fea01a58ea262033b010ea2588186",

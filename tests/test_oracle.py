@@ -1,6 +1,7 @@
 """Enclosure oracle: width contracts, frozen digits, structural identities."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,8 +15,10 @@ from conftest import (
     REF_PI,
     REF_SLACK,
 )
+from medina_arctan import oracle
 from medina_arctan.oracle import Enclosure, _series_enclosure, arctan_enclosure, pi_enclosure
 from medina_arctan.poly_core import rat_parse
+from medina_arctan.verify import run_suite
 
 
 def test_enclosure_type():
@@ -185,3 +188,58 @@ def test_series_enclosure_is_bit_identical_to_the_fraction_loop(x, eps):
     assert (got.lo.numerator, got.lo.denominator) == (want.lo.numerator, want.lo.denominator)
     assert (got.hi.numerator, got.hi.denominator) == (want.hi.numerator, want.hi.denominator)
     assert got.width <= eps
+
+
+def base_afresh(width):
+    """The pivot's base half summed afresh on every call: the uncached route."""
+    return _series_enclosure(Fraction(1, 2), width)
+
+
+def parts(enc):
+    return enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+
+
+# x = k/d over [-3, 3], most of it pivoted or reciprocal; eps = c/10^e.
+@settings(deadline=None)
+@given(
+    st.integers(1, 64).flatmap(lambda d: st.integers(-3 * d, 3 * d).map(lambda k: Fraction(k, d))),
+    st.builds(lambda c, e: Fraction(c, 10**e), st.integers(1, 9), st.integers(1, 60)),
+)
+@example(Fraction(1), Fraction(1, 10**60))  # arctan(1), and pi through it
+@example(Fraction(1, 2), Fraction(1, 10))  # on the series side of the pivot
+@example(Fraction(-2), Fraction(3, 100))
+def test_pivot_memo_is_bit_identical_to_the_uncached_route(x, eps):
+    # Each call after the first at a width reads the memo; all must give the
+    # very rationals the uncached route gives.
+    got = [parts(arctan_enclosure(x, eps)) for _ in range(2)]
+    got_pi = [parts(pi_enclosure(eps)) for _ in range(2)]
+    with mock.patch.object(oracle, "_pivot_base", base_afresh):
+        want, want_pi = parts(arctan_enclosure(x, eps)), parts(pi_enclosure(eps))
+    assert got == [want, want]
+    assert got_pi == [want_pi, want_pi]
+
+
+def test_the_suite_sums_the_pivot_base_once_per_width(monkeypatch):
+    # run_suite(64, 4) encloses the 32 points of (1/2, 1] at four widths, one
+    # per index: the pivot's series at 1/2 runs 4 times, not 128.  The grid
+    # point 1/2 itself is on the series side, at twice that width.
+    widths = []
+
+    def counting(x, eps):
+        if x == Fraction(1, 2):
+            widths.append(eps)
+        return _series_enclosure(x, eps)
+
+    monkeypatch.setattr(oracle, "_series_enclosure", counting)
+    oracle._pivot_base.cache_clear()
+    assert run_suite(64, 4).all_passed
+    bounds = [Fraction(1, 4 ** (5 * m)) for m in range(1, 5)]
+    assert sorted(widths) == sorted([b / 32 for b in bounds] + [b / 16 for b in bounds])
+
+
+def test_pivot_memo_is_bounded():
+    oracle._pivot_base.cache_clear()
+    for e in range(1, 41):
+        arctan_enclosure(Fraction(3, 4), Fraction(1, 10**e))
+    info = oracle._pivot_base.cache_info()
+    assert (info.currsize, info.maxsize, info.misses) == (16, 16, 40)

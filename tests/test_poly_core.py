@@ -18,6 +18,7 @@ from medina_arctan.medina import medina_h
 from medina_arctan.poly_core import (
     IntPoly,
     degree,
+    horner_numerator,
     normalize,
     poly,
     poly_add,
@@ -33,6 +34,8 @@ from medina_arctan.poly_core import (
     poly_scale,
     poly_sub,
     poly_to_strings,
+    powers_form,
+    powers_numerator,
     rat,
     rat_parse,
     rat_text,
@@ -296,7 +299,43 @@ def test_eval_powers_shares_nothing_with_horner(monkeypatch):
     want = [horner_by_fractions(h, x) for x in EVAL_POINTS]
     monkeypatch.setattr(IntPoly, "of", classmethod(refuse))
     monkeypatch.setattr(poly_core, "poly_eval_horner", refuse)
+    monkeypatch.setattr(poly_core, "horner_numerator", refuse)
     assert [poly_eval_powers(h, x) for x in EVAL_POINTS] == want
+
+
+@given(
+    st.lists(coefficients, max_size=40).map(tuple),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.integers(min_value=1, max_value=2**40),
+)
+@example((), 3, 6)
+@example((Fraction(1, 3), 0, 5, 0), 2, 4)
+@example(tuple(medina_h(3).poly()), 6, 8)
+def test_numerators_at_an_unreduced_point(p, a, b):
+    # The lemma suite reads both loops at k/n without reducing it: each gives
+    # its own denominator times b^n p(a/b), n = len(p) - 1, for any b > 0.
+    x, n = Fraction(a, b), len(p) - 1
+    want = horner_by_fractions(p, x) * b ** max(n, 0)
+    form = IntPoly.of(p)
+    assert horner_numerator(form, a, b) == want * form.den
+    den, nums = powers_form(p)
+    assert den == form.den and len(nums) == len(p)
+    assert powers_numerator(nums, a, b) == want * den
+
+
+def test_each_evaluation_wraps_its_one_loop(monkeypatch):
+    # No second copy of either loop: each Fraction route reads its own.
+    calls = []
+    for name in ("horner_numerator", "powers_numerator"):
+
+        def counted(*args, _loop=getattr(poly_core, name), _name=name):
+            calls.append(_name)
+            return _loop(*args)
+
+        monkeypatch.setattr(poly_core, name, counted)
+    h = medina_h(2).poly()
+    assert poly_eval_horner(h, Fraction(3, 7)) == poly_eval_powers(h, Fraction(3, 7))
+    assert calls == ["horner_numerator", "powers_numerator"]
 
 
 def test_add_examples():

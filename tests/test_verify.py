@@ -1,14 +1,28 @@
 """Lemma suite: clean passes, fault injection, determinism, work metering."""
 
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from medina_arctan import medina, verify
-from medina_arctan.medina import medina_h, medina_p1
+from medina_arctan.medina import (
+    approximant,
+    medina_error_bound,
+    medina_h,
+    medina_p1,
+    medina_scale,
+    recurrence,
+    window_poly,
+)
+from medina_arctan.oracle import arctan_enclosure
 from medina_arctan.poly_core import (
     IntPoly,
     poly_add,
+    poly_antiderivative,
     poly_eval_horner,
     poly_mul,
     rat_parse,
@@ -270,3 +284,122 @@ def test_witness_json_past_the_int_str_limit():
     assert [rat_parse(doc[key]) for key in ("x", "lhs", "rhs")] == [x, lhs, rhs]
     assert doc["lhs"] == "-1" + "0" * 5000
     assert doc["rhs"] == "2/7"
+
+
+# The grid claims' Fraction rules as they were decided before the integer
+# deciders: each gives (lhs, rhs, holds) at a point x, evaluating every
+# polynomial by a Fraction sum, so nothing is shared with the numerators.
+_QUARTER = Fraction(1, 4)
+
+
+def value_at(coeffs, x):
+    """sum c_i x^i over Fraction coefficients, one Fraction a term."""
+    return sum((c * x**i for i, c in enumerate(coeffs)), Fraction(0))
+
+
+def form_at(form, x):
+    return value_at([Fraction(c, form.den) for c in form.nums], x)
+
+
+def peak_rule(x):
+    value = x * (1 - x)
+    return value, _QUARTER, not (value > _QUARTER or (value == _QUARTER) != (x == Fraction(1, 2)))
+
+
+def power_rule(m, x):
+    lhs, rhs = (x * (1 - x)) ** (4 * m), Fraction(1, 4 ** (4 * m))
+    return lhs, rhs, lhs <= rhs
+
+
+def integral_rule(m, anti, x):
+    cap = Fraction(1, 4 ** (4 * m))
+    lhs, rhs = form_at(anti, x), min(cap * x, cap)
+    return lhs, rhs, lhs <= rhs
+
+
+def sign_rule(p, scale, x):
+    lhs = form_at(p, x) - scale / (1 + x * x)
+    return lhs, Fraction(0), lhs >= 0
+
+
+def final_rule(h, bound, width, x):
+    enc = arctan_enclosure(x, width)
+    lhs = abs(form_at(h, x) - enc.mid) + enc.width / 2
+    return lhs, bound, lhs <= bound
+
+
+def schemes_rule(form, target, x):
+    lhs, rhs = form_at(form, x), value_at(target, x)
+    return lhs, rhs, lhs == rhs
+
+
+def pad(form, zeros):
+    """The same polynomial with `zeros` zero numerators above its top."""
+    return IntPoly(form.den, form.nums + (0,) * zeros)
+
+
+CASES = ("shipped", "corrupted", "tight bound", "numerator off")
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 24),
+    m=st.integers(1, 3),
+    case=st.sampled_from(CASES),
+    at=st.integers(0, 10**6),
+    delta=st.sampled_from((-1, 1)),
+    zeros=st.integers(0, 1),
+    stretch=st.integers(1, 4),
+)
+# x = 1/2 on an even grid: L1's and L3's equality point.
+@example(n=2, m=1, case="shipped", at=0, delta=1, zeros=0, stretch=1)
+@example(n=16, m=3, case="shipped", at=0, delta=1, zeros=0, stretch=1)
+# An odd grid, with no 1/2 on it.
+@example(n=3, m=2, case="shipped", at=0, delta=1, zeros=0, stretch=1)
+# L4 at x = 1, where min(k, n) switches from k to n, on an integral that
+# passes 4^{-4m} x at x = 1 and not at smaller x.
+@example(n=8, m=1, case="shipped", at=0, delta=1, zeros=0, stretch=3)
+# L7 with its bound tight at x = 0, where the enclosure is the point 0 and
+# h_m(0) = 0, so the bound is 0, on a padded h_m; and tight at x = 3/5.
+@example(n=5, m=1, case="tight bound", at=0, delta=1, zeros=1, stretch=1)
+@example(n=5, m=2, case="tight bound", at=3, delta=1, zeros=0, stretch=1)
+# One numerator of h_m off, at x^0 and at the top power.
+@example(n=4, m=1, case="numerator off", at=0, delta=-1, zeros=0, stretch=1)
+@example(n=4, m=2, case="numerator off", at=15, delta=1, zeros=1, stretch=1)
+@example(n=7, m=3, case="corrupted", at=0, delta=1, zeros=1, stretch=2)
+def test_grid_claims_decide_as_the_fraction_rules(n, m, case, at, delta, zeros, stretch):
+    # Every grid claim, at every point k/n: the integer decision is the
+    # Fraction rule's, and the witness sides are its (lhs, rhs).
+    seed = verify.corrupted_seed() if case == "corrupted" else medina_p1()
+    p = next(islice(recurrence(seed), m - 1, None))
+    target = approximant(p, m)
+    h = IntPoly.of(target) if case == "corrupted" else medina_h(m)
+    if case == "numerator off":
+        nums = list(h.nums)
+        nums[at % len(nums)] += delta
+        h = IntPoly(h.den, tuple(nums))
+    bound = medina_error_bound(m)
+    width = bound / 16
+    if case == "tight bound":
+        # L7's left side at one grid point: equality there, failures past it.
+        bound = final_rule(h, bound, width, Fraction(at % (n + 1), n))[0]
+    anti = IntPoly.of(poly_antiderivative(window_poly(m)))
+    anti = IntPoly(anti.den, tuple(stretch * c for c in anti.nums))
+    # Zero numerators on top change no value, only the degree the row reads.
+    p_form, h, anti = (pad(f, zeros) for f in (IntPoly.of(p), h, anti))
+    scale = medina_scale(m)
+    claims = [
+        (verify._peak_claim(n), peak_rule),
+        (verify._power_claim(n, m), partial(power_rule, m)),
+        (verify._integral_claim(n, m, anti), partial(integral_rule, m, anti)),
+        (verify._sign_claim(n, p_form, scale), partial(sign_rule, p_form, scale)),
+        (verify._final_claim(n, h, bound, width), partial(final_rule, h, bound, width)),
+        (verify._schemes_claim(n, p_form, p), partial(schemes_rule, p_form, p)),
+        (verify._schemes_claim(n, h, target), partial(schemes_rule, h, target)),
+    ]
+    for (holds, sides), rule in claims:
+        for k in range(n + 1):
+            x = Fraction(k, n)
+            lhs, rhs, want = rule(x)
+            assert holds(k) == want, (k, n)
+            assert sides(x) == (lhs, rhs)
