@@ -35,19 +35,14 @@ from .oracle import Enclosure, arctan_enclosure, pi_enclosure
 from .poly_core import (
     IntPoly,
     Poly,
-    Rational,
     degree,
     poly,
     poly_add,
     poly_antiderivative,
-    poly_defint,
     poly_derivative,
-    poly_divmod,
     poly_eval_horner,
     poly_eval_powers,
-    poly_from_strings,
     poly_mul,
-    poly_pow,
     poly_scale,
     poly_sub,
     poly_to_strings,
@@ -58,11 +53,8 @@ from .poly_core import (
 from .taylor_baseline import (
     DEGREE_CUTOFF,
     DegreeLimitError,
-    TaylorPoly,
     comparison_row,
     taylor_min_degree,
-    taylor_poly,
-    taylor_remainder_bound,
 )
 from .verify import (
     LemmaCheck,

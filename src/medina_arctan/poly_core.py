@@ -1,4 +1,7 @@
-"""Exact dense polynomial calculus over the rationals.
+"""Exact dense polynomials over the rationals, and the text form of a rational.
+
+The operations are the ring's (add, subtract, scale, multiply), the
+derivative, the antiderivative anchored at zero, and two evaluation routes.
 
 A polynomial is a tuple of ``Fraction`` coefficients indexed by power:
 ``coeffs[i]`` is the coefficient of x**i, so ``(3, 0, 1)`` encodes
@@ -29,12 +32,10 @@ import re
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
-Rational = Fraction
 RatLike = Union[int, str, Fraction]
 Poly = Tuple[Fraction, ...]
 
 ZERO_POLY: Poly = ()
-ONE_POLY: Poly = (Fraction(1),)
 
 
 def rat(value: RatLike) -> Fraction:
@@ -264,12 +265,8 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     return normalize(out)
 
 
-def poly_neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
 def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, poly_neg(q))
+    return poly_add(p, tuple(-c for c in q))
 
 
 def poly_scale(p: Poly, k: RatLike) -> Poly:
@@ -293,20 +290,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return tuple(out)
 
 
-def poly_pow(p: Poly, k: int) -> Poly:
-    """p**k by repeated squaring; p**0 is the unit polynomial (1,)."""
-    check_int(k, "exponent", 0)
-    result = ONE_POLY
-    base = p
-    while k:
-        if k & 1:
-            result = poly_mul(result, base)
-        k >>= 1
-        if k:
-            base = poly_mul(base, base)
-    return result
-
-
 def poly_derivative(p: Poly) -> Poly:
     """Term-wise power rule; constants collapse to the zero polynomial."""
     # (i+1) * c is nonzero whenever c is, so the result stays canonical.
@@ -320,37 +303,7 @@ def poly_antiderivative(p: Poly) -> Poly:
     return (Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(p))
 
 
-def poly_defint(p: Poly, a: RatLike, b: RatLike) -> Fraction:
-    """Exact definite integral of p over [a, b]."""
-    anti = poly_antiderivative(p)
-    return poly_eval_horner(anti, rat(b)) - poly_eval_horner(anti, rat(a))
-
-
-def poly_divmod(p: Poly, d: Poly) -> Tuple[Poly, Poly]:
-    """Long division: (q, r) with p == q*d + r and deg r < deg d."""
-    if not d:
-        raise ZeroDivisionError("polynomial division by the zero polynomial")
-    if len(p) < len(d):
-        return ZERO_POLY, p
-    rem = list(p)
-    qlen = len(p) - len(d) + 1
-    quot = [Fraction(0)] * qlen
-    lead = d[-1]
-    for shift in range(qlen - 1, -1, -1):
-        coeff = rem[shift + len(d) - 1] / lead
-        if coeff == 0:
-            continue
-        quot[shift] = coeff
-        for i, dc in enumerate(d):
-            rem[shift + i] -= coeff * dc
-    return normalize(quot), normalize(rem)
-
-
 def poly_to_strings(p: Poly) -> List[str]:
     """Serialize as a list of rational strings, index = power (JSON-ready)."""
     return [rat_text(c) for c in p]
 
-
-def poly_from_strings(items: Sequence[str]) -> Poly:
-    """Inverse of poly_to_strings; tolerates non-canonical trailing zeros."""
-    return normalize(rat_parse(s) for s in items)

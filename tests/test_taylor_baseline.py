@@ -1,7 +1,8 @@
-"""Taylor baseline: partial sums, remainder bound, minimal-degree searches."""
+"""Taylor baseline: the walk's partial sums and omitted terms, the searches."""
 
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -19,51 +20,50 @@ from medina_arctan.taylor_baseline import (
     comparison_row,
     medina_min_m_observed,
     taylor_min_degree,
-    taylor_poly,
-    taylor_remainder_bound,
 )
 
 
+def partial_sum(n, x):
+    """T_n(x) = x - x^3/3 + ... + (-1)^k x^n/n, n = 2k + 1, summed afresh."""
+    return sum((-1) ** k * x ** (2 * k + 1) / (2 * k + 1) for k in range(n // 2 + 1))
+
+
+def remainder_bound(n, x):
+    """The first omitted term x^(n+2)/(n+2), which bounds |T_n(x) - arctan x|."""
+    return x ** (n + 2) / (n + 2)
+
+
+def walk(source, x, n):
+    """The value the lazy source yields for odd degree n at x."""
+    return dict(islice(source(Fraction(x)), n // 2 + 1))[n]
+
+
 def test_partial_sum_polynomials():
-    assert taylor_poly(1).poly == poly([0, 1])
-    assert taylor_poly(5).poly == poly([0, 1, 0, "-1/3", 0, "1/5"])
-    assert taylor_poly(5).degree == 5
+    x = Fraction(1, 2)
+    assert walk(taylor_baseline._partial_sums, x, 1) == poly_eval_horner(poly([0, 1]), x)
+    t5 = poly([0, 1, 0, "-1/3", 0, "1/5"])
+    assert walk(taylor_baseline._partial_sums, x, 5) == poly_eval_horner(t5, x)
 
 
 def test_partial_sum_coefficient_pattern():
-    tp = taylor_poly(21).poly
-    for i, c in enumerate(tp):
-        if i % 2 == 0:
-            assert c == 0
-        else:
-            k = (i - 1) // 2
-            assert c == Fraction((-1) ** k, i)
+    # Each sum, made from the last by one omitted term, is the series summed afresh.
+    for x in (Fraction(1, 3), Fraction(19, 20), Fraction(1)):
+        for n, value in islice(taylor_baseline._partial_sums(x), 11):
+            assert value == partial_sum(n, x)
 
 
 @pytest.mark.parametrize("n", [1, 5, 9])
 def test_partial_sums_vanish_at_zero(n):
-    assert poly_eval_horner(taylor_poly(n).poly, 0) == 0
-
-
-@pytest.mark.parametrize("bad", [0, 2, -3, 4, True])
-def test_degree_validation(bad):
-    with pytest.raises(ValueError):
-        taylor_poly(bad)
-    with pytest.raises(ValueError):
-        taylor_remainder_bound(bad, Fraction(1, 2))
+    assert walk(taylor_baseline._partial_sums, 0, n) == 0
 
 
 def test_remainder_bound_values():
-    assert taylor_remainder_bound(1, 1) == Fraction(1, 3)
-    assert taylor_remainder_bound(5, Fraction(1, 2)) == Fraction(1, 896)
-    assert taylor_remainder_bound(57, Fraction(19, 20)) == Fraction(19, 20) ** 59 / 59
-
-
-def test_remainder_bound_domain():
-    with pytest.raises(ValueError):
-        taylor_remainder_bound(5, 2)
-    with pytest.raises(ValueError):
-        taylor_remainder_bound(5, Fraction(-1, 10))
+    terms = taylor_baseline._omitted_terms
+    assert walk(terms, 1, 1) == Fraction(1, 3)
+    assert walk(terms, Fraction(1, 2), 5) == Fraction(1, 896)
+    assert walk(terms, Fraction(19, 20), 57) == Fraction(19, 20) ** 59 / 59
+    for n, term in islice(terms(Fraction(3, 4)), 11):
+        assert term == remainder_bound(n, Fraction(3, 4))
 
 
 def test_min_degree_bound_mode():
@@ -100,11 +100,10 @@ def test_true_value_within_remainder_bound():
     # Certified: |arctan(x) - T_n(x)| <= x^(n+2)/(n+2), with the enclosure
     # width scaled well below the bound being checked.
     for n in (1, 5, 9, 21):
-        tp = taylor_poly(n).poly
         for k in range(9):
             x = Fraction(k, 8)
-            value = poly_eval_horner(tp, x)
-            bound = taylor_remainder_bound(n, x)
+            value = partial_sum(n, x)
+            bound = remainder_bound(n, x)
             if bound == 0:
                 assert value == 0
                 continue
@@ -116,7 +115,7 @@ def test_partial_sums_alternate_around_truth():
     for x in (Fraction(1, 2), Fraction(3, 4), Fraction(1)):
         enc = arctan_enclosure(x, "1e-12")
         for n in (1, 3, 5, 7, 9):
-            value = poly_eval_horner(taylor_poly(n).poly, x)
+            value = partial_sum(n, x)
             if n % 4 == 1:
                 assert value > enc.hi
             else:
@@ -206,7 +205,7 @@ def cutoff_error(what, x, eps):
 
 def min_degree_by_bound_loop(x, eps):
     n = 1
-    while taylor_remainder_bound(n, x) >= eps:
+    while remainder_bound(n, x) >= eps:
         n += 2
         if n > taylor_baseline.DEGREE_CUTOFF:
             raise cutoff_error("degree", x, eps)
@@ -523,8 +522,6 @@ def test_domain_message_past_the_int_str_limit():
     message = r"^x must lie in \[0, 1\], got 10{4999}1/10{5000}$"
     with pytest.raises(ValueError, match=message):
         comparison_row(x, "1e-3")
-    with pytest.raises(ValueError, match=r"^degree must be odd, got 20{5000}$"):
-        taylor_poly(2 * 10**5000)
 
 
 def test_cutoff_message_past_the_int_str_limit(monkeypatch):
