@@ -14,7 +14,9 @@ Scalars are ``fractions.Fraction`` throughout, which keeps every value
 gcd-reduced with a positive denominator.  Nothing here ever rounds, and all
 values are immutable.  Horner evaluation runs on integers over one common
 denominator, the form an ``IntPoly`` holds, and makes one Fraction at the
-end.  ``poly_eval_powers`` also makes one Fraction, but by a second scheme:
+end.  A long form is nested in blocks whose values merge pairwise, so its
+products are balanced rather than long by long; the integer is the same.
+``poly_eval_powers`` also makes one Fraction, but by a second scheme:
 it sums integer terms, each from its own freshly raised powers, over the lcm
 of the coefficients' denominators, and never nests or forms an ``IntPoly``.
 Each route's integer loop, ``horner_numerator`` and ``powers_numerator``,
@@ -191,26 +193,67 @@ class IntPoly:
         return tuple(Fraction(n, self.den) for n in self.nums)
 
 
+# Measured on h_m at 3- to 25-bit denominators: up to 96 coefficients the
+# flat loop wins or ties, and 32-coefficient blocks merge fastest past that.
+_FLAT_MAX = 96
+_BLOCK = 32
+
+
 def horner_numerator(form: IntPoly, a: int, b: int) -> int:
     """D*b^n*p(a/b) for the form (D, nums) of p, n = len(nums) - 1, any b > 0.
 
-    Nested multiplication on integers, one product and one sum a step; the
-    result is not reduced, so a caller may compare it across a row of points
-    that share b.
+    Nested multiplication on integers, one product and one sum a step.  Each
+    step's product c_i b^(n-i) grows with n, so past _FLAT_MAX coefficients,
+    at b != 1, the loop runs on blocks of _BLOCK coefficients, and
+    neighbouring blocks merge pairwise, V = V_lo b^len(hi) + a^len(lo) V_hi,
+    with each level's powers raised once: balanced products in place of n
+    long-by-long ones, and the same integer.  Shorter forms, and b = 1, have
+    no long product to save and keep the flat loop.  The result is not
+    reduced, so a caller may compare it across a row of points that share b.
     """
+    nums = form.nums
+    if len(nums) > _FLAT_MAX and b != 1:
+        return _merged_blocks(nums, a, b)
+    # _horner_flat's loop, inline: a call costs a few percent of a short form.
     acc, scale = 0, 1
-    for c in reversed(form.nums):
+    for c in reversed(nums):
         acc = acc * a + c * scale
         scale *= b
     return acc
+
+
+def _horner_flat(nums: Sequence[int], a: int, b: int) -> int:
+    acc, scale = 0, 1
+    for c in reversed(nums):
+        acc = acc * a + c * scale
+        scale *= b
+    return acc
+
+
+def _merged_blocks(nums: Sequence[int], a: int, b: int) -> int:
+    vals = [_horner_flat(nums[i : i + _BLOCK], a, b) for i in range(0, len(nums), _BLOCK)]
+    size, tail = _BLOCK, (len(nums) - 1) % _BLOCK + 1
+    while len(vals) > 1:
+        # Every block but the last holds `size` coefficients; the last, `tail`.
+        a_up, b_up = a**size, b**size
+        merged = [vals[k] * b_up + a_up * vals[k + 1] for k in range(0, len(vals) - 2, 2)]
+        if len(vals) % 2:
+            merged.append(vals[-1])
+        else:
+            merged.append(vals[-2] * (b_up if tail == size else b**tail) + a_up * vals[-1])
+            tail += size
+        vals, size = merged, 2 * size
+    return vals[0]
 
 
 def poly_eval_horner(p: Union[Poly, IntPoly], x: RatLike) -> Fraction:
     """Evaluate by nested multiplication: c0 + x*(c1 + x*(...)).
 
     With x = a/b, n = deg p and D the common denominator, horner_numerator
-    gives D*b^n*p(x), and one Fraction is made over D*b^n.  A Poly is put
-    into integer form first, on every call.
+    gives D*b^n*p(x), and one Fraction is made over D*b^n.  Past 96
+    coefficients, and at b != 1, that numerator comes from nested blocks
+    merged pairwise, and is the flat loop's integer bit for bit, so the
+    Fraction is too.  A Poly is put into integer form first, on every call.
     """
     a, b = rat(x).as_integer_ratio()
     form = p if isinstance(p, IntPoly) else IntPoly.of(p)

@@ -94,6 +94,57 @@ def horner_by_fractions(p, x):
     return acc
 
 
+def horner_flat(nums, a, b):
+    """The one integer loop horner_numerator ran on every form before it
+    merged blocks: the reference for the merged path."""
+    acc, scale = 0, 1
+    for c in reversed(nums):
+        acc = acc * a + c * scale
+        scale *= b
+    return acc
+
+
+FLAT_MAX, BLOCK = poly_core._FLAT_MAX, poly_core._BLOCK
+# Lengths at the cutover and at block edges: the longest flat form; one past
+# it, with a one-coefficient last block; even and odd block counts with a
+# full last block; odd counts ending in one coefficient or a partial block.
+EDGE_LENGTHS = [
+    FLAT_MAX,
+    FLAT_MAX + 1,
+    4 * BLOCK,
+    5 * BLOCK,
+    4 * BLOCK + 1,
+    8 * BLOCK + 1,
+    9 * BLOCK + 1,
+    9 * BLOCK + 12,
+]
+EDGE_POINTS = [(-40503, 65536), (0, 2**64), (2**64 - 1, 2**64), (-7, 1), (3, 1)]
+
+
+def at_block_edges(test):
+    rng = random.Random(20)
+    for n in EDGE_LENGTHS:
+        nums = [rng.randint(-(2**80), 2**80) for _ in range(n)]
+        for a, b in EDGE_POINTS:
+            test = example(nums, a, b)(test)
+    return test
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 300).flatmap(
+        lambda n: st.lists(
+            st.one_of(st.just(0), st.integers(-(2**80), 2**80)), min_size=n, max_size=n
+        )
+    ),
+    st.one_of(st.just(0), st.integers(-(2**64), 2**64)),
+    st.one_of(st.just(1), st.integers(1, 2**64)),
+)
+@at_block_edges
+def test_block_merge_matches_the_flat_loop(nums, a, b):
+    assert horner_numerator(IntPoly(1, tuple(nums)), a, b) == horner_flat(nums, a, b)
+
+
 # Raw tuples, so plain ints, zeros and the empty polynomial all occur, and
 # denominators differ from one coefficient to the next.
 coefficients = st.one_of(
@@ -180,9 +231,10 @@ def test_eval_horner_forms_once_per_prepared(monkeypatch):
 
 
 def test_eval_horner_prepared_under_threads():
-    # Every thread evaluates one shared integer form at once.
+    # Every thread evaluates one shared integer form at once; at 200
+    # coefficients it is past the cutover, so the blocks merge in each.
     rng = random.Random(7)
-    coeffs = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(60)]
+    coeffs = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(200)]
     p = IntPoly.of(coeffs)
     failures = []
     start = threading.Barrier(8)
@@ -216,10 +268,14 @@ EVAL_POINTS = [
     Fraction(1, 65536),
     Fraction(65535, 65536),
     Fraction(-3, 7),
+    # A reciprocal image of a warm-mixed argument: a 25-bit denominator.
+    Fraction(32768, 20909073),
 ]
 
 
-@pytest.mark.parametrize("m", [*range(1, 11), 17, 34, 80])
+# m = 12 has 96 coefficients, the most the flat loop takes; from m = 13 on
+# the blocks are merged.
+@pytest.mark.parametrize("m", [*range(1, 14), 17, 34, 80, 333])
 def test_eval_horner_bit_identical_on_approximants(m):
     h = medina_h(m)
     for x in EVAL_POINTS:
