@@ -19,8 +19,8 @@ into Horner's integer form (an IntPoly) and makes no Fraction; it keeps
 the latest 16, the only cross-call cache.  window_poly and medina_p_closed
 make one Fraction per coefficient at the end, and medina_pair takes h_m
 from that p_m by approximant, the Fraction rule for h_m.  The
-recurrence, grown by one lazy walk, is the reference.  Every index runs
-from 1 to MAX_INDEX.
+recurrence, grown on integer rows by one lazy walk, is the reference; it
+shares nothing with the closed form.  Every index runs from 1 to MAX_INDEX.
 """
 
 from __future__ import annotations
@@ -38,14 +38,11 @@ from .poly_core import (
     check_int,
     check_positive,
     poly,
-    poly_add,
-    poly_mul,
-    poly_scale,
     poly_to_strings,
     rat_text,
 )
 
-_SEED: Poly = poly([4, 0, -4, 0, 5, -4, 1])
+_SEED = (4, 0, -4, 0, 5, -4, 1)  # p_1's integer row
 HUMP: Poly = poly([0, 1, -1])  # x(1 - x), the factor that damps each step
 
 MAX_INDEX = 2000  # 4^(-5m) is about 1e-6020 here; h_m costs order m^2 bits
@@ -60,7 +57,7 @@ def _check_index(m, name: str = "sequence index") -> int:
 
 def medina_p1() -> Poly:
     """The degree-6 seed polynomial 4 - 4x^2 + 5x^4 - 4x^5 + x^6."""
-    return _SEED
+    return poly(_SEED)
 
 
 def _window_row(m: int) -> list[int]:
@@ -89,23 +86,27 @@ def approximant(p: Poly, m: int) -> Poly:
     return (Fraction(0), *terms)
 
 
-def recurrence(seed: Poly):
-    """p_1 = seed, p_2, ... grown lazily by the recurrence: the reference route.
+def recurrence(seed: tuple[int, ...]):
+    """p_1 = seed, p_2, ... as integer rows, grown lazily: the reference route.
 
     p_j = x^4 (1-x)^4 p_{j-1} + (-4)^(j-1) seed, one step per member asked
-    for.  Any seed is accepted, so the verifier can grow a corrupted one.
+    for.  Any integer seed is accepted, so the verifier can grow a corrupted one.
     """
-    step = window_poly(1)
-    p, shift = seed, Fraction(1)
+    p, shift = list(seed), 1
     while True:
-        yield p
+        yield tuple(p)
         shift *= -4
-        p = poly_add(poly_mul(step, p), poly_scale(seed, shift))
+        for _ in range(4):  # times 1 - x
+            p = [a - b for a, b in zip((*p, 0), (0, *p))]
+        p = [0, 0, 0, 0, *p]  # times x^4
+        for i, c in enumerate(seed):
+            p[i] += shift * c
 
 
 def medina_p_recurrence(m: int) -> Poly:
     """p_m built by unfolding the recurrence; degree 8m - 2."""
-    return next(islice(recurrence(_SEED), _check_index(m) - 1, None))
+    row = next(islice(recurrence(_SEED), _check_index(m) - 1, None))
+    return tuple(map(Fraction, row))
 
 
 def medina_closed_numerator(m: int) -> list[int]:

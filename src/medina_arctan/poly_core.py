@@ -11,11 +11,14 @@ the sentinel -1.  Canonical tuples make structural equality coincide with
 mathematical equality.
 
 Scalars are ``fractions.Fraction`` throughout, which keeps every value
-gcd-reduced with a positive denominator.  Nothing here ever rounds, and all
-values are immutable.  Horner evaluation runs on integers over one common
-denominator, the form an ``IntPoly`` holds, and makes one Fraction at the
-end.  A long form is nested in blocks whose values merge pairwise, so its
-products are balanced rather than long by long; the integer is the same.
+gcd-reduced with a positive denominator.  A tuple of ``int`` coefficients,
+such as an integer row of Medina's sequence, is taken as it is: an ``int``
+is an exact rational, and ``poly_antiderivative`` still returns Fractions.
+Nothing here ever rounds, and all values are immutable.  Horner evaluation
+runs on integers over one common denominator, the form an ``IntPoly``
+holds, and makes one Fraction at the end.  A long form is nested in blocks
+whose values merge pairwise, so its products are balanced rather than long
+by long; the integer is the same.
 ``poly_eval_powers`` also makes one Fraction, but by a second scheme:
 it sums integer terms, each from its own freshly raised powers, over the lcm
 of the coefficients' denominators, and never nests or forms an ``IntPoly``.
@@ -283,7 +286,7 @@ def powers_numerator(nums: Sequence[int], a: int, b: int) -> int:
     return sum(c * a**i * b ** (n - i) for i, c in enumerate(nums) if c)
 
 
-def poly_eval_powers(p: Poly, x: RatLike) -> Fraction:
+def poly_eval_powers(p: Union[Poly, IntPoly], x: RatLike) -> Fraction:
     """Evaluate as the sum of c_i * x**i with independently computed powers.
 
     Agrees with poly_eval_horner on every input; kept as a second route so
@@ -291,10 +294,13 @@ def poly_eval_powers(p: Poly, x: RatLike) -> Fraction:
     n = deg p, powers_form(p) gives the lcm L and the scaled numerators,
     powers_numerator gives L*b^n*p(x), and one Fraction is made over L*b^n.
     Fractions are canonical, so that is bit for bit the Fraction sum of the
-    terms.  It never nests and never reads an IntPoly, so it shares no step
-    and no data with Horner's route.
+    terms.  It never nests and never reads an IntPoly's numerators, so it
+    shares no step with Horner's route: an IntPoly is taken as its
+    coefficients, through poly(), like poly_eval_horner takes either.
     """
     a, b = rat(x).as_integer_ratio()
+    if isinstance(p, IntPoly):
+        p = p.poly()
     den, nums = powers_form(p)
     return Fraction(powers_numerator(nums, a, b), den * b ** max(len(p) - 1, 0))
 
@@ -340,13 +346,21 @@ def poly_derivative(p: Poly) -> Poly:
 
 
 def poly_antiderivative(p: Poly) -> Poly:
-    """The antiderivative anchored at zero: no constant term."""
+    """The antiderivative anchored at zero: no constant term.
+
+    Each coefficient is an exact Fraction, for int coefficients as well.
+    """
     if not p:
         return ZERO_POLY
-    return (Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(p))
+    return (Fraction(0),) + tuple(Fraction(c, i + 1) for i, c in enumerate(p))
 
 
-def poly_to_strings(p: Poly) -> List[str]:
-    """Serialize as a list of rational strings, index = power (JSON-ready)."""
+def poly_to_strings(p: Union[Poly, IntPoly]) -> List[str]:
+    """Serialize as a list of rational strings, index = power (JSON-ready).
+
+    An IntPoly is read through poly(), so each string is a coefficient.
+    """
+    if isinstance(p, IntPoly):
+        p = p.poly()
     return [rat_text(c) for c in p]
 

@@ -36,13 +36,13 @@ from typing import Optional
 from .medina import (
     HUMP,
     _check_index,
+    _window_row,
     approximant,
     medina_error_bound,
     medina_h,
     medina_p1,
     medina_scale,
     recurrence,
-    window_poly,
 )
 from .oracle import arctan_enclosure
 from .poly_core import (
@@ -51,7 +51,6 @@ from .poly_core import (
     check_int,
     horner_numerator,
     poly,
-    poly_add,
     poly_antiderivative,
     poly_derivative,
     poly_eval_horner,
@@ -206,9 +205,9 @@ def _final_claim(n: int, h: IntPoly, bound: Fraction, width: Fraction):
 
 
 def _schemes_claim(n: int, form: IntPoly, target: Poly):
-    """L9: Horner on form equals the powers route on the Fraction tuple
-    target, as H L n^{d'} = S D n^d over the row, each side's power of n
-    cut by the smaller degree."""
+    """L9: Horner on form equals the powers route on the coefficient tuple
+    target (ints or Fractions), as H L n^{d'} = S D n^d over the row, each
+    side's power of n cut by the smaller degree."""
     den, nums = powers_form(target)
     dh, dp = len(form) - 1, len(nums) - 1
     left, right = den * n ** max(dp - dh, 0), form.den * n ** max(dh - dp, 0)
@@ -233,15 +232,20 @@ def run_suite(
     L6, L8 and L9 check the reference recurrence's p_m, and L7 and L9 the
     shipped medina_h.  base_poly overrides the seed (the fault-injection
     hook), and h_m is then integrated from its p_m.  One recurrence walk
-    serves the run.  Each row (an index, or a pass over the grid) is paid
-    for before anything in it is grown, integrated or made, and the meter
-    raises WorkLimitExceeded past the limit, with the checks done so far.
+    serves the run, on integer rows, so base_poly must have integer
+    coefficients (ValueError before anything is paid for otherwise).  Each
+    row (an index, or a pass over the grid) is paid for before anything in
+    it is grown, integrated or made, and the meter raises
+    WorkLimitExceeded past the limit, with the checks done so far.
     """
     check_int(grid_n, "grid_n", 2)
     _check_index(m_max, "m_max")
     limit = check_int(
         DEFAULT_WORK_LIMIT if work_limit is None else work_limit, "work limit", 1
     )
+    seed = IntPoly.of(medina_p1() if base_poly is None else poly(base_poly))
+    if seed.den != 1:
+        raise ValueError("base_poly must have integer coefficients")
 
     used = 0
     checks: list[LemmaCheck] = []
@@ -257,25 +261,19 @@ def run_suite(
             )
 
     indices = range(1, m_max + 1)
-    seed = None if base_poly is None else poly(base_poly)
-    walk = recurrence(medina_p1() if seed is None else seed)
-    grown: list[Poly] = []
+    walk = recurrence(seed.nums)
+    grown: list[tuple[int, ...]] = []
 
-    def p_of(m: int) -> Poly:
-        """p_m from the run's one walk, grown a member at a time as asked for."""
+    def p_of(m: int) -> tuple[int, ...]:
+        """p_m's integer row from the run's one walk, grown as asked for."""
         while len(grown) < m:
             grown.append(next(walk))
         return grown[m - 1]
 
     @cache
-    def p_form(m: int) -> IntPoly:
-        """p_m in integer form, made once for the rows that evaluate it."""
-        return IntPoly.of(p_of(m))
-
-    @cache
     def h_of(m: int) -> IntPoly:
         """h_m: the shipped one, or one integrated from the injected seed's p_m."""
-        return medina_h(m) if seed is None else IntPoly.of(approximant(p_of(m), m))
+        return medina_h(m) if base_poly is None else IntPoly.of(approximant(p_of(m), m))
 
     def scan(claim, rows=None):
         """(True, None), or (False, witness) at the first point x = k/grid_n
@@ -299,9 +297,9 @@ def run_suite(
         where the polynomials sides(m) first differ, each m paid for first."""
         for m in indices:
             spend()
-            for a, b in zip_longest(*sides(m), fillvalue=Fraction(0)):
+            for a, b in zip_longest(*sides(m), fillvalue=0):
                 if a != b:
-                    return False, Witness(x=None, m=m, lhs=a, rhs=b)
+                    return False, Witness(None, m, Fraction(a), Fraction(b))
         return True, None
 
     def check_peak_bound():
@@ -325,13 +323,14 @@ def run_suite(
         return True, None
 
     def integral_bound(m):
-        return _integral_claim(grid_n, m, IntPoly.of(poly_antiderivative(window_poly(m))))
+        return _integral_claim(grid_n, m, IntPoly.of(poly_antiderivative(_window_row(m))))
 
     def closed_identity(m):
-        return poly_add(poly_mul((1, 0, 1), p_of(m)), ((-4) ** m,)), window_poly(m)
+        p = p_of(m)  # p + x^2 p + (-4)^m, the constant in x^2 p's place
+        return [a + b for a, b in zip((*p, 0, 0), ((-4) ** m, 0, *p))], _window_row(m)
 
     def integrand_sign(m):
-        return _sign_claim(grid_n, p_form(m), medina_scale(m))
+        return _sign_claim(grid_n, IntPoly(1, p_of(m)), medina_scale(m))
 
     def final_bound(m):
         h, bound = h_of(m), medina_error_bound(m)
@@ -341,8 +340,8 @@ def run_suite(
         return poly_derivative(poly_antiderivative(p_of(m))), p_of(m)
 
     def schemes_agree(m, which):
-        # No data shared: the powers side reads the reference Fraction tuple.
-        form = (p_form, h_of)[which](m)
+        # The powers side reads the reference row, and h_m integrated from it.
+        form = h_of(m) if which else IntPoly(1, p_of(m))
         target = approximant(p_of(m), m) if which else p_of(m)
         return _schemes_claim(grid_n, form, target)
 

@@ -76,8 +76,9 @@ def test_shipped_approximant_skips_the_recurrence(monkeypatch):
     def refuse(*args):
         raise AssertionError("the shipped h_m must not use this")
 
+    # The walk's steps run inside recurrence, so refusing it refuses them.
     monkeypatch.setattr(medina, "recurrence", refuse)
-    monkeypatch.setattr(medina, "poly_mul", refuse)
+    monkeypatch.setattr(medina, "medina_p_recurrence", refuse)
     assert medina_h.__wrapped__(5).poly() == expected
 
 
@@ -94,11 +95,13 @@ def p_by_index_loop(seed, m):
     "seed", [medina_p1(), corrupted_seed()], ids=["shipped", "corrupted"]
 )
 def test_walk_matches_the_per_index_loop(seed):
-    walk = list(islice(medina.recurrence(seed), 12))
+    # The walk grows the seed's integer row, and each member is the per-index
+    # loop's Fraction product, coefficient for coefficient.
+    walk = list(islice(medina.recurrence(IntPoly.of(seed).nums), 12))
     assert walk == [p_by_index_loop(seed, m) for m in range(1, 13)]
-    # Plain Fraction tuples: the verifier puts each into integer form once.
+    # Plain integer tuples: the verifier reads each as IntPoly(1, row).
     assert all(type(p) is tuple for p in walk)
-    assert all(type(c) is Fraction for p in walk for c in p)
+    assert all(type(c) is int for p in walk for c in p)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 17, 34])

@@ -427,11 +427,34 @@ def test_antiderivative_examples():
     assert poly_eval_horner(poly_antiderivative(WINDOW), 1) == Fraction(1, 630)
 
 
+def test_antiderivative_of_int_coefficients_is_exact():
+    # Integer rows (the reference recurrence's) integrate to Fractions, never
+    # to floats, at any size.
+    anti = poly_antiderivative((1, 2))
+    assert anti == (0, 1, 1)
+    assert all(type(c) is Fraction for c in anti)
+    big = 10**400 + 1
+    anti = poly_antiderivative((big, 3, big))
+    assert anti == (0, big, Fraction(3, 2), Fraction(big, 3))
+    assert all(type(c) is Fraction for c in anti)
+    assert anti == poly_antiderivative(poly([big, 3, big]))
+
+
 def test_string_round_trip():
     assert poly_to_strings(poly([0, 1, 0, "-1/3"])) == ["0", "1", "0", "-1/3"]
     assert tuple(map(rat_parse, ["4", "0", "-4", "0", "5", "-4", "1"])) == P1
     assert poly_to_strings(P1) == ["4", "0", "-4", "0", "5", "-4", "1"]
     assert poly_to_strings(()) == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 13, 34])
+def test_intpoly_reads_as_its_coefficients(m):
+    # An IntPoly is its coefficients to both routes and to the text rule,
+    # not its numerators with den dropped.
+    h = medina_h(m)
+    for x in (Fraction(1, 2), Fraction(3, 7), Fraction(40503, 65536), 1):
+        assert poly_eval_powers(h, x) == poly_eval_horner(h, x)
+    assert poly_to_strings(h) == poly_to_strings(h.poly())
 
 
 def test_string_round_trip_past_the_int_str_limit():

@@ -84,11 +84,12 @@ def test_corrupted_seed_fails_identity_with_witness():
 
 @pytest.mark.parametrize("grid_n,m_max", [(2, 1), (16, 3)])
 def test_seed_that_vanishes_on_the_grid_fails_the_identity(grid_n, m_max):
-    # p_1 plus a polynomial that is zero at every k/grid_n: sampling L5 on
-    # the grid cannot tell this seed from Medina's, comparing coefficients can.
-    vanishing = (Fraction(1),)
+    # p_1 plus the integer polynomial (grid_n x - 0) ... (grid_n x - grid_n),
+    # zero at every k/grid_n: sampling L5 on the grid cannot tell this seed
+    # from Medina's, comparing coefficients can.
+    vanishing = (1,)
     for k in range(grid_n + 1):
-        vanishing = poly_mul(vanishing, (Fraction(-k, grid_n), Fraction(1)))
+        vanishing = poly_mul(vanishing, (-k, grid_n))
     report = run_suite(grid_n, m_max, base_poly=poly_add(medina_p1(), vanishing))
     by_id = {c.id: c for c in report.checks}
     assert all(by_id[i].passed for i in ("L1", "L2", "L3", "L4"))
@@ -163,12 +164,20 @@ def test_work_limit_can_abort_immediately():
     assert caught.value.partial.checks == ()
 
 
+def refusing_walk(seed):
+    """A stand-in for recurrence that raises at its first member."""
+    raise AssertionError("grew the recurrence before the work meter paid for it")
+    yield
+
+
 def test_work_limit_is_spent_before_anything_is_built(monkeypatch):
-    # The recurrence's step is medina's poly_mul; integration is approximant.
+    # The walk is verify's recurrence, which grows nothing until a member is
+    # asked for; integration is approximant.
     def refuse(*args):
         raise AssertionError("grew or integrated before the work meter paid for it")
 
-    monkeypatch.setattr(medina, "poly_mul", refuse)
+    monkeypatch.setattr(verify, "recurrence", refusing_walk)
+    monkeypatch.setattr(verify, "_window_row", refuse)
     monkeypatch.setattr(verify, "approximant", refuse)
     # Every grid point is a Fraction made in verify, after its row is paid for.
     monkeypatch.setattr(verify, "Fraction", refuse)
@@ -185,23 +194,30 @@ def test_work_limit_is_spent_before_anything_is_built(monkeypatch):
 
 @pytest.mark.parametrize("seed", [None, corrupted_seed()], ids=["shipped", "corrupted"])
 def test_suite_grows_the_recurrence_once(monkeypatch, seed):
-    # One walk per run: m_max - 1 steps, not one regrowth from p_1 per index.
-    steps = []
+    # One walk per run: m_max members, so m_max - 1 steps, not one regrowth
+    # from p_1 per index.  Each member is an integer row.
+    walks, members = [], []
 
-    def counting(a, b):
-        steps.append(a)
-        return poly_mul(a, b)
+    def counting(row):
+        walks.append(row)
+        for p in medina.recurrence(row):
+            members.append(p)
+            yield p
 
-    monkeypatch.setattr(medina, "poly_mul", counting)
+    monkeypatch.setattr(verify, "recurrence", counting)
     run_suite(2, 40, base_poly=seed)
-    assert len(steps) == 39
+    assert len(walks) == 1
+    assert len(members) - 1 == 39
+    assert all(type(c) is int for p in members for c in p)
 
 
 @pytest.mark.parametrize("seed", [None, corrupted_seed()], ids=["shipped", "corrupted"])
 def test_suite_forms_each_polynomial_once(monkeypatch, seed):
-    # Each polynomial evaluated on the grid is put into integer form once a
-    # run, not once a point: p_m (L6 and L9) and the integral (L4) for each
-    # index, L2's slope, and h_m when it is integrated from an injected seed.
+    # Each polynomial that IntPoly.of puts into integer form (one lcm) is
+    # formed once a run, not once a point: the seed, checked for integer
+    # coefficients, the integral (L4) for each index, L2's slope, and h_m
+    # when it is integrated from an injected seed.  p_m's rows (L6 and L9)
+    # are integers already, read as IntPoly(1, row) with no lcm.
     formed = []
     of = IntPoly.of.__func__
 
@@ -211,7 +227,20 @@ def test_suite_forms_each_polynomial_once(monkeypatch, seed):
 
     monkeypatch.setattr(IntPoly, "of", classmethod(counting))
     assert run_suite(16, 3, base_poly=seed).all_passed == (seed is None)
-    assert len(formed) == len(set(formed)) == (7 if seed is None else 10)
+    assert len(formed) == len(set(formed)) == (5 if seed is None else 8)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [[Fraction(1, 3)], poly_add(medina_p1(), (0, Fraction(1, 2)))],
+    ids=["one third", "p_1 plus x/2"],
+)
+def test_rational_seed_is_refused_before_anything_is_paid(monkeypatch, seed):
+    # The walk runs on integer rows.  A limit of 1 is spent by L1's first
+    # row, so a ValueError here came before the meter charged anything.
+    monkeypatch.setattr(verify, "recurrence", refusing_walk)
+    with pytest.raises(ValueError, match="base_poly must have integer coefficients"):
+        run_suite(2, 1, base_poly=seed, work_limit=1)
 
 
 def test_huge_grid_exhausts_the_limit_at_once():
