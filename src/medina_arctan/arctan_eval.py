@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .medina import medina_error_bound, medina_h, medina_min_m_for
+from .medina import MAX_INDEX, medina_error_bound, medina_h, medina_min_m_for
 from .poly_core import (
     RatLike,
     check_int,
@@ -105,14 +105,15 @@ def _ledger(trace: ReductionTrace, m: int) -> Ledger:
 def _plan(trace: ReductionTrace, eps: Fraction) -> tuple[int, Ledger]:
     """The least m whose ledger sums to at most eps, with that ledger.
 
-    Every ledger holds 4^(-5m), so the search starts at the least m for it.
+    Every ledger holds 4^(-5m), so the search starts at the least m for it,
+    and it ends at MAX_INDEX: ValueError, before any ledger past it, when no
+    index meets eps.
     """
-    m = medina_min_m_for(eps)
-    ledger = _ledger(trace, m)
-    while sum(b for _, b in ledger) > eps:
-        m += 1
+    for m in range(medina_min_m_for(eps), MAX_INDEX + 1):
         ledger = _ledger(trace, m)
-    return m, ledger
+        if sum(b for _, b in ledger) <= eps:
+            return m, ledger
+    raise ValueError(f"no index meets eps: an index must be <= {MAX_INDEX}")
 
 
 def medina_arctan(x: RatLike, m: int) -> ApproxResult:

@@ -23,8 +23,9 @@ by long; the integer is the same.
 it sums integer terms, each from its own freshly raised powers, over the lcm
 of the coefficients' denominators, and never nests or forms an ``IntPoly``.
 Each route's integer loop, ``horner_numerator`` and ``powers_numerator``,
-returns the unreduced numerator at x = a/b, so values at points that share
-b share a denominator and compare by cross-multiplication.
+takes the route's numerators and returns the unreduced numerator at x = a/b,
+over ``horner_den`` for Horner's, so values at points that share b share a
+denominator and compare by cross-multiplication.
 ``rat_text`` writes the one text form of a rational that ``rat_parse``
 reads, at any length.
 """
@@ -143,7 +144,9 @@ def normalize(coeffs: Iterable[Fraction]) -> Poly:
 
 
 def poly(coeffs: Iterable[RatLike] = ()) -> Poly:
-    """Build a canonical polynomial from low-to-high coefficient values."""
+    """Build a canonical polynomial from low-to-high coefficients, or an IntPoly's."""
+    if isinstance(coeffs, IntPoly):
+        coeffs = coeffs.poly()
     return normalize(rat(c) for c in coeffs)
 
 
@@ -181,7 +184,9 @@ class IntPoly:
 
     @classmethod
     def of(cls, p: Sequence[Union[int, Fraction]]) -> "IntPoly":
-        """The form of a coefficient sequence (ints or Fractions): one lcm."""
+        """The form of a coefficient sequence (ints or Fractions), or p if a form."""
+        if isinstance(p, IntPoly):
+            return p
         den = math.lcm(*(c.denominator for c in p))
         return cls(den, tuple(den // c.denominator * c.numerator for c in p))
 
@@ -202,22 +207,21 @@ _FLAT_MAX = 96
 _BLOCK = 32
 
 
-def horner_numerator(form: IntPoly, a: int, b: int) -> int:
-    """D*b^n*p(a/b) for the form (D, nums) of p, n = len(nums) - 1, any b > 0.
+def horner_numerator(nums: Sequence[int], a: int, b: int) -> int:
+    """D*b^n*p(a/b) from the nums of p's form (D, nums), n = len(nums) - 1, b > 0.
 
     Nested multiplication on integers, one product and one sum a step.  Each
     step's product c_i b^(n-i) grows with n, so past _FLAT_MAX coefficients,
     at b != 1, the loop runs on blocks of _BLOCK coefficients, and
     neighbouring blocks merge pairwise, V = V_lo b^len(hi) + a^len(lo) V_hi,
     with each level's powers raised once: balanced products in place of n
-    long-by-long ones, and the same integer.  Shorter forms, and b = 1, have
-    no long product to save and keep the flat loop.  The result is not
+    long-by-long ones, and the same integer.  Shorter forms, each block, and
+    b = 1 run the flat loop inline.  The result, over horner_den, is not
     reduced, so a caller may compare it across a row of points that share b.
     """
-    nums = form.nums
     if len(nums) > _FLAT_MAX and b != 1:
         return _merged_blocks(nums, a, b)
-    # _horner_flat's loop, inline: a call costs a few percent of a short form.
+    # The flat loop, inline: a call costs a few percent of a short form.
     acc, scale = 0, 1
     for c in reversed(nums):
         acc = acc * a + c * scale
@@ -225,16 +229,13 @@ def horner_numerator(form: IntPoly, a: int, b: int) -> int:
     return acc
 
 
-def _horner_flat(nums: Sequence[int], a: int, b: int) -> int:
-    acc, scale = 0, 1
-    for c in reversed(nums):
-        acc = acc * a + c * scale
-        scale *= b
-    return acc
+def horner_den(form: IntPoly, b: int) -> int:
+    """D*b^n, n = len(form) - 1: horner_numerator(form.nums, a, b)'s denominator."""
+    return form.den * b ** max(len(form) - 1, 0)
 
 
 def _merged_blocks(nums: Sequence[int], a: int, b: int) -> int:
-    vals = [_horner_flat(nums[i : i + _BLOCK], a, b) for i in range(0, len(nums), _BLOCK)]
+    vals = [horner_numerator(nums[i : i + _BLOCK], a, b) for i in range(0, len(nums), _BLOCK)]
     size, tail = _BLOCK, (len(nums) - 1) % _BLOCK + 1
     while len(vals) > 1:
         # Every block but the last holds `size` coefficients; the last, `tail`.
@@ -253,15 +254,14 @@ def poly_eval_horner(p: Union[Poly, IntPoly], x: RatLike) -> Fraction:
     """Evaluate by nested multiplication: c0 + x*(c1 + x*(...)).
 
     With x = a/b, n = deg p and D the common denominator, horner_numerator
-    gives D*b^n*p(x), and one Fraction is made over D*b^n.  Past 96
-    coefficients, and at b != 1, that numerator comes from nested blocks
+    gives D*b^n*p(x), and one Fraction is made over horner_den's D*b^n.  Past
+    96 coefficients, and at b != 1, that numerator comes from nested blocks
     merged pairwise, and is the flat loop's integer bit for bit, so the
     Fraction is too.  A Poly is put into integer form first, on every call.
     """
     a, b = rat(x).as_integer_ratio()
     form = p if isinstance(p, IntPoly) else IntPoly.of(p)
-    n = len(form.nums) - 1
-    return Fraction(horner_numerator(form, a, b), form.den * b ** max(n, 0))
+    return Fraction(horner_numerator(form.nums, a, b), horner_den(form, b))
 
 
 def powers_form(p: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:

@@ -49,6 +49,7 @@ from .poly_core import (
     IntPoly,
     Poly,
     check_int,
+    horner_den,
     horner_numerator,
     poly,
     poly_antiderivative,
@@ -132,12 +133,7 @@ class WorkLimitExceeded(RuntimeError):
 # Each grid claim below, for the row of points k/n, returns (holds, sides):
 # holds(k) decides the claim at k/n on integers, and sides(x) gives its two
 # sides as Fractions, which only a witness reads.  A polynomial's value at
-# k/n is horner_numerator(form, k, n) over _row_den(form, n).
-
-
-def _row_den(form: IntPoly, n: int) -> int:
-    """D n^d, the denominator of every horner_numerator(form, k, n)."""
-    return form.den * n ** max(len(form) - 1, 0)
+# k/n is horner_numerator(form.nums, k, n) over horner_den(form, n), D n^d.
 
 
 def _peak_claim(n: int):
@@ -166,9 +162,9 @@ def _integral_claim(n: int, m: int, anti: IntPoly):
     """L4: anti(x) <= min(4^{-4m} x, 4^{-4m}), as H 4^{4m} n <= D n^d min(k, n)
     with H/(D n^d) = anti(k/n)."""
     cap = Fraction(1, 4 ** (4 * m))
-    left, right = 4 ** (4 * m) * n, _row_den(anti, n)
+    left, right = 4 ** (4 * m) * n, horner_den(anti, n)
     return (
-        lambda k: horner_numerator(anti, k, n) * left <= right * min(k, n),
+        lambda k: horner_numerator(anti.nums, k, n) * left <= right * min(k, n),
         lambda x: (poly_eval_horner(anti, x), min(cap * x, cap)),
     )
 
@@ -176,9 +172,9 @@ def _integral_claim(n: int, m: int, anti: IntPoly):
 def _sign_claim(n: int, p: IntPoly, scale: Fraction):
     """L6: p(x) - s/(1 + x^2) >= 0 for the integer s = scale, as
     H (n^2 + k^2) >= s D n^{d+2} with H/(D n^d) = p(k/n)."""
-    right = scale.numerator * _row_den(p, n) * n * n
+    right = scale.numerator * horner_den(p, n) * n * n
     return (
-        lambda k: horner_numerator(p, k, n) * (n * n + k * k) >= right,
+        lambda k: horner_numerator(p.nums, k, n) * (n * n + k * k) >= right,
         lambda x: (poly_eval_horner(p, x) - scale / (1 + x * x), Fraction(0)),
     )
 
@@ -187,12 +183,12 @@ def _final_claim(n: int, h: IntPoly, bound: Fraction, width: Fraction):
     """L7: |h(x) - mid| + width/2 <= bound against the enclosure [lo, hi] of
     arctan(x).  The left side is max(h - lo, hi - h), so the claim is
     hi - bound <= h <= lo + bound, both cross-multiplied."""
-    q, (bn, bd) = _row_den(h, n), bound.as_integer_ratio()
+    q, (bn, bd) = horner_den(h, n), bound.as_integer_ratio()
 
     def holds(k):
         enc = arctan_enclosure(Fraction(k, n), width)
         (ln, ld), (un, ud) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
-        value = horner_numerator(h, k, n)
+        value = horner_numerator(h.nums, k, n)
         if (un * bd - bn * ud) * q > value * ud * bd:  # h below hi - bound
             return False
         return value * ld * bd <= (ln * bd + bn * ld) * q  # h at most lo + bound
@@ -212,7 +208,7 @@ def _schemes_claim(n: int, form: IntPoly, target: Poly):
     dh, dp = len(form) - 1, len(nums) - 1
     left, right = den * n ** max(dp - dh, 0), form.den * n ** max(dh - dp, 0)
     return (
-        lambda k: horner_numerator(form, k, n) * left
+        lambda k: horner_numerator(form.nums, k, n) * left
         == powers_numerator(nums, k, n) * right,
         lambda x: (poly_eval_horner(form, x), poly_eval_powers(target, x)),
     )

@@ -19,7 +19,7 @@ from medina_arctan.arctan_eval import (
     pi_estimate,
     reduce,
 )
-from medina_arctan.medina import medina_min_m_for
+from medina_arctan.medina import medina_h, medina_min_m_for
 from medina_arctan.oracle import arctan_enclosure
 
 
@@ -209,6 +209,23 @@ def test_auto_refuses_an_index_past_the_limit(monkeypatch):
     monkeypatch.setattr(medina, "MAX_INDEX", 10)
     with pytest.raises(ValueError, match="sequence index must be <= 10, got 14"):
         arctan_auto(2, "1e-40")
+
+
+@pytest.mark.parametrize(
+    "x, eps", [(2, Fraction(1, 10**6020)), (Fraction(1, 2), Fraction(1, 10**6021))]
+)
+def test_auto_names_eps_when_no_index_meets_it(x, eps):
+    # Both need m = 2001: at x = 2 for pi's line on top of 4^-10000, at 1/2
+    # for 4^-10000 alone.  The plan refuses before it builds anything.
+    before = medina_h.cache_info()
+    with pytest.raises(ValueError, match="^no index meets eps: an index must be <= 2000$"):
+        arctan_auto(x, eps)
+    assert medina_h.cache_info() == before
+
+
+def test_plan_reaches_the_largest_index():
+    trace = reduce(Fraction(1, 2))
+    assert arctan_eval._plan(trace, Fraction(1, 10**6020))[0] == medina.MAX_INDEX
 
 
 def test_guaranteed_digits():

@@ -294,6 +294,16 @@ _NO_OUTPUT = hashlib.sha256(b"").hexdigest()
             "eval --m 2001 --x 1/2", None, 2, _NO_OUTPUT,
             "error: sequence index must be <= 2000, got 2001",
         ),
+        # Both need m = 2001, for pi's line at x = 2 and for 4^-10000 alone
+        # at 1/2; the plan names eps, not that index.
+        (
+            "arctan --x 2 --eps 1e-6020", None, 2, _NO_OUTPUT,
+            "error: no index meets eps: an index must be <= 2000",
+        ),
+        (
+            "arctan --x 1/2 --eps 1e-6021", None, 2, _NO_OUTPUT,
+            "error: no index meets eps: an index must be <= 2000",
+        ),
     ],
 )
 def test_golden_refusals(capsys, monkeypatch, argv, work_limit, code, digest, message):

@@ -18,6 +18,7 @@ from medina_arctan.medina import medina_h
 from medina_arctan.poly_core import (
     IntPoly,
     degree,
+    horner_den,
     horner_numerator,
     normalize,
     poly,
@@ -142,7 +143,7 @@ def at_block_edges(test):
 )
 @at_block_edges
 def test_block_merge_matches_the_flat_loop(nums, a, b):
-    assert horner_numerator(IntPoly(1, tuple(nums)), a, b) == horner_flat(nums, a, b)
+    assert horner_numerator(nums, a, b) == horner_flat(nums, a, b)
 
 
 # Raw tuples, so plain ints, zeros and the empty polynomial all occur, and
@@ -367,9 +368,12 @@ def test_numerators_at_an_unreduced_point(p, a, b):
     # The lemma suite reads both loops at k/n without reducing it: each gives
     # its own denominator times b^n p(a/b), n = len(p) - 1, for any b > 0.
     x, n = Fraction(a, b), len(p) - 1
-    want = horner_by_fractions(p, x) * b ** max(n, 0)
+    value = horner_by_fractions(p, x)
+    want = value * b ** max(n, 0)
     form = IntPoly.of(p)
-    assert horner_numerator(form, a, b) == want * form.den
+    numerator = horner_numerator(form.nums, a, b)
+    assert numerator == want * form.den
+    assert Fraction(numerator, horner_den(form, b)) == value  # horner_den's D b^n
     den, nums = powers_form(p)
     assert den == form.den and len(nums) == len(p)
     assert powers_numerator(nums, a, b) == want * den
@@ -449,12 +453,14 @@ def test_string_round_trip():
 
 @pytest.mark.parametrize("m", [1, 2, 7, 13, 34])
 def test_intpoly_reads_as_its_coefficients(m):
-    # An IntPoly is its coefficients to both routes and to the text rule,
-    # not its numerators with den dropped.
+    # An IntPoly is its coefficients to both routes, to the text rule, to
+    # poly() and to IntPoly.of, not its numerators with den dropped.
     h = medina_h(m)
     for x in (Fraction(1, 2), Fraction(3, 7), Fraction(40503, 65536), 1):
         assert poly_eval_powers(h, x) == poly_eval_horner(h, x)
     assert poly_to_strings(h) == poly_to_strings(h.poly())
+    assert poly(h) == h.poly()
+    assert IntPoly.of(h) == h
 
 
 def test_string_round_trip_past_the_int_str_limit():
