@@ -4,11 +4,15 @@ Any rational argument is folded into [0, 1] through two exact identities,
 arctan(-x) = -arctan(x) and arctan(x) = pi/2 - arctan(1/x), and the fold is
 recorded step by step so every result carries its own derivation.  On the
 reduced argument the value comes from the approximant h_m.  pi is not a
-baked-in constant: it is bootstrapped from the same family as 4 * h_M(1).
+baked-in constant: it is bootstrapped from the same family as 4 * h_M(1),
+and at x = 1 Horner's integer is the sum of h_M's numerators.
 Every result is exact, and its bound is the sum of a ledger of exact lines,
 one per error source: h_m's 4^(-5m), plus pi's bootstrap bound when the
 reciprocal identity applied.  One plan picks the least m whose ledger meets
 eps.  Decimals are rendered last, correctly rounded from the exact value.
+The bookkeeping around the evaluation runs on the integers of
+as_integer_ratio(): the fold compares numerator and denominator, the plan
+cross-multiplies the ledger's sum with eps, and rounding is one divmod.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .poly_core import (
     check_int,
     check_positive,
     poly_eval_horner,
+    powers_form,
     rat,
     rat_text,
 )
@@ -46,17 +51,18 @@ class ReductionTrace:
 
 
 def reduce(x: RatLike) -> ReductionTrace:
-    """Fold x into [0, 1]; x = 1 stays put, so at most two steps ever apply."""
+    """Fold x into [0, 1]; x = 1 stays put, so at most two steps ever apply.
+
+    With |x| = a/b, the reciprocal applies when a > b and is Fraction(b, a).
+    """
     x = rat(x)
-    steps = []
-    y = x
-    if y < 0:
-        steps.append(ReductionStep.NEGATE)
-        y = -y
-    if y > 1:
-        steps.append(ReductionStep.RECIPROCAL)
-        y = 1 / y
-    return ReductionTrace(original=x, reduced=y, steps=tuple(steps))
+    a, b = x.as_integer_ratio()
+    steps = ()
+    if a < 0:
+        steps, a = (ReductionStep.NEGATE,), -a
+    if a > b:
+        return ReductionTrace(x, Fraction(b, a), steps + (ReductionStep.RECIPROCAL,))
+    return ReductionTrace(x, -x if steps else x, steps)
 
 
 @dataclass(frozen=True)
@@ -102,17 +108,25 @@ def _ledger(trace: ReductionTrace, m: int) -> Ledger:
     return lines
 
 
-def _plan(trace: ReductionTrace, eps: Fraction) -> tuple[int, Ledger]:
-    """The least m whose ledger sums to at most eps, with that ledger.
+def _total(ledger: Ledger) -> tuple[int, int]:
+    """The ledger's sum as an unreduced (numerator, denominator), over the lcm."""
+    den, nums = powers_form([b for _, b in ledger])
+    return sum(nums), den
+
+
+def _plan(trace: ReductionTrace, eps: Fraction) -> tuple[int, Ledger, Fraction]:
+    """The least m whose ledger sums to at most eps, with that ledger and sum.
 
     Every ledger holds 4^(-5m), so the search starts at the least m for it,
     and it ends at MAX_INDEX: ValueError, before any ledger past it, when no
-    index meets eps.
+    index meets eps.  Each index is decided by cross-multiplying integers.
     """
+    e, d = eps.as_integer_ratio()
     for m in range(medina_min_m_for(eps), MAX_INDEX + 1):
         ledger = _ledger(trace, m)
-        if sum(b for _, b in ledger) <= eps:
-            return m, ledger
+        num, den = _total(ledger)
+        if num * d <= e * den:
+            return m, ledger, Fraction(num, den)
     raise ValueError(f"no index meets eps: an index must be <= {MAX_INDEX}")
 
 
@@ -123,17 +137,23 @@ def medina_arctan(x: RatLike, m: int) -> ApproxResult:
     plus the pi bootstrap's bound when the reciprocal identity was applied.
     """
     trace = reduce(x)
-    return _arctan_reduced(trace, m, _ledger(trace, m))
+    ledger = _ledger(trace, m)
+    return _arctan_reduced(trace, m, ledger, Fraction(*_total(ledger)))
 
 
-def _arctan_reduced(trace: ReductionTrace, m: int, ledger: Ledger) -> ApproxResult:
-    """The result at index m for the argument that `trace` reduced."""
+def _arctan_reduced(
+    trace: ReductionTrace, m: int, ledger: Ledger, bound: Fraction
+) -> ApproxResult:
+    """The result at index m for the argument that `trace` reduced.
+
+    bound is the ledger's sum, which the caller has already formed.
+    """
     value = poly_eval_horner(medina_h(m), trace.reduced)
     if ReductionStep.RECIPROCAL in trace.steps:
         value = pi_estimate(m).value / 2 - value
     if ReductionStep.NEGATE in trace.steps:
         value = -value
-    return ApproxResult(value, sum(b for _, b in ledger), m, trace, ledger)
+    return ApproxResult(value, bound, m, trace, ledger)
 
 
 def arctan_auto(x: RatLike, eps: RatLike) -> ApproxResult:
@@ -162,10 +182,15 @@ def decimal_str(value: RatLike, digits: int) -> str:
     """Fixed-point rendering with `digits` places, correctly rounded.
 
     Rounding is to nearest with ties to even, computed on the exact scaled
-    rational, so the printed digits are the true rounded digits.
+    rational, so the printed digits are the true rounded digits: with
+    value = n/d, one divmod of n 10^digits by d gives the floor and the
+    remainder that decides it.
     """
     check_int(digits, "digits", 0)
-    scaled = round(rat(value) * 10**digits)
+    n, d = rat(value).as_integer_ratio()
+    scaled, rem = divmod(n * 10**digits, d)
+    if 2 * rem > d or (2 * rem == d and scaled & 1):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
     text = rat_text(abs(scaled)).rjust(digits + 1, "0")
     whole, frac = text[: len(text) - digits], text[len(text) - digits :]

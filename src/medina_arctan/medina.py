@@ -179,7 +179,7 @@ def medina_h(m: int) -> IntPoly:
 def medina_error_bound(m: int) -> Fraction:
     """The guaranteed uniform bound 4^(-5m) on |h_m - arctan| over [0, 1]."""
     _check_index(m)
-    return Fraction(1, 4 ** (5 * m))
+    return Fraction(1, 1 << 10 * m)
 
 
 def medina_min_m_for(eps: RatLike) -> int:

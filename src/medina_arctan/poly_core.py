@@ -130,7 +130,7 @@ def check_positive(value: RatLike, name: str) -> Fraction:
     float still raises TypeError.
     """
     value = rat(value)
-    if value <= 0:
+    if value.numerator <= 0:  # a Fraction's denominator is positive
         raise ValueError(f"{name} must be positive")
     return value
 
@@ -216,9 +216,12 @@ def horner_numerator(nums: Sequence[int], a: int, b: int) -> int:
     neighbouring blocks merge pairwise, V = V_lo b^len(hi) + a^len(lo) V_hi,
     with each level's powers raised once: balanced products in place of n
     long-by-long ones, and the same integer.  Shorter forms, each block, and
-    b = 1 run the flat loop inline.  The result, over horner_den, is not
+    b = 1 run the flat loop inline.  At x = 1 (the pi bootstrap) the value
+    is the sum of the numerators.  The result, over horner_den, is not
     reduced, so a caller may compare it across a row of points that share b.
     """
+    if a == 1 and b == 1:
+        return sum(nums)
     if len(nums) > _FLAT_MAX and b != 1:
         return _merged_blocks(nums, a, b)
     # The flat loop, inline: a call costs a few percent of a short form.
@@ -269,7 +272,8 @@ def powers_form(p: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
 
     L is the lcm of the reduced c_i = n_i/d_i's denominators and nums[i] is
     (L/d_i) n_i, so c_i = nums[i] / L.  Made from the coefficients
-    themselves, never from an IntPoly.
+    themselves, never from an IntPoly.  arctan_eval sums a ledger's bounds
+    over it too.
     """
     den = math.lcm(*(c.denominator for c in p))
     return den, tuple(den // c.denominator * c.numerator for c in p)

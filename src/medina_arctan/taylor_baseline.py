@@ -91,7 +91,23 @@ def _first(what: str, x: Fraction, eps: Fraction, candidates, meets) -> int:
         if meets(value):
             return index
     raise DegreeLimitError(
-        f"no {what} up to {DEGREE_CUTOFF} meets eps={rat_text(eps)} at x={rat_text(x)}"
+        f"no {what} up to {DEGREE_CUTOFF} meets eps={_brief(eps)} at x={_brief(x)}"
+    )
+
+
+# Longest part of a rational that a refusal writes out in full.
+_BRIEF_DIGITS = 40
+
+
+def _brief(value: Fraction) -> str:
+    """rat_text(value) for a message about a nonnegative eps or x: a part past
+    _BRIEF_DIGITS digits keeps its first and last ten digits, around "…",
+    and its digit count."""
+    return "/".join(
+        f"{part[:10]}…{part[-10:]} ({len(part)} digits)"
+        if len(part) > _BRIEF_DIGITS
+        else part
+        for part in rat_text(value).split("/")
     )
 
 

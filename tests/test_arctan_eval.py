@@ -1,16 +1,19 @@
 """Full-line evaluation: range reduction, pi bootstrap, budgets, rendering."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REF_ARCTAN_1, REF_ARCTAN_95, REF_PI, no_int_str_limit
 from medina_arctan import arctan_eval, medina
 from medina_arctan.arctan_eval import (
     FULL_DECIMAL_DIGITS,
+    ApproxResult,
     ReductionStep,
+    ReductionTrace,
     approx_result_json,
     arctan_auto,
     decimal_str,
@@ -19,8 +22,9 @@ from medina_arctan.arctan_eval import (
     pi_estimate,
     reduce,
 )
-from medina_arctan.medina import medina_h, medina_min_m_for
+from medina_arctan.medina import MAX_INDEX, medina_h, medina_min_m_for
 from medina_arctan.oracle import arctan_enclosure
+from medina_arctan.poly_core import check_int, poly_eval_powers, rat, rat_text
 
 
 def test_reduce_in_range():
@@ -183,6 +187,125 @@ def test_auto_ledger_is_the_least_sufficient_budget(x, eps):
     assert result.m == medina_min_m_for(eps / multiple)
     names = ["approximant", "pi"] if multiple == 5 else ["approximant"]
     assert [name for name, _ in result.ledger] == names
+
+
+# The request's bookkeeping as it ran on Fractions, before the fold, the
+# plan and the rounding moved to the integers of as_integer_ratio(): the
+# references for the integer versions.
+def reduce_by_fractions(x):
+    x = rat(x)
+    steps = []
+    y = x
+    if y < 0:
+        steps.append(ReductionStep.NEGATE)
+        y = -y
+    if y > 1:
+        steps.append(ReductionStep.RECIPROCAL)
+        y = 1 / y
+    return ReductionTrace(original=x, reduced=y, steps=tuple(steps))
+
+
+def plan_by_fractions(trace, eps):
+    for m in range(medina_min_m_for(eps), MAX_INDEX + 1):
+        ledger = arctan_eval._ledger(trace, m)
+        if sum(b for _, b in ledger) <= eps:
+            return m, ledger
+    raise ValueError(f"no index meets eps: an index must be <= {MAX_INDEX}")
+
+
+def decimal_by_fractions(value, digits):
+    check_int(digits, "digits", 0)
+    scaled = round(rat(value) * 10**digits)
+    sign = "-" if scaled < 0 else ""
+    text = rat_text(abs(scaled)).rjust(digits + 1, "0")
+    whole, frac = text[: len(text) - digits], text[len(text) - digits :]
+    return f"{sign}{whole}.{frac}" if digits else f"{sign}{whole}"
+
+
+def auto_by_fractions(x, eps):
+    """arctan_auto from the references, its values by the powers route."""
+    trace = reduce_by_fractions(x)
+    m, ledger = plan_by_fractions(trace, rat(eps))
+    value = poly_eval_powers(medina_h(m), trace.reduced)
+    if ReductionStep.RECIPROCAL in trace.steps:
+        value = 4 * poly_eval_powers(medina_h(m), 1) / 2 - value
+    if ReductionStep.NEGATE in trace.steps:
+        value = -value
+    return ApproxResult(value, sum(b for _, b in ledger), m, trace, ledger)
+
+
+def json_by_fractions(result, full):
+    digits = guaranteed_digits(result.error_bound)
+    shown = max(digits, FULL_DECIMAL_DIGITS) if full else digits
+    return {
+        "value": rat_text(result.value),
+        "error_bound": rat_text(result.error_bound),
+        "m": result.m,
+        "steps": [step.value for step in result.trace.steps],
+        "decimal": decimal_by_fractions(result.value, shown),
+        "decimal_digits_guaranteed": digits,
+    }
+
+
+_parts = st.integers(-(2**26), 2**26)
+_arguments = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    _parts,
+    st.builds(Fraction, _parts, st.integers(1, 2**26)),
+)
+# At, and one unit of 2^-(10m + 20) beside, each edge k 4^(-5m) of a ledger:
+# k = 1 bounds h_m alone, k = 5 adds pi's line after a reciprocal step.
+_edges = st.builds(
+    lambda m, k, s: Fraction(k * 2**20 + s, 2 ** (10 * m + 20)),
+    st.integers(1, 30),
+    st.sampled_from([1, 5]),
+    st.sampled_from([-1, 0, 1]),
+)
+
+
+@settings(deadline=None)
+@given(_arguments, _edges)
+@example(Fraction(-(2**26) + 1, 2**26), Fraction(5, 2**70))
+@example(-(2**26), Fraction(5 * 2**20 - 1, 2**90))
+def test_integer_bookkeeping_matches_the_fraction_references(x, eps):
+    result = arctan_auto(x, eps)
+    reference = auto_by_fractions(x, eps)
+    assert result == reference
+    for full in (False, True):
+        assert approx_result_json(result, full=full) == json_by_fractions(reference, full)
+
+
+# Denominators that divide a power of ten make exact ties at some places.
+@given(
+    st.builds(
+        Fraction,
+        st.integers(-(10**40), 10**40),
+        st.sampled_from([1, 2, 8, 40, 2 * 10**5, 5**30, 10**30, 3 * 2**60]),
+    ),
+    st.integers(0, 50),
+)
+@example(Fraction(-5, 2), 0)
+@example(Fraction(25, 1000), 2)
+def test_decimal_rendering_matches_the_fraction_reference(value, digits):
+    assert decimal_str(value, digits) == decimal_by_fractions(value, digits)
+
+
+def test_requests_call_the_module_globals_the_benchmark_traces(monkeypatch):
+    # The benchmark times evaluation, pi and construction by wrapping these
+    # names in arctan_eval; a request must still reach each through them.
+    calls = Counter()
+    for name in ("poly_eval_horner", "pi_estimate", "medina_h"):
+
+        def counted(*args, _fn=getattr(arctan_eval, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(arctan_eval, name, counted)
+    arctan_auto(Fraction(-7, 3), "1e-20")
+    assert calls == {"poly_eval_horner": 2, "pi_estimate": 1, "medina_h": 2}
+    calls.clear()
+    arctan_auto(Fraction(3, 7), "1e-20")
+    assert calls == {"poly_eval_horner": 1, "medina_h": 1}
 
 
 def test_pi_line_is_pi_estimates_bound():

@@ -218,8 +218,9 @@ def test_missing_option_value_is_still_a_usage_error(capsys):
 # powers route moved to integers; the m = 80 rows before h_m was built as
 # one integer row; the compare rows at 1/10 and 1/2, the other two certify
 # landmarks, before the powers route summed over one common denominator and
-# the Taylor certifier decided against cuts); no such change alters a
-# printed byte.
+# the Taylor certifier decided against cuts; the rows at x = 1 and -1, on
+# the main path's b = 1, before the bookkeeping ran on integers and Horner
+# summed the numerators at x = 1); no such change alters a printed byte.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -241,6 +242,8 @@ def test_missing_option_value_is_still_a_usage_error(capsys):
         ("arctan --x 64/37 --eps 1e-240", "b6c4523ef5cc69154858ff1403de5f94d938667bb9719f71e77b8e2b68e59e07"),
         ("eval --m 80 --x 40503/65536", "a88c9a182e79b8de98a5d33fa79b19f862764c6c78bf8a815896a5fafcc4af57"),
         ("gen --m 80", "b932cb3aa91078bf6e4e4d83476ee420d0d7bc03446c6686e76ba130e2c94b53"),
+        ("arctan --x 1 --eps 1e-100", "d1f4ad53f3d3541b3fcdd830d09e2e8758a268dc2d17dbbec7cbda7dfbe460a4"),
+        ("arctan --x -1 --eps 1e-50 --full", "f7cbe83ba5d75009fe28b27bf68a37f36e0d300da68bf2c78a6270df289b1f50"),
     ],
 )
 def test_golden_stdout(capsys, argv, digest):
@@ -303,6 +306,13 @@ _NO_OUTPUT = hashlib.sha256(b"").hexdigest()
         (
             "arctan --x 1/2 --eps 1e-6021", None, 2, _NO_OUTPUT,
             "error: no index meets eps: an index must be <= 2000",
+        ),
+        # Added when refusals began to cut parts past 40 digits; the full
+        # message was 6,072 bytes.
+        (
+            "compare --x 1/2 --eps 1e-6021", None, 2, _NO_OUTPUT,
+            "error: no degree up to 10001 meets "
+            "eps=1/1000000000…0000000000 (6022 digits) at x=1/2",
         ),
     ],
 )
@@ -392,7 +402,10 @@ def test_compare_past_the_int_str_limit(capsys):
     assert (row["taylor_min_degree"], row["medina_min_m"]) == ("1", "1")
     code, out, err = run_cli(capsys, "compare", "--x", "1", "--eps", "1e-5000")
     assert (code, out) == (2, "")
-    assert err == f"error: no degree up to 10001 meets eps=1/1{'0' * 5000} at x=1\n"
+    assert err == (
+        "error: no degree up to 10001 meets "
+        "eps=1/1000000000…0000000000 (5001 digits) at x=1\n"
+    )
 
 
 def test_compare_at_a_long_argument_near_a_half(capsys):

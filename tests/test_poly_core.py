@@ -146,6 +146,21 @@ def test_block_merge_matches_the_flat_loop(nums, a, b):
     assert horner_numerator(nums, a, b) == horner_flat(nums, a, b)
 
 
+# h_20 has more than _FLAT_MAX coefficients, and b = 1 still runs one loop.
+@pytest.mark.parametrize(
+    "nums",
+    [(), (5,), (3, 0, -2, 7), medina_h(7).nums, medina_h(20).nums],
+    ids=["zero", "constant", "cubic", "h_7", "h_20"],
+)
+def test_horner_at_an_integer_point(nums):
+    # At x = 1, the pi bootstrap's point, the integer is the sum of the
+    # numerators; every other integer point runs the flat loop.
+    assert horner_numerator(nums, 1, 1) == sum(nums) == horner_flat(nums, 1, 1)
+    for a in (-5, 0, 2):
+        assert horner_numerator(nums, a, 1) == horner_flat(nums, a, 1)
+        assert horner_numerator(nums, a, 1) == powers_numerator(nums, a, 1)
+
+
 # Raw tuples, so plain ints, zeros and the empty polynomial all occur, and
 # denominators differ from one coefficient to the next.
 coefficients = st.one_of(
