@@ -21,7 +21,13 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .medina import MAX_INDEX, medina_error_bound, medina_h, medina_min_m_for
+from .medina import (
+    MAX_INDEX,
+    _check_index,
+    medina_error_bound,
+    medina_h,
+    medina_min_m_for,
+)
 from .poly_core import (
     RatLike,
     check_int,
@@ -82,8 +88,13 @@ def pi_estimate(source_m: int) -> PiEstimate:
 
 
 def _pi_bound(source_m: int) -> Fraction:
-    """pi_estimate's bound, read by the ledger without evaluating h_M."""
-    return 4 * medina_error_bound(source_m)
+    """pi_estimate's bound, read by the ledger without evaluating h_M.
+
+    That is 4 * medina_error_bound(M) = 2^(2 - 10M), made as one reduced
+    Fraction after the same index check.
+    """
+    _check_index(source_m)
+    return Fraction(1, 1 << 10 * source_m - 2)
 
 
 Ledger = tuple[tuple[str, Fraction], ...]

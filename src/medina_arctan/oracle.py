@@ -14,13 +14,14 @@ For y in [0, 1/2] the series terms alternate in sign and decrease, so
 consecutive partial sums bracket the limit; that yields two-sided bounds
 with no rounding analysis at all.  The partial sums are kept as integer
 numerators over one common denominator, and each endpoint becomes a
-Fraction only at the end.  Arguments in (1/2, 1] are pivoted about
-1/2 as above, with u landing in (0, 1/3]; the base half, arctan(1/2) at
-width eps/2, is kept in a small memo keyed by that width, since a grid of
-points asks for it at one width again and again.  Arguments beyond 1 use
-arctan(x) = pi/2 - arctan(1/x), where pi itself is enclosed as 4*arctan(1)
-through the pivoted route, so nothing is circular and no decimal constant
-is baked in.
+Fraction only at the end; arctan_enclosure likewise picks its route and
+forms the pivot on the integers of x and eps.  Arguments in (1/2, 1] are
+pivoted about 1/2 as above, with u landing in (0, 1/3]; the base half,
+arctan(1/2) at width eps/2, is kept in a small memo keyed by that width,
+since a grid of points asks for it at one width again and again.
+Arguments beyond 1 use arctan(x) = pi/2 - arctan(1/x), where pi itself is
+enclosed as 4*arctan(1) through the pivoted route, so nothing is circular
+and no decimal constant is baked in.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def _series_enclosure(x: Fraction, eps: Fraction) -> Enclosure:
     and one Fraction is made per endpoint, the same rationals as summing
     Fractions but without a gcd at every step.
     """
-    assert 0 < x <= _HALF
     a, b = x.as_integer_ratio()
+    assert 0 < 2 * a <= b
     eps_num, eps_den = eps.as_integer_ratio()
     asq, bsq = a * a, b * b
     # At the top of each step, the partial sum through degree 2k-1 is
@@ -105,25 +106,32 @@ def _pivot_base(width: Fraction) -> Enclosure:
 
 
 def arctan_enclosure(x: RatLike, eps: RatLike) -> Enclosure:
-    """A rational interval containing arctan(x), of width at most eps."""
+    """A rational interval containing arctan(x), of width at most eps.
+
+    With x = a/b and eps = e/d, the route is chosen on integers (the sign of
+    a, then 2a <= b, then a <= b), the pivot (x - 1/2)/(1 + x/2) is formed
+    as (2a - b)/(2b + a), and half the budget as e/(2d).
+    """
     x = rat(x)
     eps = check_positive(eps, "eps")
-    if x < 0:
+    a, b = x.as_integer_ratio()
+    if a < 0:
         inner = arctan_enclosure(-x, eps)
         return Enclosure(-inner.hi, -inner.lo)
-    if x == 0:
+    if a == 0:
         return Enclosure(Fraction(0), Fraction(0))
-    if x <= _HALF:
+    if 2 * a <= b:
         return _series_enclosure(x, eps)
-    if x <= 1:
+    e, d = eps.as_integer_ratio()
+    half = Fraction(e, 2 * d)
+    if a <= b:
         # Pivot about 1/2; u lies in (0, 1/3], where the series is fast.
-        u = (x - _HALF) / (1 + x / 2)
-        base = _pivot_base(eps / 2)
-        rest = _series_enclosure(u, eps / 2)
+        base = _pivot_base(half)
+        rest = _series_enclosure(Fraction(2 * a - b, 2 * b + a), half)
         return Enclosure(base.lo + rest.lo, base.hi + rest.hi)
     # arctan(x) = pi/2 - arctan(1/x); both halves get half the budget.
     half_pi = pi_enclosure(eps)
-    inv = arctan_enclosure(1 / x, eps / 2)
+    inv = arctan_enclosure(Fraction(b, a), half)
     return Enclosure(half_pi.lo / 2 - inv.hi, half_pi.hi / 2 - inv.lo)
 
 

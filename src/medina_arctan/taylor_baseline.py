@@ -4,17 +4,23 @@ Near x = 1 the series' terms shrink only like 1/n.  This module measures that
 slowness exactly: the least odd degree n whose partial sum T_n(x) meets eps,
 judged either by the first omitted term x^(n+2)/(n+2) or by the certified
 true error, and the least Medina index judged the same way, one row of the
-comparison table apiece.  The partial sums and omitted terms are internal
-lazy sources, one multiplication by x^2 a step, that stop at DEGREE_CUTOFF,
-and the searches share one walk over them; one exact check of a floor under
-the true error at the largest degree refuses up front a certified search
-that no degree could pass.  Everything is exact rational arithmetic.
+comparison table apiece.  Everything is exact, and the searches run on
+integers: with x = a/b, one walk yields each omitted term as the pair
+(a^(n+2), (n+2) b^(n+2)), one multiplication by a^2 and one by b^2 a step,
+and keeps each partial sum T_n(x) as a numerator over lcm(1, 3, ..., n) b^n,
+forming the next term over the next such denominator, as the oracle's
+series does.  Both stop at DEGREE_CUTOFF.  Bound mode cross-multiplies each
+term with eps; a certified search decides each (numerator, denominator)
+candidate against integer cuts of the oracle's enclosures, so no Fraction
+is made per candidate.  One exact check of a floor under the true error at
+the largest degree refuses up front a certified search that no degree
+could pass.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import cache
 
 from .medina import medina_h, medina_min_m_for
 from .oracle import arctan_enclosure
@@ -46,36 +52,48 @@ class DegreeLimitError(RuntimeError):
 
 def _check_unit_interval(x: RatLike) -> Fraction:
     x = rat(x)
-    if not 0 <= x <= 1:
+    a, b = x.as_integer_ratio()
+    if not 0 <= a <= b:
         raise ValueError(f"x must lie in [0, 1], got {rat_text(x)}")
     return x
 
 
 def _certifier(x: Fraction, eps: Fraction):
-    """The test |arctan(x) - value| < eps; one search makes one, with one memo.
+    """The test |arctan(x) - num/den| < eps for den > 0; one search makes one.
 
-    cuts(width) holds hi - eps, lo + eps, lo - eps and hi + eps for the
-    enclosure [lo, hi] of arctan(x) at that width.  A value strictly between
-    the first two is True; one at or past either of the last two is False, so
-    a tie with eps is exactly "not below".  Any other value is tried at a width
-    2^10 times narrower, and one undecided at the last of 12 widths raises
-    DegreeLimitError.
+    Round i asks the oracle once for the enclosure [lo, hi] of arctan(x) at
+    width eps / 2^(20 + 10 i), when a candidate first reaches that round, and
+    keeps the cuts lo - eps, lo + eps, hi - eps and hi + eps as integer
+    numerators over d times lo's and hi's denominators, eps = e/d, in a list
+    indexed by round.  A value strictly between hi - eps and lo + eps is
+    True; one at or past lo - eps or hi + eps is False, so a tie with eps is
+    exactly "not below".  Any other value goes on to the next round, and one
+    undecided at the last of 12 rounds raises DegreeLimitError.  Each
+    comparison is one cross-multiplication.
     """
+    e, d = eps.as_integer_ratio()
+    rounds: list = []
 
-    @cache
-    def cuts(width: Fraction) -> tuple:
-        enc = arctan_enclosure(x, width)
-        return enc.hi - eps, enc.lo + eps, enc.lo - eps, enc.hi + eps
+    def cuts(i: int) -> tuple:
+        if i == len(rounds):
+            enc = arctan_enclosure(x, Fraction(e, d << 20 + 10 * i))
+            lo, lo_den = enc.lo.as_integer_ratio()
+            hi, hi_den = enc.hi.as_integer_ratio()
+            lo, lo_eps, hi, hi_eps = lo * d, e * lo_den, hi * d, e * hi_den
+            rounds.append((
+                lo_den * d, lo - lo_eps, lo + lo_eps,
+                hi_den * d, hi - hi_eps, hi + hi_eps,
+            ))
+        return rounds[i]
 
-    def certified_below(value: Fraction) -> bool:
-        width = eps / 2**20
-        for _ in range(12):
-            inner_lo, inner_hi, outer_lo, outer_hi = cuts(width)
-            if inner_lo < value < inner_hi:
+    def certified_below(num: int, den: int) -> bool:
+        for i in range(12):
+            lo_den, lo_minus, lo_plus, hi_den, hi_minus, hi_plus = cuts(i)
+            at_lo, at_hi = num * lo_den, num * hi_den
+            if hi_minus * den < at_hi and at_lo < lo_plus * den:
                 return True
-            if value <= outer_lo or value >= outer_hi:
+            if at_lo <= lo_minus * den or at_hi >= hi_plus * den:
                 return False
-            width /= 2**10
         raise DegreeLimitError(
             f"could not separate the error at x={rat_text(x)} "
             f"from eps={rat_text(eps)} "
@@ -86,9 +104,10 @@ def _certifier(x: Fraction, eps: Fraction):
 
 
 def _first(what: str, x: Fraction, eps: Fraction, candidates, meets) -> int:
-    """The first index whose value passes meets; candidates stop at DEGREE_CUTOFF."""
-    for index, value in candidates:
-        if meets(value):
+    """The first index whose value num/den passes meets(num, den); candidates
+    are (index, num, den) and stop at DEGREE_CUTOFF."""
+    for index, num, den in candidates:
+        if meets(num, den):
             return index
     raise DegreeLimitError(
         f"no {what} up to {DEGREE_CUTOFF} meets eps={_brief(eps)} at x={_brief(x)}"
@@ -112,20 +131,34 @@ def _brief(value: Fraction) -> str:
 
 
 def _omitted_terms(x: Fraction):
-    """(n, x^(n+2)/(n+2)) for odd n up to DEGREE_CUTOFF, one x^2 step apiece."""
-    xsq = x * x
-    power = x * xsq
+    """(n, a^(n+2), (n+2) b^(n+2)) for odd n up to DEGREE_CUTOFF, x = a/b: the
+    omitted term x^(n+2)/(n+2) as a pair, one a^2 and one b^2 step apiece."""
+    a, b = x.as_integer_ratio()
+    asq, bsq = a * a, b * b
+    power, scale = a * asq, b * bsq
     for n in range(1, DEGREE_CUTOFF + 1, 2):
-        yield n, power / (n + 2)
-        power *= xsq
+        yield n, power, (n + 2) * scale
+        power *= asq
+        scale *= bsq
 
 
 def _partial_sums(x: Fraction):
-    """(n, T_n(x)) for odd n up to DEGREE_CUTOFF, each from the last omitted term."""
-    partial = x
-    for n, term in _omitted_terms(x):
-        yield n, partial
-        partial = partial - term if n % 4 == 1 else partial + term
+    """(n, num, den) with T_n(x) = num/den and den = lcm(1, 3, ..., n) b^n for
+    odd n up to DEGREE_CUTOFF, x = a/b; each from the last and its omitted term."""
+    a, b = x.as_integer_ratio()
+    bsq = b * b
+    num, den, lcm = a, b, 1
+    for n, term, term_den in _omitted_terms(x):
+        yield n, num, den
+        odd = n + 2
+        grow = odd // math.gcd(lcm, odd)
+        lcm *= grow
+        # Over the next denominator lcm b^(n+2) = term_den * lift.
+        lift = lcm // odd
+        num *= grow * bsq
+        term *= lift
+        num = num - term if n % 4 == 1 else num + term
+        den = term_den * lift
 
 
 def _floor_meets(x: Fraction, eps: Fraction, n: int) -> bool:
@@ -168,7 +201,9 @@ def taylor_min_degree(x: RatLike, eps: RatLike, oracle_mode: bool = False) -> in
         n = DEGREE_CUTOFF if DEGREE_CUTOFF % 2 else DEGREE_CUTOFF - 1
         sums = _partial_sums(x) if _floor_meets(x, eps, n) else ()
         return _first("degree", x, eps, sums, _certifier(x, eps))
-    return _first("degree", x, eps, _omitted_terms(x), lambda bound: bound < eps)
+    e, d = eps.as_integer_ratio()
+    terms = _omitted_terms(x)
+    return _first("degree", x, eps, terms, lambda num, den: num * d < e * den)
 
 
 def medina_min_m_observed(x: RatLike, eps: RatLike) -> int:
@@ -181,7 +216,9 @@ def medina_min_m_observed(x: RatLike, eps: RatLike) -> int:
     x = _check_unit_interval(x)
     eps = check_positive(eps, "eps")
     indices = range(1, (DEGREE_CUTOFF + 1) // 8 + 1)
-    values = ((m, poly_eval_horner(medina_h(m), x)) for m in indices)
+    values = (
+        (m, *poly_eval_horner(medina_h(m), x).as_integer_ratio()) for m in indices
+    )
     return _first("index with degree", x, eps, values, _certifier(x, eps))
 
 

@@ -313,6 +313,18 @@ def test_pi_line_is_pi_estimates_bound():
         assert dict(medina_arctan(3, m).ledger)["pi"] == pi_estimate(m).error_bound
 
 
+def test_pi_bound_is_four_approximant_bounds():
+    # Made directly as 2^(2 - 10m), not by multiplying, with the same check.
+    for m in (1, 2, 7, 665, MAX_INDEX):
+        want = 4 * medina.medina_error_bound(m)
+        assert arctan_eval._pi_bound(m).as_integer_ratio() == want.as_integer_ratio()
+    for bad in (0, MAX_INDEX + 1, True):
+        with pytest.raises(ValueError) as want:
+            medina.medina_error_bound(bad)
+        with pytest.raises(ValueError, match=f"^{want.value}$"):
+            arctan_eval._pi_bound(bad)
+
+
 def test_auto_budget_monotone_in_eps():
     budgets = [
         arctan_auto(2, Fraction(1, 10**k)).error_bound for k in range(0, 13, 2)

@@ -219,6 +219,53 @@ def test_pivot_memo_is_bit_identical_to_the_uncached_route(x, eps):
     assert got_pi == [want_pi, want_pi]
 
 
+def enclosure_by_fractions(x, eps):
+    """arctan_enclosure routed as it was on Fractions: comparisons with 0,
+    1/2 and 1, the pivot (x - 1/2)/(1 + x/2), eps / 2, eps / 4 and 1 / x,
+    with the base half summed afresh.  The reference for the integer route."""
+    half = Fraction(1, 2)
+    if x < 0:
+        inner = enclosure_by_fractions(-x, eps)
+        return Enclosure(-inner.hi, -inner.lo)
+    if x == 0:
+        return Enclosure(Fraction(0), Fraction(0))
+    if x <= half:
+        return _series_enclosure(x, eps)
+    if x <= 1:
+        u = (x - half) / (1 + x / 2)
+        base = _series_enclosure(half, eps / 2)
+        rest = _series_enclosure(u, eps / 2)
+        return Enclosure(base.lo + rest.lo, base.hi + rest.hi)
+    quarter = enclosure_by_fractions(Fraction(1), eps / 4)
+    inv = enclosure_by_fractions(1 / x, eps / 2)
+    return Enclosure(2 * quarter.lo - inv.hi, 2 * quarter.hi - inv.lo)
+
+
+# x over [-4, 4]: short parts, and 300-digit parts; most of it pivoted or
+# reciprocal, and the branch points -1, -1/2, 0, 1/2 and 1 themselves.
+_routed_args = st.one_of(
+    st.integers(1, 10**6).flatmap(
+        lambda d: st.integers(-4 * d, 4 * d).map(lambda k: Fraction(k, d))
+    ),
+    st.integers(10**299, 10**300 - 1).flatmap(
+        lambda d: st.integers(-4 * d, 4 * d).map(lambda k: Fraction(k, d))
+    ),
+    st.sampled_from([Fraction(k, 2) for k in range(-2, 3)]),
+)
+
+
+@settings(deadline=None)
+@given(
+    _routed_args,
+    st.builds(lambda c, e: Fraction(c, 10**e), st.integers(1, 9), st.integers(0, 60)),
+)
+@example(Fraction(1), Fraction(1, 10**60))
+@example(Fraction(-1, 2), Fraction(3, 7))
+@example(Fraction(10**300 + 1, 10**300), Fraction(1, 10**30))
+def test_integer_routing_is_bit_identical_to_the_fraction_route(x, eps):
+    assert parts(arctan_enclosure(x, eps)) == parts(enclosure_by_fractions(x, eps))
+
+
 def test_the_suite_sums_the_pivot_base_once_per_width(monkeypatch):
     # run_suite(64, 4) encloses the 32 points of (1/2, 1] at four widths, one
     # per index: the pivot's series at 1/2 runs 4 times, not 128.  The grid

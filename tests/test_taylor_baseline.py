@@ -1,5 +1,6 @@
 """Taylor baseline: the walk's partial sums and omitted terms, the searches."""
 
+import math
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -34,8 +35,9 @@ def remainder_bound(n, x):
 
 
 def walk(source, x, n):
-    """The value the lazy source yields for odd degree n at x."""
-    return dict(islice(source(Fraction(x)), n // 2 + 1))[n]
+    """The value num/den the lazy source yields for odd degree n at x."""
+    pairs = islice(source(Fraction(x)), n // 2 + 1)
+    return {k: Fraction(num, den) for k, num, den in pairs}[n]
 
 
 def test_partial_sum_polynomials():
@@ -48,8 +50,8 @@ def test_partial_sum_polynomials():
 def test_partial_sum_coefficient_pattern():
     # Each sum, made from the last by one omitted term, is the series summed afresh.
     for x in (Fraction(1, 3), Fraction(19, 20), Fraction(1)):
-        for n, value in islice(taylor_baseline._partial_sums(x), 11):
-            assert value == partial_sum(n, x)
+        for n, num, den in islice(taylor_baseline._partial_sums(x), 11):
+            assert Fraction(num, den) == partial_sum(n, x)
 
 
 @pytest.mark.parametrize("n", [1, 5, 9])
@@ -62,8 +64,8 @@ def test_remainder_bound_values():
     assert walk(terms, 1, 1) == Fraction(1, 3)
     assert walk(terms, Fraction(1, 2), 5) == Fraction(1, 896)
     assert walk(terms, Fraction(19, 20), 57) == Fraction(19, 20) ** 59 / 59
-    for n, term in islice(terms(Fraction(3, 4)), 11):
-        assert term == remainder_bound(n, Fraction(3, 4))
+    for n, num, den in islice(terms(Fraction(3, 4)), 11):
+        assert Fraction(num, den) == remainder_bound(n, Fraction(3, 4))
 
 
 def test_min_degree_bound_mode():
@@ -220,7 +222,7 @@ def min_degree_by_oracle_loop(x, eps):
     xsq = x * x
     k = 1
     while True:
-        if certified_below(partial):
+        if certified_below(*partial.as_integer_ratio()):
             return n
         n += 2
         if n > taylor_baseline.DEGREE_CUTOFF:
@@ -235,7 +237,7 @@ def min_m_by_oracle_loop(x, eps):
     certified_below = taylor_baseline._certifier(x, eps)
     m = 1
     while True:
-        if certified_below(poly_eval_horner(medina_h(m), x)):
+        if certified_below(*poly_eval_horner(medina_h(m), x).as_integer_ratio()):
             return m
         m += 1
         if 8 * m - 1 > taylor_baseline.DEGREE_CUTOFF:
@@ -309,11 +311,41 @@ FAKE_ORACLES = {
 @example("shrinking", LO - EPS / 2)
 @example("shrinking", LO + 3 * EPS / 2)
 def test_certifier_cuts_decide_as_the_abs_rule(oracle, value):
+    # The walk hands over unreduced pairs, so the value is also scaled by k/k.
     x = Fraction(1, 2)
+    num, den = value.as_integer_ratio()
     with mock.patch.object(taylor_baseline, "arctan_enclosure", FAKE_ORACLES[oracle]):
-        got = outcome(lambda x, eps: taylor_baseline._certifier(x, eps)(value), x, EPS)
         want = outcome(lambda x, eps: certified_below_by_abs(x, eps)(value), x, EPS)
-    assert got == want
+        for k in (1, 3, 2**70 + 1):
+            certified_below = taylor_baseline._certifier(x, EPS)
+            got = outcome(lambda x, eps: certified_below(num * k, den * k), x, EPS)
+            assert got == want
+
+
+def test_a_search_asks_the_oracle_once_per_width(monkeypatch):
+    # The shrinking oracle's radius at round i is EPS / 2^(10 i + 1), so a
+    # value t * EPS from LO is True for |t| < 1 - radius and False for
+    # |t| >= 1 + radius: the values below need rounds 0, 1 and 2, and t = 1
+    # is never decided.
+    widths = []
+
+    def counting(x, width):
+        widths.append(width)
+        return FAKE_ORACLES["shrinking"](x, width)
+
+    monkeypatch.setattr(taylor_baseline, "arctan_enclosure", counting)
+    certified_below = taylor_baseline._certifier(Fraction(1, 2), EPS)
+    rounds = [EPS / 2 ** (20 + 10 * i) for i in range(12)]
+    near = 1 - Fraction(1, 4096)
+    offsets = [0, Fraction(1, 3), Fraction(3, 4), near, Fraction(5, 4), Fraction(3, 2)]
+    for _ in range(3):
+        for t in offsets + [-t for t in offsets]:
+            value = LO + t * EPS
+            assert certified_below(*value.as_integer_ratio()) is (abs(t) < 1)
+    assert widths == rounds[:3]
+    with pytest.raises(DegreeLimitError, match="after repeated enclosure tightening"):
+        certified_below(*(LO + EPS).as_integer_ratio())
+    assert widths == rounds
 
 
 def unit_points(max_den):
@@ -329,6 +361,58 @@ def powers_of_half(max_exp):
 
 def odd_cutoffs(least, most):
     return st.integers(least // 2, most // 2).map(lambda k: 2 * k + 1)
+
+
+def omitted_terms_by_fractions(x):
+    """The omitted terms x^(n+2)/(n+2) as the walk made them before it ran on
+    integers, one Fraction a step: the reference for _omitted_terms."""
+    xsq = x * x
+    power = x * xsq
+    for n in range(1, DEGREE_CUTOFF + 1, 2):
+        yield n, power / (n + 2)
+        power *= xsq
+
+
+def partial_sums_by_fractions(x):
+    """T_n(x) as Fractions, each from the last omitted term: the reference
+    for _partial_sums."""
+    partial = x
+    for n, term in omitted_terms_by_fractions(x):
+        yield n, partial
+        partial = partial - term if n % 4 == 1 else partial + term
+
+
+# Points of [0, 1] with parts of about 300 digits, 1 and 0 among them.
+_long_unit_points = st.integers(10**299, 10**300 - 1).flatmap(
+    lambda d: st.integers(0, d).map(lambda k: Fraction(k, d))
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(unit_points(10**6), _long_unit_points), st.integers(1, 40))
+@example(Fraction(0), 40)
+@example(Fraction(1), 40)
+@example(Fraction(10**300 - 1, 10**300), 12)
+def test_integer_walk_reduces_to_the_fraction_walk(x, steps):
+    # The Fraction reference pays a gcd a step, which at 300-digit parts
+    # grows as the cube of the step count; keep it to 12 steps there.
+    a, b = x.as_integer_ratio()
+    if b > 10**6:
+        steps = min(steps, 12)
+    pairs = zip(
+        taylor_baseline._partial_sums(x),
+        partial_sums_by_fractions(x),
+        taylor_baseline._omitted_terms(x),
+        omitted_terms_by_fractions(x),
+    )
+    lcm = 1
+    for sums, (_, partial), (_, t_num, t_den), (_, term) in islice(pairs, steps):
+        n, num, den = sums
+        lcm = math.lcm(lcm, n)
+        assert den == lcm * b**n
+        assert Fraction(num, den) == partial
+        assert (t_num, t_den) == (a ** (n + 2), (n + 2) * b ** (n + 2))
+        assert Fraction(t_num, t_den) == term
 
 
 # The bound loop recomputes x^(n+2) at every step, which takes seconds at
@@ -560,4 +644,4 @@ def test_tie_message_past_the_int_str_limit(monkeypatch):
         "after repeated enclosure tightening$"
     )
     with pytest.raises(DegreeLimitError, match=message):
-        taylor_baseline._certifier(x, eps)(Fraction(0))
+        taylor_baseline._certifier(x, eps)(0, 1)
