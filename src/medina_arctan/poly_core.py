@@ -27,7 +27,9 @@ takes the route's numerators and returns the unreduced numerator at x = a/b,
 over ``horner_den`` for Horner's, so values at points that share b share a
 denominator and compare by cross-multiplication.
 ``rat_text`` writes the one text form of a rational that ``rat_parse``
-reads, at any length.
+reads, at any length.  A message that echoes a caller's value writes it by
+one rule, ``_brief``: a rational as ``rat_text`` writes it, anything else
+as its ``repr``, with each part past 40 digits or characters cut.
 """
 
 from __future__ import annotations
@@ -92,11 +94,11 @@ def rat_parse(text: str) -> Fraction:
             return Fraction(int(decimal.Decimal(num)), den)
         return Fraction(decimal.Decimal(cleaned))
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational {text!r}") from None
+        raise ValueError(f"zero denominator in rational {_brief(text)}") from None
     except decimal.InvalidOperation:
-        raise ValueError(f"exponent out of range in rational {text!r}") from None
+        raise ValueError(f"exponent out of range in rational {_brief(text)}") from None
     except ValueError:
-        raise ValueError(f"malformed rational {text!r}") from None
+        raise ValueError(f"malformed rational {_brief(text)}") from None
 
 
 def rat_text(value: Union[int, Fraction]) -> str:
@@ -112,14 +114,36 @@ def rat_text(value: Union[int, Fraction]) -> str:
         return str(num) if den == 1 else f"{num}/{den}"
 
 
+# Longest part of a caller's value that a message writes out in full.
+_BRIEF_DIGITS = 40
+
+
+def _brief(value) -> str:
+    """value as a message echoes it: an int or Fraction as rat_text writes
+    it, anything else as its repr.  A part past _BRIEF_DIGITS digits (a
+    rational's sign aside) or characters keeps its first and last ten
+    around "…", and its length."""
+    if isinstance(value, (int, Fraction)):
+        text = rat_text(value)
+        sign = "-" if text.startswith("-") else ""
+        parts, unit = text.removeprefix("-").split("/"), "digits"
+    else:
+        sign, parts, unit = "", [repr(value)], "characters"
+    return sign + "/".join(
+        f"{part[:10]}…{part[-10:]} ({len(part)} {unit})"
+        if len(part) > _BRIEF_DIGITS
+        else part
+        for part in parts
+    )
+
+
 def check_int(value, name: str, least: int) -> int:
     """value itself when it is an int (not a bool) of at least `least`.
 
     Anything else raises ValueError naming the parameter.
     """
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        got = rat_text(value) if isinstance(value, int) else repr(value)
-        raise ValueError(f"{name} must be an integer >= {least}, got {got}")
+        raise ValueError(f"{name} must be an integer >= {least}, got {_brief(value)}")
     return value
 
 
@@ -172,7 +196,7 @@ class IntPoly:
         object.__setattr__(self, "nums", nums)
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: IntPoly is immutable")
+        raise AttributeError(f"cannot assign to {_brief(name)}: IntPoly is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, IntPoly):

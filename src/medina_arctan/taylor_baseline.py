@@ -26,6 +26,7 @@ from .medina import medina_h, medina_min_m_for
 from .oracle import arctan_enclosure
 from .poly_core import (
     RatLike,
+    _brief,
     check_positive,
     poly_eval_horner,
     rat,
@@ -54,7 +55,7 @@ def _check_unit_interval(x: RatLike) -> Fraction:
     x = rat(x)
     a, b = x.as_integer_ratio()
     if not 0 <= a <= b:
-        raise ValueError(f"x must lie in [0, 1], got {rat_text(x)}")
+        raise ValueError(f"x must lie in [0, 1], got {_brief(x)}")
     return x
 
 
@@ -95,8 +96,8 @@ def _certifier(x: Fraction, eps: Fraction):
             if at_lo <= lo_minus * den or at_hi >= hi_plus * den:
                 return False
         raise DegreeLimitError(
-            f"could not separate the error at x={rat_text(x)} "
-            f"from eps={rat_text(eps)} "
+            f"could not separate the error at x={_brief(x)} "
+            f"from eps={_brief(eps)} "
             "after repeated enclosure tightening"
         )
 
@@ -111,22 +112,6 @@ def _first(what: str, x: Fraction, eps: Fraction, candidates, meets) -> int:
             return index
     raise DegreeLimitError(
         f"no {what} up to {DEGREE_CUTOFF} meets eps={_brief(eps)} at x={_brief(x)}"
-    )
-
-
-# Longest part of a rational that a refusal writes out in full.
-_BRIEF_DIGITS = 40
-
-
-def _brief(value: Fraction) -> str:
-    """rat_text(value) for a message about a nonnegative eps or x: a part past
-    _BRIEF_DIGITS digits keeps its first and last ten digits, around "…",
-    and its digit count."""
-    return "/".join(
-        f"{part[:10]}…{part[-10:]} ({len(part)} digits)"
-        if len(part) > _BRIEF_DIGITS
-        else part
-        for part in rat_text(value).split("/")
     )
 
 

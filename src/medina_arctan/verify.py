@@ -36,6 +36,7 @@ from typing import Optional
 from .medina import (
     HUMP,
     _check_index,
+    _integrate,
     _window_row,
     approximant,
     medina_error_bound,
@@ -268,8 +269,9 @@ def run_suite(
 
     @cache
     def h_of(m: int) -> IntPoly:
-        """h_m: the shipped one, or one integrated from the injected seed's p_m."""
-        return medina_h(m) if base_poly is None else IntPoly.of(approximant(p_of(m), m))
+        """h_m: the shipped one, or the injected seed's p_m integrated as
+        medina_h integrates the closed form's row."""
+        return medina_h(m) if base_poly is None else _integrate(p_of(m), m)
 
     def scan(claim, rows=None):
         """(True, None), or (False, witness) at the first point x = k/grid_n

@@ -334,6 +334,73 @@ def test_giant_exponent_is_refused_before_any_power(capsys):
     assert "exponent out of range" in capsys.readouterr().err
 
 
+def exit_code(argv):
+    """main's exit code, argparse's own exits included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_LONG = "1" * 4000
+
+
+# Each route echoes a caller's value of thousands of characters; the one
+# rule writes it as its first and last ten around "…", and its length.
+@pytest.mark.parametrize(
+    "argv, work_limit, count",
+    [
+        (f"eval --m {_LONG} --x 1/2", None, "(4000 digits)"),
+        (f"verify --grid 2 --m-max {_LONG}", None, "(4000 digits)"),
+        (f"verify --grid -{_LONG} --m-max 1", None, "(4000 digits)"),
+        ("arctan --x 1" + "x" * 5000 + " --eps 1e-3", None, "(5003 characters)"),
+        ("arctan --x 1/" + "0" * 5000 + " --eps 1e-3", None, "(5004 characters)"),
+        ("compare --x 1e5000 --eps 1e-3", None, "(5001 digits)"),
+        ("verify --grid 2 --m-max 1", "z" * 5000, "(5002 characters)"),
+        ("verify --grid 2 --m-max 1", f"-{_LONG}", "(4000 digits)"),
+        ("eval --m " + "1" * 5000 + " --x 1/2", None, "(5002 characters)"),
+    ],
+    ids=[
+        "eval-m",
+        "verify-m-max",
+        "verify-grid",
+        "arctan-stray-characters",
+        "arctan-zero-denominator",
+        "compare-x",
+        "work-limit-text",
+        "work-limit-negative",
+        "int-past-the-int-str-limit",
+    ],
+)
+def test_long_values_are_echoed_cut(capsys, monkeypatch, argv, work_limit, count):
+    if work_limit is None:
+        monkeypatch.delenv(cli.WORK_LIMIT_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.WORK_LIMIT_ENV, work_limit)
+    code = exit_code(argv.split())
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 400
+    assert "…" in err and err.endswith(f"{count}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        ("eval --m abc --x 1/2", "--m"),
+        ("verify --grid 1.5 --m-max 1", "--grid"),
+        ("verify --grid 2 --m-max 0x10", "--m-max"),
+    ],
+)
+def test_bad_int_tokens_keep_argparse_text(capsys, argv, option):
+    # The words argparse writes for type=int, the token echoed as its repr.
+    argv = argv.split()
+    token = argv[argv.index(option) + 1]
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {option}: invalid int value: {token!r}\n")
+
+
 def test_arctan_rejects_nonpositive_eps(capsys):
     code, _, err = run_cli(capsys, "arctan", "--x", "1", "--eps", "0")
     assert code == 2

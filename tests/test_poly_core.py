@@ -224,6 +224,15 @@ def test_eval_horner_rereads_a_mutated_list():
     assert poly_eval_horner(p, 3) == 16
 
 
+def test_int_poly_is_an_immutable_value():
+    form = IntPoly(30, (10, 12, -105))
+    with pytest.raises(AttributeError, match="^cannot assign to 'den': IntPoly is immutable$"):
+        form.den = 1
+    assert form != (10, 12, -105) and form != form.poly()
+    assert repr(form) == "IntPoly(30, (10, 12, -105))"
+    assert eval(repr(form)) == form
+
+
 def test_eval_horner_forms_once_per_prepared(monkeypatch):
     calls = []
 
@@ -487,11 +496,51 @@ def test_string_round_trip_past_the_int_str_limit():
 
 
 def test_int_check_message_past_the_int_str_limit():
-    message = r"^digits must be an integer >= 0, got -10{5000}$"
+    # The value is echoed by the one rule, cut past 40 digits.
+    message = r"^digits must be an integer >= 0, got -1000000000…0{10} \(5001 digits\)$"
     with pytest.raises(ValueError, match=message):
         decimal_str(0, -(10**5000))
     with pytest.raises(ValueError, match=r"got '2'$"):
         decimal_str(0, "2")
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Fraction(1, 10**39), "1/1" + "0" * 39),
+        (Fraction(1, 10**40), "1/1000000000…0000000000 (41 digits)"),
+        (
+            Fraction(10**40 + 7, 3**90),
+            "1000000000…0000000007 (41 digits)/8727963568…7340041449 (43 digits)",
+        ),
+        (Fraction(10**40 + 1), "1000000000…0000000001 (41 digits)"),
+        (-(10**40) - 1, "-1000000000…0000000001 (41 digits)"),
+        (Fraction(-1, 10**40), "-1/1000000000…0000000000 (41 digits)"),
+        (10**5000, "1000000000…0000000000 (5001 digits)"),
+        ("a" * 38, "'" + "a" * 38 + "'"),
+        ("a" * 39, "'aaaaaaaaa…aaaaaaaaa' (41 characters)"),
+        (2.5, "2.5"),
+        (True, "True"),
+    ],
+    ids=[
+        "40-digits",
+        "41-digits",
+        "both-parts",
+        "integer",
+        "negative",
+        "negative-fraction",
+        "past-int-str-limit",
+        "repr-40-characters",
+        "repr-41-characters",
+        "float",
+        "bool",
+    ],
+)
+def test_refusals_cut_parts_past_forty_digits(value, text):
+    # A rational is written as rat_text writes it, its sign aside; anything
+    # else as its repr.  Each part past 40 digits or characters keeps its
+    # first and last ten around "…", and its length.
+    assert poly_core._brief(value) == text
 
 
 def _with_digits(count, rest):
@@ -600,10 +649,15 @@ def test_rat_parse_caps_the_written_exponent(sign):
 
 
 def test_rat_parse_errors_past_the_int_str_limit():
-    with pytest.raises(ValueError, match="zero denominator"):
-        rat_parse("1/" + "0" * 5000)
-    with pytest.raises(ValueError, match="malformed rational"):
-        rat_parse("1" * 5000 + "/2/3")
+    # Each message echoes the text by the one rule, cut past 40 characters.
+    for text, message in [
+        ("1/" + "0" * 5000, "zero denominator in rational '1/0000000…000000000'"),
+        ("1" * 5000 + "/2/3", "malformed rational '111111111…11111/2/3'"),
+        ("1e" + "9" * 5000, "exponent out of range in rational '1e9999999…999999999'"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            rat_parse(text)
+        assert str(caught.value) == f"{message} ({len(text) + 2} characters)"
 
 
 def _random_poly(rng, max_degree=20):

@@ -600,37 +600,23 @@ def test_comparison_row_at_a_tiny_argument():
     assert row["eps"] == "1/1000"
 
 
-# The messages below name rationals past the int-to-str digit limit.
+# The messages below name rationals past the int-to-str digit limit, each
+# part past 40 digits cut to its first and last ten around "…".
 def test_domain_message_past_the_int_str_limit():
     x = Fraction(10**5000 + 1, 10**5000)
-    message = r"^x must lie in \[0, 1\], got 10{4999}1/10{5000}$"
+    message = (
+        r"^x must lie in \[0, 1\], got "
+        r"10{9}…0{9}1 \(5001 digits\)/10{9}…0{10} \(5001 digits\)$"
+    )
     with pytest.raises(ValueError, match=message):
         comparison_row(x, "1e-3")
 
 
 def test_cutoff_message_past_the_int_str_limit(monkeypatch):
-    # A part past 40 digits is cut to its first and last ten around "…".
     monkeypatch.setattr(taylor_baseline, "arctan_enclosure", refuse_the_oracle)
     message = r"^no degree up to 10001 meets eps=1/10{9}…0{10} \(5001 digits\) at x=1$"
     with pytest.raises(DegreeLimitError, match=message):
         taylor_min_degree(1, Fraction(1, 10**5000), oracle_mode=True)
-
-
-@pytest.mark.parametrize(
-    "value, text",
-    [
-        (Fraction(1, 10**39), "1/1" + "0" * 39),
-        (Fraction(1, 10**40), "1/1000000000…0000000000 (41 digits)"),
-        (
-            Fraction(10**40 + 7, 3**90),
-            "1000000000…0000000007 (41 digits)/8727963568…7340041449 (43 digits)",
-        ),
-        (Fraction(10**40 + 1), "1000000000…0000000001 (41 digits)"),
-    ],
-    ids=["40-digits", "41-digits", "both-parts", "integer"],
-)
-def test_refusals_cut_parts_past_forty_digits(value, text):
-    assert taylor_baseline._brief(value) == text
 
 
 def test_tie_message_past_the_int_str_limit(monkeypatch):
@@ -640,7 +626,8 @@ def test_tie_message_past_the_int_str_limit(monkeypatch):
         taylor_baseline, "arctan_enclosure", lambda x, width: Enclosure(-eps, eps)
     )
     message = (
-        r"^could not separate the error at x=1/10{5000} from eps=10{4999}1/10{5001} "
+        r"^could not separate the error at x=1/10{9}…0{10} \(5001 digits\) "
+        r"from eps=10{9}…0{9}1 \(5001 digits\)/10{9}…0{10} \(5002 digits\) "
         "after repeated enclosure tightening$"
     )
     with pytest.raises(DegreeLimitError, match=message):

@@ -132,6 +132,36 @@ def test_schemes_lemma_catches_a_wrong_shipped_approximant(monkeypatch):
     assert witness.lhs - witness.rhs == Fraction(1, 16**3 * good.den)
 
 
+@pytest.mark.parametrize(
+    "seed, m_max",
+    [(corrupted_seed(), 60), ((1, 0, 2), 10)],
+    ids=["corrupted", "short"],
+)
+def test_injected_h_is_integrated_as_medina_h_is(seed, m_max):
+    # The injected seed's h_m comes from medina's integer route, the one
+    # medina_h serves; it is the Fraction rule's form at every index.
+    rows = islice(recurrence(tuple(map(int, seed))), m_max)
+    for m, row in enumerate(rows, 1):
+        assert medina._integrate(row, m) == IntPoly.of(approximant(row, m))
+
+
+def test_peak_identity_failure_has_a_witness(monkeypatch):
+    # L1's symbolic square is a poly_mul; a wrong product fails it up front.
+    monkeypatch.setattr(verify, "poly_mul", lambda p, q: (Fraction(1),))
+    by_id = {c.id: c for c in run_suite(2, 1).checks}
+    assert not by_id["L1"].passed
+    assert by_id["L1"].witness == Witness(None, None, Fraction(0), Fraction(1, 4))
+    assert all(by_id[i].passed for i in LEMMA_IDS[1:])
+
+
+def test_peak_slope_failure_has_a_witness(monkeypatch):
+    # L2 reads the slope by poly_derivative; one that misses the peak fails.
+    monkeypatch.setattr(verify, "poly_derivative", lambda p: (Fraction(1), Fraction(-1)))
+    by_id = {c.id: c for c in run_suite(2, 1).checks}
+    assert not by_id["L2"].passed
+    assert by_id["L2"].witness == Witness(Fraction(1, 2), None, Fraction(1, 2), Fraction(0))
+
+
 def test_failed_checks_always_carry_witnesses():
     report = run_suite(8, 2, base_poly=corrupted_seed())
     for check in report.checks:
@@ -172,12 +202,14 @@ def refusing_walk(seed):
 
 def test_work_limit_is_spent_before_anything_is_built(monkeypatch):
     # The walk is verify's recurrence, which grows nothing until a member is
-    # asked for; integration is approximant.
+    # asked for; integration is _integrate (an injected seed's h_m) and
+    # approximant (L9's powers side).
     def refuse(*args):
         raise AssertionError("grew or integrated before the work meter paid for it")
 
     monkeypatch.setattr(verify, "recurrence", refusing_walk)
     monkeypatch.setattr(verify, "_window_row", refuse)
+    monkeypatch.setattr(verify, "_integrate", refuse)
     monkeypatch.setattr(verify, "approximant", refuse)
     # Every grid point is a Fraction made in verify, after its row is paid for.
     monkeypatch.setattr(verify, "Fraction", refuse)
@@ -215,9 +247,10 @@ def test_suite_grows_the_recurrence_once(monkeypatch, seed):
 def test_suite_forms_each_polynomial_once(monkeypatch, seed):
     # Each polynomial that IntPoly.of puts into integer form (one lcm) is
     # formed once a run, not once a point: the seed, checked for integer
-    # coefficients, the integral (L4) for each index, L2's slope, and h_m
-    # when it is integrated from an injected seed.  p_m's rows (L6 and L9)
-    # are integers already, read as IntPoly(1, row) with no lcm.
+    # coefficients, the integral (L4) for each index, and L2's slope.  p_m's
+    # rows (L6 and L9) are integers already, read as IntPoly(1, row) with no
+    # lcm, and an injected seed's h_m is integrated straight into its form,
+    # as medina_h's is.
     formed = []
     of = IntPoly.of.__func__
 
@@ -227,7 +260,7 @@ def test_suite_forms_each_polynomial_once(monkeypatch, seed):
 
     monkeypatch.setattr(IntPoly, "of", classmethod(counting))
     assert run_suite(16, 3, base_poly=seed).all_passed == (seed is None)
-    assert len(formed) == len(set(formed)) == (5 if seed is None else 8)
+    assert len(formed) == len(set(formed)) == 5
 
 
 @pytest.mark.parametrize(
