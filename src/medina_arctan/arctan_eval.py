@@ -18,8 +18,8 @@ cross-multiplies the ledger's sum with eps, and rounding is one divmod.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .medina import (
     MAX_INDEX,
@@ -47,8 +47,7 @@ class ReductionStep(enum.Enum):
     RECIPROCAL = "Reciprocal"
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """An argument, its image in [0, 1], and the identities applied in order."""
 
     original: Fraction
@@ -71,8 +70,7 @@ def reduce(x: RatLike) -> ReductionTrace:
     return ReductionTrace(x, -x if steps else x, steps)
 
 
-@dataclass(frozen=True)
-class PiEstimate:
+class PiEstimate(NamedTuple):
     value: Fraction
     error_bound: Fraction
     source_m: int
@@ -100,8 +98,7 @@ def _pi_bound(source_m: int) -> Fraction:
 Ledger = tuple[tuple[str, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class ApproxResult:
+class ApproxResult(NamedTuple):
     """An exact answer, its bound (the sum of the ledger's lines) and derivation."""
 
     value: Fraction

@@ -26,10 +26,10 @@ shares nothing with the closed form.  Every index runs from 1 to MAX_INDEX.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 from .poly_core import (
     IntPoly,
@@ -201,8 +201,7 @@ def medina_min_m_for(eps: RatLike) -> int:
     return max(1, -(-(t - 1).bit_length() // 10))
 
 
-@dataclass(frozen=True)
-class MedinaPair:
+class MedinaPair(NamedTuple):
     """One sequence member: index, polynomial, approximant, guaranteed bound."""
 
     m: int

@@ -27,26 +27,31 @@ and no decimal constant is baked in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .poly_core import RatLike, check_positive, rat, rat_text
 
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """A closed rational interval certified to contain a real value."""
-
+# A NamedTuple may not define __new__, so Enclosure checks the order of its
+# endpoints in a subclass.
+class _Interval(NamedTuple):
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            lo, hi = rat_text(self.lo), rat_text(self.hi)
-            raise ValueError(f"inverted enclosure [{lo}, {hi}]")
+
+class Enclosure(_Interval):
+    """A closed rational interval certified to contain a real value."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"inverted enclosure [{rat_text(lo)}, {rat_text(hi)}]")
+        return super().__new__(cls, lo, hi)
 
     @property
     def width(self) -> Fraction:

@@ -116,25 +116,42 @@ def rat_text(value: Union[int, Fraction]) -> str:
 
 # Longest part of a caller's value that a message writes out in full.
 _BRIEF_DIGITS = 40
+# log10(2) to 64 places, rounded down, for a long part's digit count.
+_LOG10_2 = 3010299956639811952137388947244930267681898814621085413104274611
 
 
 def _brief(value) -> str:
     """value as a message echoes it: an int or Fraction as rat_text writes
-    it, anything else as its repr.  A part past _BRIEF_DIGITS digits (a
-    rational's sign aside) or characters keeps its first and last ten
-    around "…", and its length."""
+    it, anything else as its repr, or by its type's name if repr raises
+    ValueError.  A part past _BRIEF_DIGITS digits (a rational's sign aside)
+    or characters keeps its first and last ten around "…", and its length."""
     if isinstance(value, (int, Fraction)):
-        text = rat_text(value)
-        sign = "-" if text.startswith("-") else ""
-        parts, unit = text.removeprefix("-").split("/"), "digits"
-    else:
-        sign, parts, unit = "", [repr(value)], "characters"
-    return sign + "/".join(
-        f"{part[:10]}…{part[-10:]} ({len(part)} {unit})"
-        if len(part) > _BRIEF_DIGITS
-        else part
-        for part in parts
-    )
+        num, den = value.as_integer_ratio()
+        if max(num, -num, den) < 10**_BRIEF_DIGITS:
+            return rat_text(value)
+        parts = (abs(num),) if den == 1 else (abs(num), den)
+        return ("-" if num < 0 else "") + "/".join(map(_brief_digits, parts))
+    try:
+        text = repr(value)
+    except ValueError:  # such as an int past the int-to-str digit limit inside
+        return f"<unprintable {type(value).__name__}>"
+    if len(text) > _BRIEF_DIGITS:
+        return f"{text[:10]}…{text[-10:]} ({len(text)} characters)"
+    return text
+
+
+def _brief_digits(n: int) -> str:
+    """_brief's text for one part n >= 0, found by arithmetic, not by
+    writing out all of a long n."""
+    if n < 10**_BRIEF_DIGITS:
+        return str(n)
+    # With L its bit length, 2^(L-1) <= n < 2^L: n has this many digits or
+    # one more, and one comparison with a power of ten decides which.
+    digits = (n.bit_length() - 1) * _LOG10_2 // 10**64 + 1
+    scale = 10 ** (digits - 10)
+    if n >= scale * 10**10:
+        digits, scale = digits + 1, scale * 10
+    return f"{n // scale}…{n % 10**10:010d} ({digits} digits)"
 
 
 def check_int(value, name: str, least: int) -> int:
@@ -185,8 +202,9 @@ class IntPoly:
     nums[i] / den is the coefficient of x**i, low power first, and den is
     the lcm of the reduced coefficients' denominators, so each polynomial
     has one form.  Iterating yields the numerators; poly() gives the
-    Fraction tuple.  Immutable; a plain class, since a frozen dataclass
-    costs about 1 ms at each import, a few percent of a cold start.
+    Fraction tuple.  Immutable and hashable; a plain class and not a named
+    tuple like the package's records, since iterating it must yield the
+    numerators, not (den, nums).
     """
 
     __slots__ = ("den", "nums")
@@ -202,6 +220,9 @@ class IntPoly:
         if not isinstance(other, IntPoly):
             return NotImplemented
         return (self.den, self.nums) == (other.den, other.nums)
+
+    def __hash__(self):
+        return hash((self.den, self.nums))
 
     def __repr__(self):
         return f"IntPoly({self.den!r}, {self.nums!r})"

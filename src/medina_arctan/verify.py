@@ -27,11 +27,10 @@ the checks completed so far attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import filterfalse, zip_longest
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .medina import (
     HUMP,
@@ -70,8 +69,7 @@ _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Where a claim was pinned down: grid point and/or index, both sides."""
 
     x: Optional[Fraction]
@@ -88,8 +86,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     id: str
     description: str
     passed: bool
@@ -104,8 +101,7 @@ class LemmaCheck:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[LemmaCheck, ...]
     grid_size: int
     m_max: int

@@ -28,7 +28,7 @@ def test_enclosure_type():
     assert enc.contains("2/5")
     assert not enc.contains(0)
     assert enc.to_json() == {"lo": "1/3", "hi": "1/2"}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^inverted enclosure \[1, 0\]$"):
         Enclosure(Fraction(1), Fraction(0))
 
 

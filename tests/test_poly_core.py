@@ -233,6 +233,14 @@ def test_int_poly_is_an_immutable_value():
     assert eval(repr(form)) == form
 
 
+def test_int_poly_is_hashable():
+    # Equal forms hash equal, so an IntPoly can key a dict or sit in a set.
+    h = medina_h(2)
+    same = IntPoly.of(h.poly())
+    assert same is not h and same == h and hash(same) == hash(h)
+    assert len({h, same, IntPoly(30, (10, 12, -105))}) == 2
+
+
 def test_eval_horner_forms_once_per_prepared(monkeypatch):
     calls = []
 
@@ -546,6 +554,62 @@ def test_refusals_cut_parts_past_forty_digits(value, text):
 def _with_digits(count, rest):
     """A positive int of exactly `count` decimal digits."""
     return 10 ** (count - 1) + rest % (9 * 10 ** (count - 1))
+
+
+def _brief_by_text(value):
+    """_brief's rule applied to the whole text of a rational."""
+    with no_int_str_limit():
+        text = str(value)
+    sign = "-" if text.startswith("-") else ""
+    return sign + "/".join(
+        f"{part[:10]}…{part[-10:]} ({len(part)} digits)" if len(part) > 40 else part
+        for part in text.removeprefix("-").split("/")
+    )
+
+
+# 40 and 41 digits, and both sides of the 4,300-digit int-to-str limit.
+_brief_counts = st.one_of(st.integers(38, 43), st.integers(4290, 4310))
+_brief_parts = st.one_of(
+    st.builds(_with_digits, _brief_counts, st.integers(0, 2**160)),
+    _brief_counts.map(lambda count: 10 ** (count - 1)),
+    _brief_counts.map(lambda count: 10**count - 1),
+)
+
+
+@given(st.sampled_from([1, -1]), _brief_parts, st.one_of(st.just(1), _brief_parts))
+@example(1, 10**40, 1)
+@example(-1, 10**40 - 1, 1)
+@example(1, 1, 10**4300)
+@example(-1, 10**4299, 10**4300 - 1)
+def test_brief_cuts_by_arithmetic_what_the_text_rule_cuts(sign, num, den):
+    # The head, the tail and the digit count come from arithmetic on the
+    # value, and read byte for byte as they would cut from its whole text.
+    for value in (sign * num, Fraction(sign * num, den)):
+        assert poly_core._brief(value) == _brief_by_text(value)
+
+
+def test_brief_does_not_write_out_a_long_int(monkeypatch):
+    # _brief once rendered the whole value before cutting it: an index of
+    # 10^1,000,000 took 23 s to be refused with a 74-character message.
+    with pytest.raises(ValueError) as caught:
+        medina_h(10**200_000)
+    assert str(caught.value) == (
+        "sequence index must be <= 2000, got 1000000000…0000000000 (200001 digits)"
+    )
+    n = -(7**50_000)
+    expected = _brief_by_text(n)
+    monkeypatch.setattr(poly_core, "rat_text", None)  # no whole rendering
+    assert poly_core._brief(n) == expected == "-7979959970…4030000001 (42255 digits)"
+
+
+def test_brief_survives_a_repr_that_raises():
+    # A container's repr raises past the int-to-str digit limit; the
+    # package's own message still comes out, short, naming the type.
+    with pytest.raises(ValueError) as caught:
+        poly_core.check_int([10**5000], "m", 1)
+    message = str(caught.value)
+    assert message == "m must be an integer >= 1, got <unprintable list>"
+    assert len(message.encode()) < 200
 
 
 # Digit counts on both sides of the interpreter's 4,300-digit default limit.
