@@ -13,12 +13,16 @@ eps.  Decimals are rendered last, correctly rounded from the exact value.
 The bookkeeping around the evaluation runs on the integers of
 as_integer_ratio(): the fold compares numerator and denominator, the plan
 cross-multiplies the ledger's sum with eps, and rounding is one divmod.
+Each index's budget (its ledger and that sum, as integers and as one
+Fraction) is made once and kept in a bounded cache, which the plan and
+medina_arctan both read.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .medina import (
@@ -108,18 +112,25 @@ class ApproxResult(NamedTuple):
     ledger: Ledger
 
 
-def _ledger(trace: ReductionTrace, m: int) -> Ledger:
-    """(term, exact bound) lines at m: h_m's, and pi's after a reciprocal step."""
+# Index budgets kept; a request reads one or two, near the least m for eps.
+_BUDGETS_MAX = 256
+
+
+@lru_cache(maxsize=_BUDGETS_MAX)
+def _budget(m: int, reciprocal: bool) -> tuple[Ledger, int, int, Fraction]:
+    """The ledger at index m, (term, exact bound) lines, and its sum, as an
+    unreduced (numerator, denominator) over the lcm of the lines'
+    denominators and as a Fraction.
+
+    The lines are h_m's bound, and pi's after a reciprocal step.  m must
+    already be a checked index: the cache would take True or 1.0 for 1.
+    """
     lines = (("approximant", medina_error_bound(m)),)
-    if ReductionStep.RECIPROCAL in trace.steps:
+    if reciprocal:
         lines += (("pi", _pi_bound(m)),)
-    return lines
-
-
-def _total(ledger: Ledger) -> tuple[int, int]:
-    """The ledger's sum as an unreduced (numerator, denominator), over the lcm."""
-    den, nums = powers_form([b for _, b in ledger])
-    return sum(nums), den
+    den, nums = powers_form([b for _, b in lines])
+    num = sum(nums)
+    return lines, num, den, Fraction(num, den)
 
 
 def _plan(trace: ReductionTrace, eps: Fraction) -> tuple[int, Ledger, Fraction]:
@@ -130,11 +141,11 @@ def _plan(trace: ReductionTrace, eps: Fraction) -> tuple[int, Ledger, Fraction]:
     index meets eps.  Each index is decided by cross-multiplying integers.
     """
     e, d = eps.as_integer_ratio()
+    reciprocal = ReductionStep.RECIPROCAL in trace.steps
     for m in range(medina_min_m_for(eps), MAX_INDEX + 1):
-        ledger = _ledger(trace, m)
-        num, den = _total(ledger)
+        ledger, num, den, bound = _budget(m, reciprocal)
         if num * d <= e * den:
-            return m, ledger, Fraction(num, den)
+            return m, ledger, bound
     raise ValueError(f"no index meets eps: an index must be <= {MAX_INDEX}")
 
 
@@ -145,8 +156,9 @@ def medina_arctan(x: RatLike, m: int) -> ApproxResult:
     plus the pi bootstrap's bound when the reciprocal identity was applied.
     """
     trace = reduce(x)
-    ledger = _ledger(trace, m)
-    return _arctan_reduced(trace, m, ledger, Fraction(*_total(ledger)))
+    reciprocal = ReductionStep.RECIPROCAL in trace.steps
+    ledger, _, _, bound = _budget(_check_index(m), reciprocal)
+    return _arctan_reduced(trace, m, ledger, bound)
 
 
 def _arctan_reduced(

@@ -16,7 +16,9 @@ such as an integer row of Medina's sequence, is taken as it is: an ``int``
 is an exact rational, and ``poly_antiderivative`` still returns Fractions.
 Nothing here ever rounds, and all values are immutable.  Horner evaluation
 runs on integers over one common denominator, the form an ``IntPoly``
-holds, and makes one Fraction at the end.  A long form is nested in blocks
+holds, and makes one Fraction at the end, reduced by the factors it is
+known to be made of: D's share by one gcd with D, then whatever primes of
+b are left, never by a gcd at full width.  A long form is nested in blocks
 whose values merge pairwise, so its products are balanced rather than long
 by long; the integer is the same.
 ``poly_eval_powers`` also makes one Fraction, but by a second scheme:
@@ -38,6 +40,7 @@ import decimal
 import math
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, List, Sequence, Tuple, Union
 
 RatLike = Union[int, str, Fraction]
@@ -298,18 +301,39 @@ def _merged_blocks(nums: Sequence[int], a: int, b: int) -> int:
     return vals[0]
 
 
+# Fraction from a pair already in lowest terms with a positive denominator,
+# skipping Fraction's own gcd: a classmethod from Python 3.12, a keyword before.
+if hasattr(Fraction, "_from_coprime_ints"):
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        return Fraction(num, den, _normalize=False)
+
+
 def poly_eval_horner(p: Union[Poly, IntPoly], x: RatLike) -> Fraction:
     """Evaluate by nested multiplication: c0 + x*(c1 + x*(...)).
 
-    With x = a/b, n = deg p and D the common denominator, horner_numerator
-    gives D*b^n*p(x), and one Fraction is made over horner_den's D*b^n.  Past
-    96 coefficients, and at b != 1, that numerator comes from nested blocks
-    merged pairwise, and is the flat loop's integer bit for bit, so the
-    Fraction is too.  A Poly is put into integer form first, on every call.
+    With x = a/b in lowest terms, n = deg p and D the common denominator,
+    horner_numerator gives N = D*b^n*p(x) over horner_den's D*b^n.  Past 96
+    coefficients, and at b != 1, N comes from nested blocks merged pairwise,
+    and is the flat loop's integer bit for bit.  The Fraction is N over
+    D*b^n in lowest terms, reduced without a gcd at full width: g = gcd(N, D)
+    takes D's share, after which a prime that N/g still shares with
+    (D/g)*b^n must divide b, so gcd(N, b), cut to what the denominator still
+    holds, strips those until none is left.  A Poly is put into integer form
+    first, on every call.
     """
     a, b = rat(x).as_integer_ratio()
     form = p if isinstance(p, IntPoly) else IntPoly.of(p)
-    return Fraction(horner_numerator(form.nums, a, b), horner_den(form, b))
+    num = horner_numerator(form.nums, a, b)
+    if not num:
+        return _coprime_fraction(0, 1)
+    g = gcd(num, form.den)
+    num, den = num // g, horner_den(form, b) // g
+    while (shared := gcd(gcd(num, b), den)) > 1:
+        num, den = num // shared, den // shared
+    return _coprime_fraction(num, den)
 
 
 def powers_form(p: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:

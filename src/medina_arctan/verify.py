@@ -3,7 +3,9 @@
 Each lemma below is a concrete claim about the constructed polynomials,
 checked in exact rational arithmetic for every index up to m_max, with no
 tolerance anywhere.  Identities are compared coefficient by coefficient:
-L5 and L8 for each index, L1's square and L2's derivative once.  The
+L5 and L8 for each index, L1's square and L2's derivative once; L8's
+integrate-differentiate round trip runs on (numerator, denominator)
+pairs, with no Fraction per coefficient.  The
 pointwise claims (L1, L3, L4, L6, L7, L9) are exact comparisons of
 rationals sampled on the grid x = k/grid_n over [0, 1].  Every point of a
 row shares the denominator grid_n, so each claim is decided on integers:
@@ -330,8 +332,19 @@ def run_suite(
         h, bound = h_of(m), medina_error_bound(m)
         return _final_claim(grid_n, h, bound, bound / 16)
 
-    def round_trip(m):
-        return poly_derivative(poly_antiderivative(p_of(m))), p_of(m)
+    def round_trip():
+        """L8 on integer pairs: the antiderivative puts c/(i+1) at power
+        i+1 as the pair (c, i+1), and the derivative multiplies its
+        numerator by i+1, which must give c over i+1.  (True, None), or
+        (False, witness) at the lowest power where it does not, with the
+        witness's Fractions the only ones made; each m is paid for first."""
+        for m in indices:
+            spend()
+            for i, c in enumerate(p_of(m)):
+                num, den = (i + 1) * c, i + 1
+                if num != c * den:
+                    return False, Witness(None, m, Fraction(num, den), Fraction(c))
+        return True, None
 
     def schemes_agree(m, which):
         # The powers side reads the reference row, and h_m integrated from it.
@@ -382,7 +395,7 @@ def run_suite(
             "L8",
             "differentiating the antiderivative of p_m gives back p_m "
             "coefficient for coefficient",
-            partial(identity, round_trip),
+            round_trip,
         ),
         (
             "L9",

@@ -411,6 +411,52 @@ def test_numerators_at_an_unreduced_point(p, a, b):
     assert powers_numerator(nums, a, b) == want * den
 
 
+# Forms over D = 2^k 3^j, whose numerators carry a common factor built from
+# the primes of the b drawn below, so that after gcd(N, D) primes of b are
+# often left to strip; none, one, or about _FLAT_MAX coefficients.
+reduction_forms = st.one_of(
+    st.builds(
+        lambda k, j, scale, nums: IntPoly(2**k * 3**j, tuple(scale * c for c in nums)),
+        st.integers(0, 80),
+        st.integers(0, 40),
+        st.builds(lambda s, t, u: 2**s * 3**t * 5**u, *[st.integers(0, 30)] * 3),
+        st.one_of(st.integers(0, 3), st.integers(FLAT_MAX - 2, FLAT_MAX + 2)).flatmap(
+            lambda n: st.lists(st.integers(-(2**70), 2**70), min_size=n, max_size=n)
+        ),
+    ),
+    st.sampled_from([medina_h(m) for m in (1, 2, 7, 12, 13, 20)]),
+)
+reduction_points = st.builds(
+    Fraction,
+    st.one_of(st.just(0), st.integers(-(2**64), 2**64)),
+    st.one_of(st.sampled_from([1, 2, 6, 12, 1000]), st.integers(1, 2**64)),
+)
+
+
+@settings(deadline=None)
+@given(reduction_forms, reduction_points)
+@example(IntPoly(1, ()), Fraction(3, 2))
+@example(IntPoly(12, (36,)), Fraction(-5, 6))
+@example(IntPoly(2**40, (0, 2**50, -(2**45))), Fraction(1, 2))
+@example(IntPoly(1, (-1, 2)), Fraction(1, 2))  # a root: the value is 0
+@example(medina_h(13), Fraction(0))
+@example(medina_h(13), Fraction(-7, 1))
+@example(medina_h(20), Fraction(999, 1000))
+def test_horner_reduction_is_the_full_gcd_bit_for_bit(form, x):
+    # poly_eval_horner reduces by gcd(N, D) and then by b's primes, and
+    # builds the Fraction without a gcd of its own: the stored pair must be
+    # the one a full gcd of N with D b^n gives, and the powers route's.
+    a, b = x.as_integer_ratio()
+    value = poly_eval_horner(form, x)
+    num, den = value.as_integer_ratio()
+    want = Fraction(horner_numerator(form.nums, a, b), horner_den(form, b))
+    assert type(value) is Fraction
+    assert (num, den) == want.as_integer_ratio()
+    assert (num, den) == poly_eval_powers(form, x).as_integer_ratio()
+    assert math.gcd(num, den) == 1 and den > 0
+    assert hash(value) == hash(want) and value == want
+
+
 def test_each_evaluation_wraps_its_one_loop(monkeypatch):
     # No second copy of either loop: each Fraction route reads its own.
     calls = []

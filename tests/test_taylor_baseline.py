@@ -526,6 +526,56 @@ def test_floor_met_at_the_cutoff_itself_reaches_the_oracle_walk(monkeypatch):
         taylor_min_degree(x, eps, oracle_mode=True)
 
 
+# CI's refusal rows: the floor meets eps at no degree up to the cutoff.
+@pytest.mark.parametrize(
+    "x, eps",
+    [
+        (Fraction(1), Fraction(1, 10**6)),
+        (Fraction(9999, 10000), Fraction(1, 10**5)),
+        (Fraction(999, 1000), Fraction(1, 10**30)),
+        (Fraction(1), Fraction(1, 10**5000)),
+    ],
+)
+def test_refusal_rows_try_each_small_degree_then_the_cutoff(monkeypatch, x, eps):
+    monkeypatch.setattr(taylor_baseline, "arctan_enclosure", refuse_the_oracle)
+    tried = []
+
+    def floor_at(x, eps, n, _floor=taylor_baseline._floor_meets_at):
+        tried.append(n)
+        return _floor(x, eps, n)
+
+    monkeypatch.setattr(taylor_baseline, "_floor_meets_at", floor_at)
+    with pytest.raises(DegreeLimitError, match="no degree up to 10001 meets"):
+        comparison_row(x, eps)
+    assert tried == [2**j - 1 for j in range(1, 14)] + [10001]
+
+
+@settings(deadline=None)
+@given(unit_points(2**64), st.integers(0, 14), st.integers(-2, 2), st.data())
+@example(Fraction(19, 20), 6, 0, None)
+@example(Fraction(1), 13, 0, None)
+@example(Fraction(999, 1000), 14, -1, None)
+@example(Fraction(0), 0, 0, None)
+def test_galloping_floor_is_the_exact_rule_at_the_cutoff(x, j, t, data):
+    # eps at or next to the floor at one of the small degrees 2^j - 1 the
+    # check tries first or at the cutoff itself, or anywhere, so that the
+    # degree at which the floor first meets eps falls anywhere in the
+    # gallop or past it.
+    n = 10001
+    small = min(2**j - 1, n)
+
+    def floor(n):
+        return x ** (n + 2) / ((n + 2) * (1 + x * x))
+
+    eps = floor(small) * Fraction(2) ** t
+    if data is not None:
+        eps = data.draw(st.one_of(st.just(eps), powers_of_half(20000)))
+    eps = eps or Fraction(1, 10**9)
+    (a, b), (e, d), k = x.as_integer_ratio(), eps.as_integer_ratio(), n + 2
+    exact = a**k * d < e * k * b**n * (a * a + b * b)
+    assert taylor_baseline._floor_meets(x, eps, n) == exact
+
+
 @st.composite
 def unit_rationals(draw):
     """a/b in [0, 1], a and b of independently drawn sizes up to 3,000 digits."""
