@@ -13,16 +13,14 @@ eps.  Decimals are rendered last, correctly rounded from the exact value.
 The bookkeeping around the evaluation runs on the integers of
 as_integer_ratio(): the fold compares numerator and denominator, the plan
 cross-multiplies the ledger's sum with eps, and rounding is one divmod.
-Each index's budget (its ledger and that sum, as integers and as one
-Fraction) is made once and kept in a bounded cache, which the plan and
-medina_arctan both read.
+The ledger's lines are powers of 2, so its sum at m is 1 or 5 over
+2^(10m), read off one rule (_budget) by the plan and medina_arctan alike.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .medina import (
@@ -37,7 +35,6 @@ from .poly_core import (
     check_int,
     check_positive,
     poly_eval_horner,
-    powers_form,
     rat,
     rat_text,
 )
@@ -112,25 +109,17 @@ class ApproxResult(NamedTuple):
     ledger: Ledger
 
 
-# Index budgets kept; a request reads one or two, near the least m for eps.
-_BUDGETS_MAX = 256
+def _budget(m: int, reciprocal: bool) -> tuple[Ledger, int]:
+    """The ledger at index m, (term, exact bound) lines, and its sum's
+    numerator over 2^(10m).
 
-
-@lru_cache(maxsize=_BUDGETS_MAX)
-def _budget(m: int, reciprocal: bool) -> tuple[Ledger, int, int, Fraction]:
-    """The ledger at index m, (term, exact bound) lines, and its sum, as an
-    unreduced (numerator, denominator) over the lcm of the lines'
-    denominators and as a Fraction.
-
-    The lines are h_m's bound, and pi's after a reciprocal step.  m must
-    already be a checked index: the cache would take True or 1.0 for 1.
+    The lines are h_m's bound 2^(-10m), and pi's 2^(2-10m) after a
+    reciprocal step, so the sum is 1 or 5 over 2^(10m).
     """
     lines = (("approximant", medina_error_bound(m)),)
-    if reciprocal:
-        lines += (("pi", _pi_bound(m)),)
-    den, nums = powers_form([b for _, b in lines])
-    num = sum(nums)
-    return lines, num, den, Fraction(num, den)
+    if not reciprocal:
+        return lines, 1
+    return lines + (("pi", _pi_bound(m)),), 5
 
 
 def _plan(trace: ReductionTrace, eps: Fraction) -> tuple[int, Ledger, Fraction]:
@@ -143,9 +132,9 @@ def _plan(trace: ReductionTrace, eps: Fraction) -> tuple[int, Ledger, Fraction]:
     e, d = eps.as_integer_ratio()
     reciprocal = ReductionStep.RECIPROCAL in trace.steps
     for m in range(medina_min_m_for(eps), MAX_INDEX + 1):
-        ledger, num, den, bound = _budget(m, reciprocal)
-        if num * d <= e * den:
-            return m, ledger, bound
+        ledger, top = _budget(m, reciprocal)
+        if top * d <= e << 10 * m:
+            return m, ledger, Fraction(top, 1 << 10 * m)
     raise ValueError(f"no index meets eps: an index must be <= {MAX_INDEX}")
 
 
@@ -156,9 +145,8 @@ def medina_arctan(x: RatLike, m: int) -> ApproxResult:
     plus the pi bootstrap's bound when the reciprocal identity was applied.
     """
     trace = reduce(x)
-    reciprocal = ReductionStep.RECIPROCAL in trace.steps
-    ledger, _, _, bound = _budget(_check_index(m), reciprocal)
-    return _arctan_reduced(trace, m, ledger, bound)
+    ledger, top = _budget(m, ReductionStep.RECIPROCAL in trace.steps)
+    return _arctan_reduced(trace, m, ledger, Fraction(top, 1 << 10 * m))
 
 
 def _arctan_reduced(

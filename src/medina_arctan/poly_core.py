@@ -301,14 +301,25 @@ def _merged_blocks(nums: Sequence[int], a: int, b: int) -> int:
     return vals[0]
 
 
-# Fraction from a pair already in lowest terms with a positive denominator,
-# skipping Fraction's own gcd: a classmethod from Python 3.12, a keyword before.
-if hasattr(Fraction, "_from_coprime_ints"):
-    _coprime_fraction = Fraction._from_coprime_ints
-else:
+def _by_keyword(num: int, den: int) -> Fraction:
+    return Fraction(num, den, _normalize=False)
 
-    def _coprime_fraction(num: int, den: int) -> Fraction:
-        return Fraction(num, den, _normalize=False)
+
+def _coprime_route():
+    """The constructor of a Fraction from a pair already in lowest terms with
+    a positive denominator.  Fraction's private routes skip its own gcd: a
+    classmethod from Python 3.12, a keyword before.  Each is tried once on
+    -2/3, and plain Fraction, which pays the gcd, serves if neither works."""
+    for route in (getattr(Fraction, "_from_coprime_ints", None), _by_keyword):
+        try:
+            if route(-2, 3).as_integer_ratio() == (-2, 3):
+                return route
+        except TypeError:  # no such route here (None is not callable)
+            pass
+    return Fraction
+
+
+_coprime_fraction = _coprime_route()
 
 
 def poly_eval_horner(p: Union[Poly, IntPoly], x: RatLike) -> Fraction:

@@ -12,9 +12,9 @@ forming the next term over the next such denominator, as the oracle's
 series does.  Both stop at DEGREE_CUTOFF.  Bound mode cross-multiplies each
 term with eps; a certified search decides each (numerator, denominator)
 candidate against integer cuts of the oracle's enclosures, so no Fraction
-is made per candidate.  A floor under the true error, checked at degrees
-1, 3, 7, ... and exactly at the largest degree only when none of those
-meets eps, refuses up front a certified search that no degree could pass.
+is made per candidate.  A floor under the true error at the largest
+degree, compared with eps through base-2 logarithms and exactly only at a
+near tie, refuses up front a certified search that no degree could pass.
 """
 
 from __future__ import annotations
@@ -149,20 +149,26 @@ def _partial_sums(x: Fraction):
 def _floor_meets(x: Fraction, eps: Fraction, n: int) -> bool:
     """Whether x^k/(k(1+x^2)) < eps, with k = n+2, x = a/b and eps = e/d.
 
-    The floor falls as n grows, so it meets eps at n if it does at any
-    smaller odd degree: the degrees 1, 3, 7, 15, ... below n are tried
-    first, each cheap, and n itself, the costly one, only if none meets.
+    Exactly, that is a^k d < e k b^n (a^2+b^2).  The two sides' base-2
+    logarithms decide it first, with no power formed.  Each math.log2 of a
+    positive integer here is 0, or at least 1 and off by at most 2^-50 of
+    itself, so each side's sum is off by less than 2^-48 of itself, and
+    when the sums differ by more than 2^-40 of their total, the smaller sum
+    is the smaller side.  Only a nearer tie, or x = 0, is decided exactly.
     """
-    low = 1
-    while low < n:
-        if _floor_meets_at(x, eps, low):
-            return True
-        low = 2 * low + 1
-    return _floor_meets_at(x, eps, n)
+    e, d = eps.as_integer_ratio()
+    a, b = x.as_integer_ratio()
+    k = n + 2
+    if a:
+        left = k * math.log2(a) + math.log2(d)
+        right = math.log2(e * k) + n * math.log2(b) + math.log2(a * a + b * b)
+        if abs(left - right) > (left + right) * 2.0**-40:
+            return left < right
+    return _floor_meets_exactly(x, eps, n)
 
 
-def _floor_meets_at(x: Fraction, eps: Fraction, n: int) -> bool:
-    """_floor_meets decided at n alone: exactly, a^k d < e k b^n (a^2+b^2).
+def _floor_meets_exactly(x: Fraction, eps: Fraction, n: int) -> bool:
+    """_floor_meets on integers: a^k d < e k b^n (a^2+b^2).
 
     The floor rises with x, so an x with b > 2^64 is settled at its
     neighbours on the grid 2^-64 if they agree.

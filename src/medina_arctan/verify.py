@@ -3,15 +3,15 @@
 Each lemma below is a concrete claim about the constructed polynomials,
 checked in exact rational arithmetic for every index up to m_max, with no
 tolerance anywhere.  Identities are compared coefficient by coefficient:
-L5 and L8 for each index, L1's square and L2's derivative once; L8's
-integrate-differentiate round trip runs on (numerator, denominator)
-pairs, with no Fraction per coefficient.  The
-pointwise claims (L1, L3, L4, L6, L7, L9) are exact comparisons of
-rationals sampled on the grid x = k/grid_n over [0, 1].  Every point of a
-row shares the denominator grid_n, so each claim is decided on integers:
-a polynomial's value at k/grid_n is its integer numerator over the row's
-common denominator D grid_n^deg, and the two sides are cross-multiplied,
-with no gcd at any point.  Fractions appear only in witnesses, made at
+L5 and L8 for each index, L1's square and L2's derivative once.  L8
+differentiates, on integers, the h_m form that _integrate (medina_h's
+integration) makes from the reference p_m's row.  The pointwise claims
+(L1, L3, L4, L6, L7, L9) are exact comparisons of rationals sampled on
+the grid x = k/grid_n over [0, 1].  Every point of a row shares the
+denominator grid_n, so each claim is decided on integers: a polynomial's
+value at k/grid_n is its integer numerator over the row's common
+denominator D grid_n^deg, and the two sides are cross-multiplied, with no
+gcd at any point.  Fractions appear only in witnesses, made at
 the failing point from the claim's two sides.  Only L7, h_m against
 arctangent itself, consults the enclosure oracle, at a width two factors
 of 4 below the asserted bound so that enclosure slack can never mask a
@@ -224,14 +224,15 @@ def run_suite(
 
     L5 and L8 are compared coefficient by coefficient for each index, and
     L1, L3, L4, L6, L7 and L9 sampled on the k/grid_n grid.  By default L5,
-    L6, L8 and L9 check the reference recurrence's p_m, and L7 and L9 the
-    shipped medina_h.  base_poly overrides the seed (the fault-injection
-    hook), and h_m is then integrated from its p_m.  One recurrence walk
-    serves the run, on integer rows, so base_poly must have integer
-    coefficients (ValueError before anything is paid for otherwise).  Each
-    row (an index, or a pass over the grid) is paid for before anything in
-    it is grown, integrated or made, and the meter raises
-    WorkLimitExceeded past the limit, with the checks done so far.
+    L6, L8 and L9 check the reference recurrence's p_m (L8 as _integrate
+    integrates it), and L7 and L9 the shipped medina_h.  base_poly
+    overrides the seed (the fault-injection hook), and h_m is then
+    integrated from its p_m.  One recurrence walk serves the run, on
+    integer rows, so base_poly must have integer coefficients (ValueError
+    before anything is paid for otherwise).  Each row (an index, or a pass
+    over the grid) is paid for before anything in it is grown, integrated
+    or made, and the meter raises WorkLimitExceeded past the limit, with
+    the checks done so far.
     """
     check_int(grid_n, "grid_n", 2)
     _check_index(m_max, "m_max")
@@ -266,10 +267,14 @@ def run_suite(
         return grown[m - 1]
 
     @cache
+    def integral_of(m: int) -> IntPoly:
+        """p_m's row integrated as medina_h integrates the closed form's row."""
+        return _integrate(p_of(m), m)
+
+    @cache
     def h_of(m: int) -> IntPoly:
-        """h_m: the shipped one, or the injected seed's p_m integrated as
-        medina_h integrates the closed form's row."""
-        return medina_h(m) if base_poly is None else _integrate(p_of(m), m)
+        """h_m: the shipped one, or the injected seed's p_m integrated."""
+        return medina_h(m) if base_poly is None else integral_of(m)
 
     def scan(claim, rows=None):
         """(True, None), or (False, witness) at the first point x = k/grid_n
@@ -290,12 +295,16 @@ def run_suite(
 
     def identity(sides):
         """(True, None), or (False, witness) at the lowest-power coefficients
-        where the polynomials sides(m) first differ, each m paid for first."""
+        where the integer rows lhs and rhs, with (lhs, rhs, den) = sides(m),
+        first differ, each m paid for first.  Both rows are over den, and
+        the witness's two sides are the coefficients over den."""
         for m in indices:
             spend()
-            for a, b in zip_longest(*sides(m), fillvalue=0):
+            lhs, rhs, den = sides(m)
+            for a, b in zip_longest(lhs, rhs, fillvalue=0):
                 if a != b:
-                    return False, Witness(None, m, Fraction(a), Fraction(b))
+                    witness = Witness(None, m, Fraction(a, den), Fraction(b, den))
+                    return False, witness
         return True, None
 
     def check_peak_bound():
@@ -323,7 +332,8 @@ def run_suite(
 
     def closed_identity(m):
         p = p_of(m)  # p + x^2 p + (-4)^m, the constant in x^2 p's place
-        return [a + b for a, b in zip((*p, 0, 0), ((-4) ** m, 0, *p))], _window_row(m)
+        left = [a + b for a, b in zip((*p, 0, 0), ((-4) ** m, 0, *p))]
+        return left, _window_row(m), 1
 
     def integrand_sign(m):
         return _sign_claim(grid_n, IntPoly(1, p_of(m)), medina_scale(m))
@@ -332,19 +342,12 @@ def run_suite(
         h, bound = h_of(m), medina_error_bound(m)
         return _final_claim(grid_n, h, bound, bound / 16)
 
-    def round_trip():
-        """L8 on integer pairs: the antiderivative puts c/(i+1) at power
-        i+1 as the pair (c, i+1), and the derivative multiplies its
-        numerator by i+1, which must give c over i+1.  (True, None), or
-        (False, witness) at the lowest power where it does not, with the
-        witness's Fractions the only ones made; each m is paid for first."""
-        for m in indices:
-            spend()
-            for i, c in enumerate(p_of(m)):
-                num, den = (i + 1) * c, i + 1
-                if num != c * den:
-                    return False, Witness(None, m, Fraction(num, den), Fraction(c))
-        return True, None
+    def round_trip(m):
+        # h_m = (1/s) * the integral of p_m from 0, with s = medina_scale(m),
+        # so s k H_k = D p_{k-1} at each power k >= 1 of its form (D, H).
+        form, s = integral_of(m), medina_scale(m).numerator
+        slopes = [s * k * c for k, c in enumerate(form.nums[1:], 1)]
+        return slopes, [form.den * c for c in p_of(m)], form.den
 
     def schemes_agree(m, which):
         # The powers side reads the reference row, and h_m integrated from it.
@@ -395,7 +398,7 @@ def run_suite(
             "L8",
             "differentiating the antiderivative of p_m gives back p_m "
             "coefficient for coefficient",
-            round_trip,
+            partial(identity, round_trip),
         ),
         (
             "L9",

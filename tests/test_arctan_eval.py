@@ -179,7 +179,7 @@ def test_auto_ledger_is_the_least_sufficient_budget(x, eps):
     assert result.error_bound == sum(bound for _, bound in result.ledger)
     assert result.error_bound <= eps
     reciprocal = ReductionStep.RECIPROCAL in result.trace.steps
-    below = ledger_uncached(reciprocal, result.m - 1) if result.m > 1 else ()
+    below = ledger_by_bounds(reciprocal, result.m - 1) if result.m > 1 else ()
     assert result.m == 1 or sum(bound for _, bound in below) > eps
     # Bit for bit the rule the ledger replaced: a multiple of 4^(-5m), 5
     # after a reciprocal step and 1 otherwise, with m chosen for eps over it.
@@ -206,15 +206,15 @@ def reduce_by_fractions(x):
     return ReductionTrace(original=x, reduced=y, steps=tuple(steps))
 
 
-def ledger_uncached(reciprocal, m):
-    """The ledger at m from the two bounds themselves, with no cache."""
+def ledger_by_bounds(reciprocal, m):
+    """The ledger at m from the two bounds themselves, as 4^(-5m) powers."""
     lines = (("approximant", Fraction(1, 4 ** (5 * m))),)
     return lines + (("pi", Fraction(4, 4 ** (5 * m))),) if reciprocal else lines
 
 
 def plan_by_fractions(trace, eps):
     for m in range(medina_min_m_for(eps), MAX_INDEX + 1):
-        ledger = ledger_uncached(ReductionStep.RECIPROCAL in trace.steps, m)
+        ledger = ledger_by_bounds(ReductionStep.RECIPROCAL in trace.steps, m)
         if sum(b for _, b in ledger) <= eps:
             return m, ledger
     raise ValueError(f"no index meets eps: an index must be <= {MAX_INDEX}")
@@ -370,17 +370,17 @@ def test_plan_reaches_the_largest_index():
     assert arctan_eval._plan(trace, Fraction(1, 10**6020))[0] == medina.MAX_INDEX
 
 
-def plan_uncached(reciprocal, eps):
+def plan_by_bisection(reciprocal, eps):
     """The least m whose ledger meets eps, by bisection over every index:
     the ledger's sum falls as m grows."""
     lo, hi = 1, MAX_INDEX
     while lo < hi:
         mid = (lo + hi) // 2
-        if sum(b for _, b in ledger_uncached(reciprocal, mid)) <= eps:
+        if sum(b for _, b in ledger_by_bounds(reciprocal, mid)) <= eps:
             hi = mid
         else:
             lo = mid + 1
-    return lo, ledger_uncached(reciprocal, lo)
+    return lo, ledger_by_bounds(reciprocal, lo)
 
 
 @settings(deadline=None)
@@ -388,28 +388,25 @@ def plan_uncached(reciprocal, eps):
 @example(1, 0, 2)
 @example(1, 6000, 2)
 @example(9, 6000, Fraction(1, 2))
-def test_cached_plan_is_the_uncached_ledger_rule(mantissa, exponent, x):
+def test_plan_is_the_ledger_rule_by_bisection(mantissa, exponent, x):
     # eps from 1 down to 1e-6000, on the direct branch and the reciprocal
-    # one; a second plan reads the cached budget and must say the same.
+    # one: the plan's sum, 1 or 5 over 2^(10m), is the ledger's own.
     eps = Fraction(mantissa, 10**exponent)
     trace = reduce(x)
-    m, ledger = plan_uncached(ReductionStep.RECIPROCAL in trace.steps, eps)
+    m, ledger = plan_by_bisection(ReductionStep.RECIPROCAL in trace.steps, eps)
     want = (m, ledger, sum(b for _, b in ledger))
-    for _ in range(2):
-        got = arctan_eval._plan(trace, eps)
-        assert got == want
-        assert got[2].as_integer_ratio() == want[2].as_integer_ratio()
+    got = arctan_eval._plan(trace, eps)
+    assert got == want
+    assert got[2].as_integer_ratio() == want[2].as_integer_ratio()
 
 
-def test_budget_cache_is_bounded():
-    info = arctan_eval._budget.cache_info()
-    assert isinstance(info.maxsize, int) and 0 < info.maxsize <= 4 * MAX_INDEX
-    # medina_arctan reads the budget the plan read, and an index the cache
-    # would confuse with a cached one is refused first.
+def test_medina_arctan_reads_the_plans_budget():
+    # medina_arctan and the plan read one budget rule, and an index that is
+    # not a plain int is refused before 2^(10m) is formed.
     for x in (Fraction(1, 3), 3):
         planned = arctan_auto(x, "1e-20")
         assert medina_arctan(x, planned.m) == planned
-    for bad in (True, 1.0):
+    for bad in (True, 1.0, 0, MAX_INDEX + 1):
         with pytest.raises(ValueError, match="sequence index"):
             medina_arctan(2, bad)
 

@@ -457,6 +457,31 @@ def test_horner_reduction_is_the_full_gcd_bit_for_bit(form, x):
     assert hash(value) == hash(want) and value == want
 
 
+class KeywordlessFraction(Fraction):
+    """A Fraction with neither private route: no classmethod, no keyword."""
+
+    _from_coprime_ints = None
+
+    def __new__(cls, numerator=0, denominator=None, **keywords):
+        if keywords:
+            raise TypeError(f"unexpected keywords {sorted(keywords)}")
+        return super().__new__(cls, numerator, denominator)
+
+
+def test_coprime_route_falls_back_to_plain_fraction(monkeypatch):
+    # An interpreter without either private route costs a gcd per value,
+    # never a wrong one or an error: plain Fraction is the route left.
+    assert poly_core._coprime_route() is poly_core._coprime_fraction
+    assert poly_core._coprime_fraction(-2, 3).as_integer_ratio() == (-2, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(poly_core, "Fraction", KeywordlessFraction)
+        route = poly_core._coprime_route()
+    assert route is KeywordlessFraction
+    monkeypatch.setattr(poly_core, "_coprime_fraction", route)
+    value = poly_eval_horner(IntPoly(12, (36, 6)), Fraction(-5, 6))
+    assert value.as_integer_ratio() == (31, 12)  # 186/72, 3 - 5/12
+
+
 def test_each_evaluation_wraps_its_one_loop(monkeypatch):
     # No second copy of either loop: each Fraction route reads its own.
     calls = []

@@ -526,7 +526,12 @@ def test_floor_met_at_the_cutoff_itself_reaches_the_oracle_walk(monkeypatch):
         taylor_min_degree(x, eps, oracle_mode=True)
 
 
-# CI's refusal rows: the floor meets eps at no degree up to the cutoff.
+def refuse_the_exact_floor(x, eps, n):
+    raise AssertionError("the floor was raised to the cutoff's powers")
+
+
+# CI's refusal rows, where the floor meets eps at no degree up to the
+# cutoff, and rows that it meets far below: none forms a^10003 or b^10001.
 @pytest.mark.parametrize(
     "x, eps",
     [
@@ -534,20 +539,34 @@ def test_floor_met_at_the_cutoff_itself_reaches_the_oracle_walk(monkeypatch):
         (Fraction(9999, 10000), Fraction(1, 10**5)),
         (Fraction(999, 1000), Fraction(1, 10**30)),
         (Fraction(1), Fraction(1, 10**5000)),
+        (Fraction(19, 20), Fraction(1, 2000)),
+        (Fraction(1, 10), Fraction(1, 10**12)),
     ],
 )
-def test_refusal_rows_try_each_small_degree_then_the_cutoff(monkeypatch, x, eps):
-    monkeypatch.setattr(taylor_baseline, "arctan_enclosure", refuse_the_oracle)
-    tried = []
+def test_clear_floor_rows_form_no_power(monkeypatch, x, eps):
+    n = 10001
+    (a, b), (e, d), k = x.as_integer_ratio(), eps.as_integer_ratio(), n + 2
+    exact = a**k * d < e * k * b**n * (a * a + b * b)
+    monkeypatch.setattr(taylor_baseline, "_floor_meets_exactly", refuse_the_exact_floor)
+    assert taylor_baseline._floor_meets(x, eps, n) is exact
+    if not exact:
+        monkeypatch.setattr(taylor_baseline, "arctan_enclosure", refuse_the_oracle)
+        with pytest.raises(DegreeLimitError, match="no degree up to 10001 meets"):
+            comparison_row(x, eps)
 
-    def floor_at(x, eps, n, _floor=taylor_baseline._floor_meets_at):
-        tried.append(n)
-        return _floor(x, eps, n)
 
-    monkeypatch.setattr(taylor_baseline, "_floor_meets_at", floor_at)
-    with pytest.raises(DegreeLimitError, match="no degree up to 10001 meets"):
-        comparison_row(x, eps)
-    assert tried == [2**j - 1 for j in range(1, 14)] + [10001]
+@pytest.mark.parametrize("n", [13, 10001])
+@pytest.mark.parametrize(
+    "x",
+    [Fraction(1), Fraction(19, 20), Fraction(9999, 10000), Fraction(2, 3),
+     Fraction(1, 10), Fraction(12345, 65536), Fraction(2**64 - 1, 2**64)],
+)
+def test_floor_within_float_error_of_eps_is_decided_exactly(x, n):
+    # eps a factor 1 +- 2^-60 from the floor: the logarithms' gap is far
+    # below their float error, so only the exact check has the sign.
+    floor = x ** (n + 2) / ((n + 2) * (1 + x * x))
+    for t, meets in [(1, True), (-1, False)]:
+        assert taylor_baseline._floor_meets(x, floor * (1 + t * Fraction(1, 2**60)), n) is meets
 
 
 @settings(deadline=None)
@@ -555,12 +574,13 @@ def test_refusal_rows_try_each_small_degree_then_the_cutoff(monkeypatch, x, eps)
 @example(Fraction(19, 20), 6, 0, None)
 @example(Fraction(1), 13, 0, None)
 @example(Fraction(999, 1000), 14, -1, None)
+@example(Fraction(9999, 10000), 14, 0, None)
+@example(Fraction(9999, 10000), 14, 1, None)
 @example(Fraction(0), 0, 0, None)
-def test_galloping_floor_is_the_exact_rule_at_the_cutoff(x, j, t, data):
-    # eps at or next to the floor at one of the small degrees 2^j - 1 the
-    # check tries first or at the cutoff itself, or anywhere, so that the
-    # degree at which the floor first meets eps falls anywhere in the
-    # gallop or past it.
+def test_floor_by_logarithms_is_the_exact_rule_at_the_cutoff(x, j, t, data):
+    # eps at or next to the floor at a degree 2^j - 1 up to the cutoff, the
+    # cutoff itself among them, where the two sides' logarithms tie or
+    # nearly do, or anywhere.
     n = 10001
     small = min(2**j - 1, n)
 

@@ -132,6 +132,44 @@ def test_schemes_lemma_catches_a_wrong_shipped_approximant(monkeypatch):
     assert witness.lhs - witness.rhs == Fraction(1, 16**3 * good.den)
 
 
+def integrating_wrongly(change):
+    """_integrate with change(nums) applied to its numerators at m = 2."""
+
+    def integrate(row, m):
+        form = medina._integrate(row, m)
+        return IntPoly(form.den, tuple(change(list(form.nums)))) if m == 2 else form
+
+    return integrate
+
+
+def bump_h3(nums):
+    nums[3] += 1
+    return nums
+
+
+@pytest.mark.parametrize(
+    "change, power",
+    [(bump_h3, 2), (lambda nums: nums[:-1], 14)],
+    ids=["one-numerator", "top-dropped"],
+)
+def test_round_trip_lemma_catches_a_wrong_integration(monkeypatch, change, power):
+    # L8 differentiates the form _integrate makes from the reference p_m, on
+    # integers; a numerator off by one, or a dropped top term, fails it at
+    # the lowest power of p_2 the derivative no longer gives back.  L7 and
+    # L9 read the shipped medina_h, which does not go through verify's name.
+    monkeypatch.setattr(verify, "_integrate", integrating_wrongly(change))
+    report = run_suite(16, 3)
+    assert [c.id for c in report.checks if not c.passed] == ["L8"]
+    witness = next(c.witness for c in report.checks if c.id == "L8")
+    assert (witness.x, witness.m) == (None, 2)
+    row = list(islice(recurrence(medina._SEED), 2))[1]
+    form = integrating_wrongly(change)(row, 2)
+    top = form.nums[power + 1] if power + 1 < len(form.nums) else 0
+    slope = Fraction(medina.medina_scale(2).numerator * (power + 1) * top, form.den)
+    assert (witness.lhs, witness.rhs) == (slope, Fraction(row[power]))
+    assert witness.lhs != witness.rhs
+
+
 @pytest.mark.parametrize(
     "seed, m_max",
     [(corrupted_seed(), 60), ((1, 0, 2), 10)],
