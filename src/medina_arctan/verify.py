@@ -12,10 +12,15 @@ denominator grid_n, so each claim is decided on integers: a polynomial's
 value at k/grid_n is its integer numerator over the row's common
 denominator D grid_n^deg, and the two sides are cross-multiplied, with no
 gcd at any point.  Fractions appear only in witnesses, made at
-the failing point from the claim's two sides.  Only L7, h_m against
+the failing point from the claim's two sides.  L4's integral and the
+powers side of L9's h_m are formed from their integer rows over a plain
+lcm, with no Fraction and not through _integrate.  Only L7, h_m against
 arctangent itself, consults the enclosure oracle, at a width two factors
 of 4 below the asserted bound so that enclosure slack can never mask a
-violation.
+violation.  It keeps one oracle walk per grid point for the run (on
+grids of up to 4,096 points), which yields each index's enclosure as
+integer pairs, carrying the point's series on from the last index's;
+a witness reads arctan_enclosure's Fractions.
 
 The suite reports every lemma with a pass/fail flag and, when a claim
 fails, a witness pinning down where.  A deliberately corrupted seed
@@ -29,9 +34,10 @@ the checks completed so far attached.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache, partial
-from itertools import filterfalse, zip_longest
+from itertools import count, filterfalse, zip_longest
 from typing import NamedTuple, Optional
 
 from .medina import (
@@ -39,14 +45,13 @@ from .medina import (
     _check_index,
     _integrate,
     _window_row,
-    approximant,
     medina_error_bound,
     medina_h,
     medina_p1,
     medina_scale,
     recurrence,
 )
-from .oracle import arctan_enclosure
+from .oracle import _arctan_walk, arctan_enclosure
 from .poly_core import (
     IntPoly,
     Poly,
@@ -54,18 +59,19 @@ from .poly_core import (
     horner_den,
     horner_numerator,
     poly,
-    poly_antiderivative,
     poly_derivative,
     poly_eval_horner,
-    poly_eval_powers,
     poly_mul,
     poly_sub,
-    powers_form,
     powers_numerator,
     rat_text,
 )
 
 DEFAULT_WORK_LIMIT = 2_000_000
+
+# L7 keeps one oracle walk per grid point from row to row on a grid of at
+# most this many points: 1.5-3 kB a walk before its integers grow.
+_KEPT_WALKS = 4096
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -178,15 +184,15 @@ def _sign_claim(n: int, p: IntPoly, scale: Fraction):
     )
 
 
-def _final_claim(n: int, h: IntPoly, bound: Fraction, width: Fraction):
+def _final_claim(n: int, h: IntPoly, bound: Fraction, width: Fraction, endpoints):
     """L7: |h(x) - mid| + width/2 <= bound against the enclosure [lo, hi] of
-    arctan(x).  The left side is max(h - lo, hi - h), so the claim is
-    hi - bound <= h <= lo + bound, both cross-multiplied."""
+    arctan(x) at width.  The left side is max(h - lo, hi - h), so the claim
+    is hi - bound <= h <= lo + bound, both cross-multiplied with the integer
+    pairs ((lo_n, lo_d), (hi_n, hi_d)) that endpoints(k) gives at k/n."""
     q, (bn, bd) = horner_den(h, n), bound.as_integer_ratio()
 
     def holds(k):
-        enc = arctan_enclosure(Fraction(k, n), width)
-        (ln, ld), (un, ud) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+        (ln, ld), (un, ud) = endpoints(k)
         value = horner_numerator(h.nums, k, n)
         if (un * bd - bn * ud) * q > value * ud * bd:  # h below hi - bound
             return False
@@ -199,18 +205,39 @@ def _final_claim(n: int, h: IntPoly, bound: Fraction, width: Fraction):
     return holds, sides
 
 
-def _schemes_claim(n: int, form: IntPoly, target: Poly):
-    """L9: Horner on form equals the powers route on the coefficient tuple
-    target (ints or Fractions), as H L n^{d'} = S D n^d over the row, each
+def _schemes_claim(n: int, form: IntPoly, powers: tuple[int, tuple[int, ...]]):
+    """L9: Horner on form equals the powers route on powers = (L, nums), the
+    coefficients nums[i] / L, as H L n^{d'} = S D n^d over the row, each
     side's power of n cut by the smaller degree."""
-    den, nums = powers_form(target)
+    den, nums = powers
     dh, dp = len(form) - 1, len(nums) - 1
     left, right = den * n ** max(dp - dh, 0), form.den * n ** max(dh - dp, 0)
+
+    def sides(x):
+        a, b = x.as_integer_ratio()
+        return poly_eval_horner(form, x), Fraction(powers_numerator(nums, a, b), den * b**dp)
+
     return (
         lambda k: horner_numerator(form.nums, k, n) * left
         == powers_numerator(nums, k, n) * right,
-        lambda x: (poly_eval_horner(form, x), poly_eval_powers(target, x)),
+        sides,
     )
+
+
+def _antiderivative(row: tuple[int, ...], s: int = 1) -> tuple[int, tuple[int, ...]]:
+    """(L, nums): the antiderivative of row / s from 0, on integers.
+
+    Its coefficient of x^k, row[k-1] / (s k), has the reduced denominator
+    s k / gcd(row[k-1], s k); L is the plain lcm of them all and nums[k] =
+    L row[k-1] / (s k), an exact division.  So at s = 1 this is the form
+    IntPoly.of(poly_antiderivative(row)) (L4's integral), and at
+    s = medina_scale(m) it is powers_form(approximant(row, m)) (L9's h_m),
+    with no Fraction made.  It shares no step with _integrate, which L8
+    checks and medina_h serves.
+    """
+    steps = [s * k for k in range(1, len(row) + 1)]
+    den = math.lcm(*(t // math.gcd(c, t) for c, t in zip(row, steps)))
+    return den, (0, *(den * c // t for c, t in zip(row, steps)))
 
 
 def run_suite(
@@ -328,7 +355,7 @@ def run_suite(
         return True, None
 
     def integral_bound(m):
-        return _integral_claim(grid_n, m, IntPoly.of(poly_antiderivative(_window_row(m))))
+        return _integral_claim(grid_n, m, IntPoly(*_antiderivative(_window_row(m))))
 
     def closed_identity(m):
         p = p_of(m)  # p + x^2 p + (-4)^m, the constant in x^2 p's place
@@ -338,9 +365,27 @@ def run_suite(
     def integrand_sign(m):
         return _sign_claim(grid_n, IntPoly(1, p_of(m)), medina_scale(m))
 
+    widths: list[tuple[int, int]] = []  # L7's enclosure width at each index so far
+    walks: list = []  # arctan(k/grid_n) at those widths, one walk a point
+
+    def endpoints(k):
+        """arctan(k/grid_n)'s bracket at the latest width.  Row 1 reaches
+        the points in order and starts their walks; each later row asks
+        every walk for its next width.  Past _KEPT_WALKS points, each row
+        walks each point afresh, so the memory stays constant."""
+        if k < len(walks):
+            return next(walks[k])
+        g = math.gcd(k, grid_n)
+        if grid_n >= _KEPT_WALKS:
+            return next(_arctan_walk(k // g, grid_n // g, widths[-1:]))
+        walks.append(_arctan_walk(k // g, grid_n // g, map(widths.__getitem__, count())))
+        return next(walks[k])
+
     def final_bound(m):
         h, bound = h_of(m), medina_error_bound(m)
-        return _final_claim(grid_n, h, bound, bound / 16)
+        width = bound / 16
+        widths.append(width.as_integer_ratio())
+        return _final_claim(grid_n, h, bound, width, endpoints)
 
     def round_trip(m):
         # h_m = (1/s) * the integral of p_m from 0, with s = medina_scale(m),
@@ -351,9 +396,10 @@ def run_suite(
 
     def schemes_agree(m, which):
         # The powers side reads the reference row, and h_m integrated from it.
-        form = h_of(m) if which else IntPoly(1, p_of(m))
-        target = approximant(p_of(m), m) if which else p_of(m)
-        return _schemes_claim(grid_n, form, target)
+        if which:
+            powers = _antiderivative(p_of(m), medina_scale(m).numerator)
+            return _schemes_claim(grid_n, h_of(m), powers)
+        return _schemes_claim(grid_n, IntPoly(1, p_of(m)), (1, p_of(m)))
 
     lemmas = (
         (

@@ -244,6 +244,10 @@ def test_missing_option_value_is_still_a_usage_error(capsys):
         ("gen --m 80", "b932cb3aa91078bf6e4e4d83476ee420d0d7bc03446c6686e76ba130e2c94b53"),
         ("arctan --x 1 --eps 1e-100", "d1f4ad53f3d3541b3fcdd830d09e2e8758a268dc2d17dbbec7cbda7dfbe460a4"),
         ("arctan --x -1 --eps 1e-50 --full", "f7cbe83ba5d75009fe28b27bf68a37f36e0d300da68bf2c78a6270df289b1f50"),
+        # Captured before L7 kept one oracle walk per grid point, and L4 and
+        # L9's powers side formed their integrals on integers.
+        ("verify --grid 7 --m-max 40", "0d72c82aff8b088ce1b8a090d8b98ac5966a7244445d59f7a4cba5db7e1bcc0a"),
+        ("verify --grid 1024 --m-max 8", "eba52b8d1362e0836f937c556a1db173995189473efd1849ed9d39caf9ea4ee0"),
     ],
 )
 def test_golden_stdout(capsys, argv, digest):
@@ -273,6 +277,13 @@ _NO_OUTPUT = hashlib.sha256(b"").hexdigest()
         (
             "verify --grid 64 --m-max 4 --inject-fault", None, 1,
             "41dfc0c4898ed6d2e0e981a6325fd88f4dc02e6509a1fd6d8b3d432d9723ca99",
+            "verification failed: L5, L6, L7",
+        ),
+        # Captured before L7 kept one oracle walk per grid point: the L7
+        # witness on a grid of 1,025 points.
+        (
+            "verify --grid 1024 --m-max 8 --inject-fault", None, 1,
+            "81bad8ba2e1a696e8e42f29d5ba55099e28c3513d701b0e7f0eb52e8abcf4d6e",
             "verification failed: L5, L6, L7",
         ),
         (

@@ -1,6 +1,7 @@
 """Enclosure oracle: width contracts, frozen digits, structural identities."""
 
 from fractions import Fraction
+from itertools import count
 from unittest import mock
 
 import pytest
@@ -190,9 +191,9 @@ def test_series_enclosure_is_bit_identical_to_the_fraction_loop(x, eps):
     assert got.width <= eps
 
 
-def base_afresh(width):
+def base_afresh(e, d):
     """The pivot's base half summed afresh on every call: the uncached route."""
-    return _series_enclosure(Fraction(1, 2), width)
+    return _series_enclosure(Fraction(1, 2), Fraction(e, d))
 
 
 def parts(enc):
@@ -267,21 +268,35 @@ def test_integer_routing_is_bit_identical_to_the_fraction_route(x, eps):
 
 
 def test_the_suite_sums_the_pivot_base_once_per_width(monkeypatch):
-    # run_suite(64, 4) encloses the 32 points of (1/2, 1] at four widths, one
-    # per index: the pivot's series at 1/2 runs 4 times, not 128.  The grid
-    # point 1/2 itself is on the series side, at twice that width.
-    widths = []
+    # run_suite(64, 4) keeps one walk per grid point for its four widths,
+    # one per index, and encloses the 32 points of (1/2, 1] through the
+    # pivot: the series at 1/2 runs once per pivot width (4 walks of one
+    # width), not 128 times.  The grid point 1/2 itself is on the series
+    # side, one walk at twice those widths.
+    walks = []
+    real = oracle._series_walk
 
-    def counting(x, eps):
-        if x == Fraction(1, 2):
-            widths.append(eps)
-        return _series_enclosure(x, eps)
+    def counting(a, b, widths):
+        seen = []
+        walks.append((Fraction(a, b), seen))
 
-    monkeypatch.setattr(oracle, "_series_enclosure", counting)
+        def noted():
+            for e, d in widths:
+                seen.append(Fraction(e, d))
+                yield e, d
+
+        return real(a, b, noted())
+
+    monkeypatch.setattr(oracle, "_series_walk", counting)
     oracle._pivot_base.cache_clear()
     assert run_suite(64, 4).all_passed
     bounds = [Fraction(1, 4 ** (5 * m)) for m in range(1, 5)]
-    assert sorted(widths) == sorted([b / 32 for b in bounds] + [b / 16 for b in bounds])
+    at_half = sorted(seen for x, seen in walks if x == Fraction(1, 2))
+    assert at_half == sorted([[b / 32] for b in bounds] + [[b / 16 for b in bounds]])
+    # The 64 points past 0, one walk each over all four widths, and the
+    # pivot's four bases.
+    assert len(walks) == 64 + 4
+    assert sum(len(seen) == 4 for x, seen in walks) == 64
 
 
 def test_pivot_memo_is_bounded():
@@ -290,3 +305,64 @@ def test_pivot_memo_is_bounded():
         arctan_enclosure(Fraction(3, 4), Fraction(1, 10**e))
     info = oracle._pivot_base.cache_info()
     assert (info.currsize, info.maxsize, info.misses) == (16, 16, 40)
+
+
+# Widths as integer pairs e/d, 1 <= e <= 9, over powers of 10 and of 3, so
+# some pairs are unreduced (4/1000) and some numerators even in lowest
+# terms (2/27); the pivot halves each to e/(2d), unreduced whenever e is even.
+_width_pairs = st.lists(
+    st.tuples(st.integers(1, 9), st.sampled_from([10, 3]), st.integers(0, 40)).map(
+        lambda t: (t[0], t[1] ** t[2])
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda pairs: sorted(pairs, key=lambda w: Fraction(*w), reverse=True))
+# x in [0, 1]: its ends, 1/2, just above 1/2, and anywhere.
+_walk_args = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+    st.integers(1, 10**6).map(lambda d: Fraction(d + 1, 2 * d)),
+    st.integers(1, 10**6).flatmap(lambda d: st.integers(0, d).map(lambda k: Fraction(k, d))),
+)
+
+
+@settings(deadline=None)
+@given(_walk_args, _width_pairs)
+@example(Fraction(1), [(2, 27), (2, 27), (1, 10**40)])  # an even numerator, twice
+@example(Fraction(1, 2), [(1, 24), (1, 25)])  # the first term equals the first width
+@example(Fraction(1000001, 2000000), [(9, 1), (4, 1000)])
+@example(Fraction(0), [(1, 1), (1, 10)])
+def test_walk_brackets_are_the_enclosures(x, widths):
+    # Each bracket the walk yields, reduced, is arctan_enclosure's at that width.
+    got = list(oracle._arctan_walk(*x.as_integer_ratio(), widths))
+    assert len(got) == len(widths)
+    for ((ln, ld), (hn, hd)), width in zip(got, widths):
+        assert ld > 0 and hd > 0
+        enc = arctan_enclosure(x, Fraction(*width))
+        assert (Fraction(ln, ld), Fraction(hn, hd)) == (enc.lo, enc.hi)
+
+
+def one_width_then_refuse(width):
+    """width, and then an error if the walk asks for another."""
+    yield width
+    raise AssertionError("the walk asked for a second width")
+
+
+@pytest.mark.parametrize(
+    "x, width",
+    [
+        (Fraction(1, 3), Fraction(1, 10**6)),
+        (Fraction(1, 2), Fraction(1, 24)),  # closed by the first term
+        (Fraction(1, 64), Fraction(1, 4**22)),
+        (Fraction(2, 5), Fraction(3, 10**40)),
+    ],
+)
+def test_a_walk_stops_at_the_term_of_the_width_asked_for(x, width):
+    # Asked for its first width only, the walk stands at the step whose
+    # term a^(2k+1) / ((2k+1) b^(2k+1)) first falls within it, and has
+    # not read another width.
+    widths = one_width_then_refuse(width.as_integer_ratio())
+    walk = oracle._series_walk(*x.as_integer_ratio(), widths)
+    lo, hi = (Fraction(*pair) for pair in next(walk))
+    k = next(k for k in count(1) if x ** (2 * k + 1) / (2 * k + 1) <= width)
+    assert walk.gi_frame.f_locals["k"] == k
+    assert hi - lo == x ** (2 * k + 1) / (2 * k + 1)

@@ -18,13 +18,14 @@ from medina_arctan.medina import (
     recurrence,
     window_poly,
 )
-from medina_arctan.oracle import arctan_enclosure
+from medina_arctan.oracle import _arctan_walk, arctan_enclosure
 from medina_arctan.poly_core import (
     IntPoly,
     poly_add,
     poly_antiderivative,
     poly_eval_horner,
     poly_mul,
+    powers_form,
     rat_parse,
 )
 from medina_arctan.verify import (
@@ -183,6 +184,67 @@ def test_injected_h_is_integrated_as_medina_h_is(seed, m_max):
         assert medina._integrate(row, m) == IntPoly.of(approximant(row, m))
 
 
+@settings(deadline=None)
+@given(st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=40))
+@example([0])
+@example(medina._window_row(3))
+def test_integral_form_is_the_fraction_routes(row):
+    # L4's integral, formed on integers, is the form IntPoly.of makes from
+    # poly_antiderivative's Fractions, den and numerators alike.
+    assert IntPoly(*verify._antiderivative(row)) == IntPoly.of(poly_antiderivative(row))
+
+
+def test_h_powers_form_is_the_fraction_routes():
+    # L9's powers side for h_m, formed from the reference row with a plain
+    # lcm, is powers_form of the Fraction rule's h_m.
+    for m, row in enumerate(islice(recurrence(medina._SEED), 60), 1):
+        form = verify._antiderivative(row, medina_scale(m).numerator)
+        assert form == powers_form(approximant(row, m))
+
+
+def test_schemes_lemma_does_not_share_the_integration(monkeypatch):
+    # With _integrate wrong wherever it is called, medina_h's h_2 is wrong
+    # too, and L9 still fails it at m = 2: its powers side forms h_m from
+    # the reference row without _integrate, so the two sides cannot agree
+    # by sharing the fault.  L8 checks _integrate itself.
+    real = medina._integrate
+
+    def wrong(row, m):
+        form = real(row, m)
+        return IntPoly(form.den, tuple(bump_h3(list(form.nums)))) if m == 2 else form
+
+    monkeypatch.setattr(medina, "_integrate", wrong)
+    monkeypatch.setattr(verify, "_integrate", wrong)
+    monkeypatch.setattr(verify, "medina_h", lambda m: medina._integrate(medina._p_row(m), m))
+    by_id = {c.id: c for c in run_suite(16, 3).checks}
+    assert not by_id["L8"].passed and not by_id["L9"].passed
+    assert (by_id["L9"].witness.x, by_id["L9"].witness.m) == (Fraction(1, 16), 2)
+    assert all(by_id[i].passed for i in ("L1", "L2", "L3", "L4", "L5", "L6"))
+
+
+@pytest.mark.parametrize("tight", [False, True], ids=["passing", "tight bound"])
+def test_large_grids_walk_each_point_afresh(monkeypatch, tight):
+    # Up to _KEPT_WALKS points L7 keeps one oracle walk a point for the
+    # run; past it, each row walks each point afresh, in constant memory,
+    # to the same brackets and so the same report.
+    if tight:
+        monkeypatch.setattr(verify, "medina_error_bound", lambda m: Fraction(1, 4 ** (5 * m + 1)))
+    started = []
+
+    def counting(a, b, widths):
+        started.append((a, b))
+        return _arctan_walk(a, b, widths)
+
+    monkeypatch.setattr(verify, "_arctan_walk", counting)
+    kept = run_suite(16, 3)
+    # The tight bound fails L7 at 10/16 in its first row.
+    assert len(started) == (11 if tight else 17)
+    started.clear()
+    monkeypatch.setattr(verify, "_KEPT_WALKS", 16)
+    assert run_suite(16, 3) == kept
+    assert len(started) == (11 if tight else 3 * 17)
+
+
 def test_peak_identity_failure_has_a_witness(monkeypatch):
     # L1's symbolic square is a poly_mul; a wrong product fails it up front.
     monkeypatch.setattr(verify, "poly_mul", lambda p, q: (Fraction(1),))
@@ -241,14 +303,16 @@ def refusing_walk(seed):
 def test_work_limit_is_spent_before_anything_is_built(monkeypatch):
     # The walk is verify's recurrence, which grows nothing until a member is
     # asked for; integration is _integrate (an injected seed's h_m) and
-    # approximant (L9's powers side).
+    # _antiderivative (L4's integral and L9's powers side), and L7's oracle
+    # walks start at the points of its first row.
     def refuse(*args):
         raise AssertionError("grew or integrated before the work meter paid for it")
 
     monkeypatch.setattr(verify, "recurrence", refusing_walk)
     monkeypatch.setattr(verify, "_window_row", refuse)
     monkeypatch.setattr(verify, "_integrate", refuse)
-    monkeypatch.setattr(verify, "approximant", refuse)
+    monkeypatch.setattr(verify, "_antiderivative", refuse)
+    monkeypatch.setattr(verify, "_arctan_walk", refuse)
     # Every grid point is a Fraction made in verify, after its row is paid for.
     monkeypatch.setattr(verify, "Fraction", refuse)
     before = medina_h.cache_info()
@@ -285,10 +349,10 @@ def test_suite_grows_the_recurrence_once(monkeypatch, seed):
 def test_suite_forms_each_polynomial_once(monkeypatch, seed):
     # Each polynomial that IntPoly.of puts into integer form (one lcm) is
     # formed once a run, not once a point: the seed, checked for integer
-    # coefficients, the integral (L4) for each index, and L2's slope.  p_m's
-    # rows (L6 and L9) are integers already, read as IntPoly(1, row) with no
-    # lcm, and an injected seed's h_m is integrated straight into its form,
-    # as medina_h's is.
+    # coefficients, and L2's slope.  p_m's rows (L6 and L9) are integers
+    # already, read as IntPoly(1, row) with no lcm; L4's integral is formed
+    # from its integer row by _antiderivative, and an injected seed's h_m is
+    # integrated straight into its form, as medina_h's is.
     formed = []
     of = IntPoly.of.__func__
 
@@ -298,7 +362,7 @@ def test_suite_forms_each_polynomial_once(monkeypatch, seed):
 
     monkeypatch.setattr(IntPoly, "of", classmethod(counting))
     assert run_suite(16, 3, base_poly=seed).all_passed == (seed is None)
-    assert len(formed) == len(set(formed)) == 5
+    assert len(formed) == len(set(formed)) == 2
 
 
 @pytest.mark.parametrize(
@@ -488,14 +552,23 @@ def test_grid_claims_decide_as_the_fraction_rules(n, m, case, at, delta, zeros, 
     # Zero numerators on top change no value, only the degree the row reads.
     p_form, h, anti = (pad(f, zeros) for f in (IntPoly.of(p), h, anti))
     scale = medina_scale(m)
+
+    # L7's endpoints at k/n from one oracle walk a point, at one width; k/n
+    # unreduced, which changes the integers but not the rationals.
+    def endpoints(k):
+        return next(_arctan_walk(k, n, [width.as_integer_ratio()]))
+
     claims = [
         (verify._peak_claim(n), peak_rule),
         (verify._power_claim(n, m), partial(power_rule, m)),
         (verify._integral_claim(n, m, anti), partial(integral_rule, m, anti)),
         (verify._sign_claim(n, p_form, scale), partial(sign_rule, p_form, scale)),
-        (verify._final_claim(n, h, bound, width), partial(final_rule, h, bound, width)),
-        (verify._schemes_claim(n, p_form, p), partial(schemes_rule, p_form, p)),
-        (verify._schemes_claim(n, h, target), partial(schemes_rule, h, target)),
+        (
+            verify._final_claim(n, h, bound, width, endpoints),
+            partial(final_rule, h, bound, width),
+        ),
+        (verify._schemes_claim(n, p_form, powers_form(p)), partial(schemes_rule, p_form, p)),
+        (verify._schemes_claim(n, h, powers_form(target)), partial(schemes_rule, h, target)),
     ]
     for (holds, sides), rule in claims:
         for k in range(n + 1):
