@@ -14,16 +14,17 @@ For y in [0, 1/2] the series terms alternate in sign and decrease, so
 consecutive partial sums bracket the limit; that yields two-sided bounds
 with no rounding analysis at all.  The partial sums are kept as integer
 numerators over one common denominator.  One private walk per argument
-in [0, 1] takes a decreasing run of widths and yields each width's
-bracket as unreduced integer pairs, carrying the series on from the last
-width's term, so the verifier, which keeps one walk per grid point for
-a whole run, sums each point's series once for all its indices.
-arctan_enclosure takes a walk's one-width case, chosen on the integers of
-x and eps, and makes a Fraction per endpoint only at the end.  Arguments
-in (1/2, 1] are pivoted about 1/2 as above, with u landing in (0, 1/3],
-and the two halves summed on integers; the base half, arctan(1/2) at
-width eps/2, is kept in a small memo keyed by that width's integer pair,
-since a grid of points asks for it at one width again and again.
+in [0, 1], a handful of integers, gives the bracket at each width asked
+of it as unreduced integer pairs, carrying the series on from the step
+the last width stopped at, so the verifier, which keeps one walk per
+grid point through L7's rows, sums each point's series once for all its
+indices.  arctan_enclosure asks a new walk for one width, chosen on the
+integers of x and eps, and makes a Fraction per endpoint only at the
+end.  Arguments in (1/2, 1] are pivoted about 1/2 as above, with u
+landing in (0, 1/3], and the two halves summed on integers; the base
+half, arctan(1/2) at width eps/2, is kept in a small memo keyed by that
+width's integer pair, since a grid of points asks for it at one width
+again and again.
 Arguments beyond 1 use arctan(x) = pi/2 - arctan(1/x), where pi itself is
 enclosed as 4*arctan(1) through the pivoted route, so nothing is circular
 and no decimal constant is baked in.
@@ -34,13 +35,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import tee
 from typing import NamedTuple
 
 from .poly_core import RatLike, check_positive, rat, rat_text
-
-_HALF = Fraction(1, 2)
-
 
 # A NamedTuple may not define __new__, so Enclosure checks the order of its
 # endpoints in a subclass.
@@ -74,42 +71,64 @@ class Enclosure(_Interval):
         return {"lo": rat_text(self.lo), "hi": rat_text(self.hi)}
 
 
-def _series_walk(a: int, b: int, widths):
-    """The brackets of arctan(a/b), 0 < 2a <= b, at each width of widths.
+class _Walk:
+    """arctan(a/b), 0 <= a <= b, bracketed at each width asked for.
 
-    Each width e/d comes as the integer pair (e, d), none larger than the
-    one before, and gets the two consecutive alternating partial sums
-    around the first term not exceeding it, as unreduced pairs
-    ((lo_n, lo_d), (hi_n, hi_d)) with positive denominators.  The walk
-    steps only as far as the width asked for last, and the next width
-    carries on from there, so a run of widths sums the series once.
+    bracket(e, d) gives the enclosure of width at most e/d as unreduced
+    integer pairs ((lo_n, lo_d), (hi_n, hi_d)) with positive denominators,
+    equal as rationals to arctan_enclosure(a/b, e/d).  The widths asked of
+    one walk must not increase: each call carries the series on from the
+    step the last one stopped at, so a run of widths sums it once.  The
+    state is one step's integers, so the verifier keeps a walk per grid
+    point through L7's rows: on a 4,096-point grid, 264 bytes a walk by
+    tracemalloc after the first index and 1.9 kB after index 81.
 
-    Runs on integers: the stopping rule a^(2k+1) / ((2k+1) b^(2k+1)) <= e/d
-    is decided by cross-multiplication, with no gcd at any step.
+    Past 1/2 the walk sums the pivot's rest u = (2a - b)/(2b + a), in
+    (0, 1/3], at the half width e/(2d), and adds _pivot_base's bracket at
+    that width on integers.
     """
-    assert 0 < 2 * a <= b
-    asq, bsq = a * a, b * b
-    # At the top of each step, the partial sum through degree 2k-1 is
-    # num / (lcm * scale), with lcm = lcm(1, 3, ..., 2k-1), scale = b^(2k-1)
-    # and power = a^(2k-1).
-    power, scale, lcm, num = a, b, 1, a
-    widths = iter(widths)
-    width, k = next(widths, None), 1
-    while width is not None:
-        odd = 2 * k + 1
-        grow = odd // math.gcd(lcm, odd)
-        power *= asq
-        # The term of degree odd over the next common denominator.
-        term = power * (lcm * grow // odd)
-        cur = num * grow * bsq
-        cur = cur - term if k % 2 else cur + term
-        # Each width e/d that the term a^odd / (odd b^odd) is within.
-        while width is not None and power * width[1] <= width[0] * odd * scale * bsq:
-            prev, last = (num, lcm * scale), (cur, lcm * grow * scale * bsq)
-            yield (last, prev) if k % 2 else (prev, last)
-            width = next(widths, None)
-        num, lcm, scale = cur, lcm * grow, scale * bsq
-        k += 1
+
+    __slots__ = ("pivot", "asq", "bsq", "power", "scale", "lcm", "num", "k")
+
+    def __init__(self, a: int, b: int):
+        assert 0 <= a <= b
+        self.pivot = 2 * a > b
+        if self.pivot:
+            a, b = 2 * a - b, 2 * b + a
+        # At step k the partial sum through degree 2k-1 is num / (lcm * scale),
+        # with lcm = lcm(1, 3, ..., 2k-1), scale = b^(2k-1) and power = a^(2k-1).
+        self.asq, self.bsq = a * a, b * b
+        self.power, self.scale, self.lcm, self.num, self.k = a, b, 1, a, 1
+
+    def bracket(self, e: int, d: int):
+        if not self.pivot:
+            return self._series(e, d)
+        (rl, rld), (rh, rhd) = self._series(e, 2 * d)
+        (bl, bld), (bh, bhd) = _pivot_base(e, 2 * d)
+        return (bl * rld + rl * bld, bld * rld), (bh * rhd + rh * bhd, bhd * rhd)
+
+    def _series(self, e: int, d: int):
+        """The two consecutive partial sums around the first term within e/d.
+
+        Runs on integers: the stopping rule a^(2k+1) / ((2k+1) b^(2k+1)) <= e/d
+        is decided by cross-multiplication, with no gcd at any step.
+        """
+        asq, bsq = self.asq, self.bsq
+        power, scale, lcm, num, k = self.power, self.scale, self.lcm, self.num, self.k
+        while True:
+            odd = 2 * k + 1
+            grow = odd // math.gcd(lcm, odd)
+            top = power * asq
+            # The term of degree odd over the next common denominator.
+            term = top * (lcm * grow // odd)
+            cur = num * grow * bsq
+            cur = cur - term if k % 2 else cur + term
+            if top * d <= e * odd * scale * bsq:
+                break
+            power, scale, lcm, num, k = top, scale * bsq, lcm * grow, cur, k + 1
+        self.power, self.scale, self.lcm, self.num, self.k = power, scale, lcm, num, k
+        prev, last = (num, lcm * scale), (cur, lcm * grow * scale * bsq)
+        return (last, prev) if k % 2 else (prev, last)
 
 
 def _enclosure(bracket) -> Enclosure:
@@ -118,17 +137,9 @@ def _enclosure(bracket) -> Enclosure:
     return Enclosure(Fraction(ln, ld), Fraction(hn, hd))
 
 
-def _series_enclosure(x: Fraction, eps: Fraction) -> Enclosure:
-    """_series_walk's one-width case, as Fractions; needs 0 < x <= 1/2.
-
-    The width of the result is the first term not exceeding eps.
-    """
-    return _enclosure(next(_series_walk(*x.as_integer_ratio(), (eps.as_integer_ratio(),))))
-
-
 @lru_cache(maxsize=16)
-def _pivot_base(e: int, d: int) -> Enclosure:
-    """arctan(1/2) within e/d: the pivot's base half, once per width.
+def _pivot_base(e: int, d: int):
+    """arctan(1/2)'s bracket within e/d: the pivot's base half, once per width.
 
     Keyed by the width's integer pair, which hashes faster than a Fraction;
     every grid point past 1/2 asks for it at each of the verifier's widths.
@@ -137,37 +148,14 @@ def _pivot_base(e: int, d: int) -> Enclosure:
     25.6 against 27.2 ms and 30.3 against 33.3 ms in two measurements on
     Python 3.11, on a shared 2-vCPU host.
     """
-    return _series_enclosure(_HALF, Fraction(e, d))
-
-
-def _arctan_walk(a: int, b: int, widths):
-    """The brackets of arctan(a/b), 0 <= a <= b, at each width of widths.
-
-    Widths and brackets are integer pairs as in _series_walk, and each
-    bracket is, as rationals, arctan_enclosure(a/b, e/d).  Past 1/2 the
-    pivot's rest walks u = (2a - b)/(2b + a) at the half widths e/(2d),
-    and its base half is _pivot_base's at each of them, summed on
-    integers.  The verifier keeps one walk per grid point for a whole run.
-    """
-    if not a:
-        for _ in widths:
-            yield (0, 1), (0, 1)
-    elif 2 * a <= b:
-        yield from _series_walk(a, b, widths)
-    else:
-        mine, halves = tee(widths)
-        rest = _series_walk(2 * a - b, 2 * b + a, ((e, 2 * d) for e, d in halves))
-        for (e, d), ((rl, rld), (rh, rhd)) in zip(mine, rest):
-            base = _pivot_base(e, 2 * d)
-            (bl, bld), (bh, bhd) = base.lo.as_integer_ratio(), base.hi.as_integer_ratio()
-            yield (bl * rld + rl * bld, bld * rld), (bh * rhd + rh * bhd, bhd * rhd)
+    return _Walk(1, 2).bracket(e, d)
 
 
 def arctan_enclosure(x: RatLike, eps: RatLike) -> Enclosure:
     """A rational interval containing arctan(x), of width at most eps.
 
     With x = a/b and eps = e/d, the route is chosen on integers: the sign
-    of a, then a <= b, where _arctan_walk gives the bracket at e/d, and
+    of a, then a <= b, where a _Walk gives the bracket at e/d, and
     past that the reciprocal, at half the budget e/(2d).
     """
     x = rat(x)
@@ -178,7 +166,7 @@ def arctan_enclosure(x: RatLike, eps: RatLike) -> Enclosure:
         return Enclosure(-inner.hi, -inner.lo)
     e, d = eps.as_integer_ratio()
     if a <= b:
-        return _enclosure(next(_arctan_walk(a, b, ((e, d),))))
+        return _enclosure(_Walk(a, b).bracket(e, d))
     # arctan(x) = pi/2 - arctan(1/x); both halves get half the budget.
     half_pi = pi_enclosure(eps)
     inv = arctan_enclosure(Fraction(b, a), Fraction(e, 2 * d))

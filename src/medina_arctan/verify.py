@@ -17,10 +17,10 @@ powers side of L9's h_m are formed from their integer rows over a plain
 lcm, with no Fraction and not through _integrate.  Only L7, h_m against
 arctangent itself, consults the enclosure oracle, at a width two factors
 of 4 below the asserted bound so that enclosure slack can never mask a
-violation.  It keeps one oracle walk per grid point for the run (on
-grids of up to 4,096 points), which yields each index's enclosure as
-integer pairs, carrying the point's series on from the last index's;
-a witness reads arctan_enclosure's Fractions.
+violation.  It keeps one oracle walk per grid point from row to row,
+which gives each index's enclosure as integer pairs, carrying the
+point's series on from the last index's, and lets the walks go when its
+scan returns; a witness reads arctan_enclosure's Fractions.
 
 The suite reports every lemma with a pass/fail flag and, when a claim
 fails, a witness pinning down where.  A deliberately corrupted seed
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, partial
-from itertools import count, filterfalse, zip_longest
+from itertools import filterfalse, zip_longest
 from typing import NamedTuple, Optional
 
 from .medina import (
@@ -51,7 +51,7 @@ from .medina import (
     medina_scale,
     recurrence,
 )
-from .oracle import _arctan_walk, arctan_enclosure
+from .oracle import _Walk, arctan_enclosure
 from .poly_core import (
     IntPoly,
     Poly,
@@ -68,10 +68,6 @@ from .poly_core import (
 )
 
 DEFAULT_WORK_LIMIT = 2_000_000
-
-# L7 keeps one oracle walk per grid point from row to row on a grid of at
-# most this many points: 1.5-3 kB a walk before its integers grow.
-_KEPT_WALKS = 4096
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -184,15 +180,17 @@ def _sign_claim(n: int, p: IntPoly, scale: Fraction):
     )
 
 
-def _final_claim(n: int, h: IntPoly, bound: Fraction, width: Fraction, endpoints):
+def _final_claim(n: int, h: IntPoly, bound: Fraction, width: Fraction, walks):
     """L7: |h(x) - mid| + width/2 <= bound against the enclosure [lo, hi] of
     arctan(x) at width.  The left side is max(h - lo, hi - h), so the claim
     is hi - bound <= h <= lo + bound, both cross-multiplied with the integer
-    pairs ((lo_n, lo_d), (hi_n, hi_d)) that endpoints(k) gives at k/n."""
+    pairs ((lo_n, lo_d), (hi_n, hi_d)) that walks[k], arctan's oracle walk
+    at k/n, gives at width."""
     q, (bn, bd) = horner_den(h, n), bound.as_integer_ratio()
+    e, d = width.as_integer_ratio()
 
     def holds(k):
-        (ln, ld), (un, ud) = endpoints(k)
+        (ln, ld), (un, ud) = walks[k].bracket(e, d)
         value = horner_numerator(h.nums, k, n)
         if (un * bd - bn * ud) * q > value * ud * bd:  # h below hi - bound
             return False
@@ -365,27 +363,20 @@ def run_suite(
     def integrand_sign(m):
         return _sign_claim(grid_n, IntPoly(1, p_of(m)), medina_scale(m))
 
-    widths: list[tuple[int, int]] = []  # L7's enclosure width at each index so far
-    walks: list = []  # arctan(k/grid_n) at those widths, one walk a point
+    def final_bounds():
+        """L7's scan, with one oracle walk a grid point kept from row to row
+        and let go when the scan returns."""
+        walks: list[_Walk] = []
 
-    def endpoints(k):
-        """arctan(k/grid_n)'s bracket at the latest width.  Row 1 reaches
-        the points in order and starts their walks; each later row asks
-        every walk for its next width.  Past _KEPT_WALKS points, each row
-        walks each point afresh, so the memory stays constant."""
-        if k < len(walks):
-            return next(walks[k])
-        g = math.gcd(k, grid_n)
-        if grid_n >= _KEPT_WALKS:
-            return next(_arctan_walk(k // g, grid_n // g, widths[-1:]))
-        walks.append(_arctan_walk(k // g, grid_n // g, map(widths.__getitem__, count())))
-        return next(walks[k])
+        def final_bound(m):
+            if not walks:  # row 1, paid for: a walk at each k/grid_n in lowest terms
+                for k in range(grid_n + 1):
+                    g = math.gcd(k, grid_n)
+                    walks.append(_Walk(k // g, grid_n // g))
+            h, bound = h_of(m), medina_error_bound(m)
+            return _final_claim(grid_n, h, bound, bound / 16, walks)
 
-    def final_bound(m):
-        h, bound = h_of(m), medina_error_bound(m)
-        width = bound / 16
-        widths.append(width.as_integer_ratio())
-        return _final_claim(grid_n, h, bound, width, endpoints)
+        return scan(final_bound)
 
     def round_trip(m):
         # h_m = (1/s) * the integral of p_m from 0, with s = medina_scale(m),
@@ -438,7 +429,7 @@ def run_suite(
             "L7",
             "|h_m(x) - arctan(x)| <= 4^{-5m} on [0, 1], decided against "
             "enclosures of width 4^{-5m-2}",
-            partial(scan, final_bound),
+            final_bounds,
         ),
         (
             "L8",

@@ -16,8 +16,8 @@ from conftest import (
     REF_PI,
     REF_SLACK,
 )
-from medina_arctan import oracle
-from medina_arctan.oracle import Enclosure, _series_enclosure, arctan_enclosure, pi_enclosure
+from medina_arctan import oracle, verify
+from medina_arctan.oracle import Enclosure, _enclosure, _Walk, arctan_enclosure, pi_enclosure
 from medina_arctan.poly_core import rat_parse
 from medina_arctan.verify import run_suite
 
@@ -138,9 +138,14 @@ def test_rejects_float_arguments():
         arctan_enclosure(0.5, "1e-6")
 
 
+def series_enclosure(x, eps):
+    """A walk's one-width case at 0 < x <= 1/2, the series alone, as Fractions."""
+    return _enclosure(_Walk(*x.as_integer_ratio()).bracket(*eps.as_integer_ratio()))
+
+
 def series_by_fractions(x, eps):
     """The series loop in Fraction arithmetic, one Fraction a step: the
-    reference the integer partial sums of _series_enclosure must match."""
+    reference the integer partial sums of _Walk must match."""
     prev = x  # partial sum through degree 1
     power = x
     xsq = x * x
@@ -185,7 +190,7 @@ def test_series_enclosure_is_bit_identical_to_the_fraction_loop(x, eps):
     # Each step shrinks the term by about 2^-(2 * bits), bits = -log2 x.
     bits = x.denominator.bit_length() - x.numerator.bit_length()
     assume(eps.denominator.bit_length() <= 80 * max(bits, 1) or x.denominator < 10**6)
-    got, want = _series_enclosure(x, eps), series_by_fractions(x, eps)
+    got, want = series_enclosure(x, eps), series_by_fractions(x, eps)
     assert (got.lo.numerator, got.lo.denominator) == (want.lo.numerator, want.lo.denominator)
     assert (got.hi.numerator, got.hi.denominator) == (want.hi.numerator, want.hi.denominator)
     assert got.width <= eps
@@ -193,7 +198,7 @@ def test_series_enclosure_is_bit_identical_to_the_fraction_loop(x, eps):
 
 def base_afresh(e, d):
     """The pivot's base half summed afresh on every call: the uncached route."""
-    return _series_enclosure(Fraction(1, 2), Fraction(e, d))
+    return _Walk(1, 2).bracket(e, d)
 
 
 def parts(enc):
@@ -231,11 +236,11 @@ def enclosure_by_fractions(x, eps):
     if x == 0:
         return Enclosure(Fraction(0), Fraction(0))
     if x <= half:
-        return _series_enclosure(x, eps)
+        return series_enclosure(x, eps)
     if x <= 1:
         u = (x - half) / (1 + x / 2)
-        base = _series_enclosure(half, eps / 2)
-        rest = _series_enclosure(u, eps / 2)
+        base = series_enclosure(half, eps / 2)
+        rest = series_enclosure(u, eps / 2)
         return Enclosure(base.lo + rest.lo, base.hi + rest.hi)
     quarter = enclosure_by_fractions(Fraction(1), eps / 4)
     inv = enclosure_by_fractions(1 / x, eps / 2)
@@ -267,6 +272,22 @@ def test_integer_routing_is_bit_identical_to_the_fraction_route(x, eps):
     assert parts(arctan_enclosure(x, eps)) == parts(enclosure_by_fractions(x, eps))
 
 
+class CountingWalk(_Walk):
+    """A walk that records its argument and every width asked of it in walks."""
+
+    __slots__ = ("seen",)
+    walks: list = []
+
+    def __init__(self, a, b):
+        super().__init__(a, b)
+        self.seen = []
+        self.walks.append((Fraction(a, b), self.seen))
+
+    def bracket(self, e, d):
+        self.seen.append(Fraction(e, d))
+        return super().bracket(e, d)
+
+
 def test_the_suite_sums_the_pivot_base_once_per_width(monkeypatch):
     # run_suite(64, 4) keeps one walk per grid point for its four widths,
     # one per index, and encloses the 32 points of (1/2, 1] through the
@@ -274,29 +295,18 @@ def test_the_suite_sums_the_pivot_base_once_per_width(monkeypatch):
     # width), not 128 times.  The grid point 1/2 itself is on the series
     # side, one walk at twice those widths.
     walks = []
-    real = oracle._series_walk
-
-    def counting(a, b, widths):
-        seen = []
-        walks.append((Fraction(a, b), seen))
-
-        def noted():
-            for e, d in widths:
-                seen.append(Fraction(e, d))
-                yield e, d
-
-        return real(a, b, noted())
-
-    monkeypatch.setattr(oracle, "_series_walk", counting)
+    monkeypatch.setattr(CountingWalk, "walks", walks)
+    monkeypatch.setattr(oracle, "_Walk", CountingWalk)
+    monkeypatch.setattr(verify, "_Walk", CountingWalk)
     oracle._pivot_base.cache_clear()
     assert run_suite(64, 4).all_passed
     bounds = [Fraction(1, 4 ** (5 * m)) for m in range(1, 5)]
     at_half = sorted(seen for x, seen in walks if x == Fraction(1, 2))
     assert at_half == sorted([[b / 32] for b in bounds] + [[b / 16 for b in bounds]])
-    # The 64 points past 0, one walk each over all four widths, and the
+    # The 65 grid points, one walk each over all four widths, and the
     # pivot's four bases.
-    assert len(walks) == 64 + 4
-    assert sum(len(seen) == 4 for x, seen in walks) == 64
+    assert len(walks) == 65 + 4
+    assert sum(seen == [b / 16 for b in bounds] for x, seen in walks) == 65
 
 
 def test_pivot_memo_is_bounded():
@@ -332,19 +342,14 @@ _walk_args = st.one_of(
 @example(Fraction(1000001, 2000000), [(9, 1), (4, 1000)])
 @example(Fraction(0), [(1, 1), (1, 10)])
 def test_walk_brackets_are_the_enclosures(x, widths):
-    # Each bracket the walk yields, reduced, is arctan_enclosure's at that width.
-    got = list(oracle._arctan_walk(*x.as_integer_ratio(), widths))
-    assert len(got) == len(widths)
-    for ((ln, ld), (hn, hd)), width in zip(got, widths):
+    # Each bracket one walk gives along the run, reduced, is
+    # arctan_enclosure's at that width.
+    walk = _Walk(*x.as_integer_ratio())
+    for width in widths:
+        (ln, ld), (hn, hd) = walk.bracket(*width)
         assert ld > 0 and hd > 0
         enc = arctan_enclosure(x, Fraction(*width))
         assert (Fraction(ln, ld), Fraction(hn, hd)) == (enc.lo, enc.hi)
-
-
-def one_width_then_refuse(width):
-    """width, and then an error if the walk asks for another."""
-    yield width
-    raise AssertionError("the walk asked for a second width")
 
 
 @pytest.mark.parametrize(
@@ -357,12 +362,12 @@ def one_width_then_refuse(width):
     ],
 )
 def test_a_walk_stops_at_the_term_of_the_width_asked_for(x, width):
-    # Asked for its first width only, the walk stands at the step whose
-    # term a^(2k+1) / ((2k+1) b^(2k+1)) first falls within it, and has
-    # not read another width.
-    widths = one_width_then_refuse(width.as_integer_ratio())
-    walk = oracle._series_walk(*x.as_integer_ratio(), widths)
-    lo, hi = (Fraction(*pair) for pair in next(walk))
+    # Asked for its first width, the walk stands at the step whose term
+    # a^(2k+1) / ((2k+1) b^(2k+1)) first falls within it, and asked for the
+    # same width again, it stays there.
+    walk = _Walk(*x.as_integer_ratio())
     k = next(k for k in count(1) if x ** (2 * k + 1) / (2 * k + 1) <= width)
-    assert walk.gi_frame.f_locals["k"] == k
-    assert hi - lo == x ** (2 * k + 1) / (2 * k + 1)
+    for _ in range(2):
+        lo, hi = (Fraction(*pair) for pair in walk.bracket(*width.as_integer_ratio()))
+        assert walk.k == k
+        assert hi - lo == x ** (2 * k + 1) / (2 * k + 1)

@@ -18,7 +18,7 @@ from medina_arctan.medina import (
     recurrence,
     window_poly,
 )
-from medina_arctan.oracle import _arctan_walk, arctan_enclosure
+from medina_arctan.oracle import _Walk, arctan_enclosure
 from medina_arctan.poly_core import (
     IntPoly,
     poly_add,
@@ -223,26 +223,35 @@ def test_schemes_lemma_does_not_share_the_integration(monkeypatch):
 
 
 @pytest.mark.parametrize("tight", [False, True], ids=["passing", "tight bound"])
-def test_large_grids_walk_each_point_afresh(monkeypatch, tight):
-    # Up to _KEPT_WALKS points L7 keeps one oracle walk a point for the
-    # run; past it, each row walks each point afresh, in constant memory,
-    # to the same brackets and so the same report.
+def test_l7_keeps_a_walk_a_point_and_lets_them_go(monkeypatch, tight):
+    # L7 makes one oracle walk at each grid point, in lowest terms, in its
+    # first row and asks it again in each later row; all are gone before
+    # L8 runs (its first _integrate call).
     if tight:
         monkeypatch.setattr(verify, "medina_error_bound", lambda m: Fraction(1, 4 ** (5 * m + 1)))
-    started = []
+    made, freed, at_l8 = [], [], []
 
-    def counting(a, b, widths):
-        started.append((a, b))
-        return _arctan_walk(a, b, widths)
+    class Counting(_Walk):
+        __slots__ = ()
 
-    monkeypatch.setattr(verify, "_arctan_walk", counting)
-    kept = run_suite(16, 3)
+        def __init__(self, a, b):
+            super().__init__(a, b)
+            made.append((a, b))
+
+        def __del__(self):
+            freed.append(1)
+
+    def integrate(row, m):
+        at_l8.append(len(freed))
+        return medina._integrate(row, m)
+
+    monkeypatch.setattr(verify, "_Walk", Counting)
+    monkeypatch.setattr(verify, "_integrate", integrate)
+    report = run_suite(16, 3)
     # The tight bound fails L7 at 10/16 in its first row.
-    assert len(started) == (11 if tight else 17)
-    started.clear()
-    monkeypatch.setattr(verify, "_KEPT_WALKS", 16)
-    assert run_suite(16, 3) == kept
-    assert len(started) == (11 if tight else 3 * 17)
+    assert report.all_passed is not tight
+    assert made == [Fraction(k, 16).as_integer_ratio() for k in range(17)]
+    assert at_l8[0] == len(made)
 
 
 def test_peak_identity_failure_has_a_witness(monkeypatch):
@@ -312,7 +321,7 @@ def test_work_limit_is_spent_before_anything_is_built(monkeypatch):
     monkeypatch.setattr(verify, "_window_row", refuse)
     monkeypatch.setattr(verify, "_integrate", refuse)
     monkeypatch.setattr(verify, "_antiderivative", refuse)
-    monkeypatch.setattr(verify, "_arctan_walk", refuse)
+    monkeypatch.setattr(verify, "_Walk", refuse)
     # Every grid point is a Fraction made in verify, after its row is paid for.
     monkeypatch.setattr(verify, "Fraction", refuse)
     before = medina_h.cache_info()
@@ -555,8 +564,7 @@ def test_grid_claims_decide_as_the_fraction_rules(n, m, case, at, delta, zeros, 
 
     # L7's endpoints at k/n from one oracle walk a point, at one width; k/n
     # unreduced, which changes the integers but not the rationals.
-    def endpoints(k):
-        return next(_arctan_walk(k, n, [width.as_integer_ratio()]))
+    walks = [_Walk(k, n) for k in range(n + 1)]
 
     claims = [
         (verify._peak_claim(n), peak_rule),
@@ -564,7 +572,7 @@ def test_grid_claims_decide_as_the_fraction_rules(n, m, case, at, delta, zeros, 
         (verify._integral_claim(n, m, anti), partial(integral_rule, m, anti)),
         (verify._sign_claim(n, p_form, scale), partial(sign_rule, p_form, scale)),
         (
-            verify._final_claim(n, h, bound, width, endpoints),
+            verify._final_claim(n, h, bound, width, walks),
             partial(final_rule, h, bound, width),
         ),
         (verify._schemes_claim(n, p_form, powers_form(p)), partial(schemes_rule, p_form, p)),
