@@ -21,13 +21,11 @@ known to be made of: D's share by one gcd with D, then whatever primes of
 b are left, never by a gcd at full width.  A long form is nested in blocks
 whose values merge pairwise, so its products are balanced rather than long
 by long; the integer is the same.
-``poly_eval_powers`` also makes one Fraction, but by a second scheme:
-it sums integer terms, each from its own freshly raised powers, over the lcm
-of the coefficients' denominators, and never nests or forms an ``IntPoly``.
-Each route's integer loop, ``horner_numerator`` and ``powers_numerator``,
-takes the route's numerators and returns the unreduced numerator at x = a/b,
-over ``horner_den`` for Horner's, so values at points that share b share a
-denominator and compare by cross-multiplication.
+``poly_eval_powers`` also makes one Fraction, by a second scheme that sums
+integer terms and never nests.  Each route's integer loop, ``horner_numerator``
+or ``powers_at`` over ``powers_terms`` (each b^(n-i) raised once for all points
+over b), returns the unreduced numerator at x = a/b, so points that share b
+share a denominator, ``horner_den`` for Horner's, and compare by cross-multiplying.
 ``rat_text`` writes the one text form of a rational that ``rat_parse``
 reads, at any length.  A message that echoes a caller's value writes it by
 one rule, ``_brief``: a rational as ``rat_text`` writes it, anything else
@@ -359,34 +357,32 @@ def powers_form(p: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
     return den, tuple(den // c.denominator * c.numerator for c in p)
 
 
-def powers_numerator(nums: Sequence[int], a: int, b: int) -> int:
-    """L*b^n*p(a/b) from powers_form(p)'s nums, n = len(nums) - 1, any b > 0.
-
-    The sum of nums[i] a^i b^(n-i) over the nonzero terms, with a^i and
-    b^(n-i) raised afresh for each term: no nesting, so it shares no step
-    with horner_numerator.  Not reduced, like horner_numerator.
-    """
+def powers_terms(nums: Sequence[int], b: int) -> List[Tuple[int, int]]:
+    """The nonzero terms (i, nums[i] b^(n-i)) of powers_form's nums at the
+    denominator b, n = len(nums) - 1: all that powers_at needs of b."""
     n = len(nums) - 1
-    return sum(c * a**i * b ** (n - i) for i, c in enumerate(nums) if c)
+    return [(i, c * b ** (n - i)) for i, c in enumerate(nums) if c]
+
+
+def powers_at(terms: Sequence[Tuple[int, int]], a: int) -> int:
+    """L*b^n*p(a/b), unreduced: the sum of c a^i over powers_terms(nums, b),
+    each a^i raised afresh, with no nesting, so no step shared with Horner's."""
+    return sum(c * a**i for i, c in terms)
 
 
 def poly_eval_powers(p: Union[Poly, IntPoly], x: RatLike) -> Fraction:
     """Evaluate as the sum of c_i * x**i with independently computed powers.
 
-    Agrees with poly_eval_horner on every input; kept as a second route so
-    the two schemes can be checked against each other.  With x = a/b and
-    n = deg p, powers_form(p) gives the lcm L and the scaled numerators,
-    powers_numerator gives L*b^n*p(x), and one Fraction is made over L*b^n.
-    Fractions are canonical, so that is bit for bit the Fraction sum of the
-    terms.  It never nests and never reads an IntPoly's numerators, so it
-    shares no step with Horner's route: an IntPoly is taken as its
-    coefficients, through poly(), like poly_eval_horner takes either.
+    A second route, to check the two schemes against each other: at x = a/b,
+    powers_at over powers_terms of powers_form(p) gives L*b^n*p(x), n = deg p,
+    and one Fraction over L*b^n is bit for bit the Fraction sum of the terms.
+    An IntPoly is read through poly(), so Horner's form is never read.
     """
     a, b = rat(x).as_integer_ratio()
     if isinstance(p, IntPoly):
         p = p.poly()
     den, nums = powers_form(p)
-    return Fraction(powers_numerator(nums, a, b), den * b ** max(len(p) - 1, 0))
+    return Fraction(powers_at(powers_terms(nums, b), a), den * b ** max(len(p) - 1, 0))
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:

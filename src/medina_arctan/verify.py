@@ -2,39 +2,34 @@
 
 Each lemma below is a concrete claim about the constructed polynomials,
 checked in exact rational arithmetic for every index up to m_max, with no
-tolerance anywhere.  Identities are compared coefficient by coefficient:
-L5 and L8 for each index, L1's square and L2's derivative once.  L8
-differentiates, on integers, the h_m form that _integrate (medina_h's
-integration) makes from the reference p_m's row.  The pointwise claims
-(L1, L3, L4, L6, L7, L9) are exact comparisons of rationals sampled on
-the grid x = k/grid_n over [0, 1].  Every point of a row shares the
-denominator grid_n, so each claim is decided on integers: a polynomial's
-value at k/grid_n is its integer numerator over the row's common
-denominator D grid_n^deg, and the two sides are cross-multiplied, with no
-gcd at any point.  Fractions appear only in witnesses, made at
-the failing point from the claim's two sides.  L4's integral and the
-powers side of L9's h_m are formed from their integer rows over a plain
-lcm, with no Fraction and not through _integrate.  Only L7, h_m against
-arctangent itself, consults the enclosure oracle, at a width two factors
-of 4 below the asserted bound so that enclosure slack can never mask a
-violation.  It keeps one oracle walk per grid point from row to row,
-which gives each index's enclosure as integer pairs, carrying the
-point's series on from the last index's, and lets the walks go when its
-scan returns; a witness reads arctan_enclosure's Fractions.
+tolerance anywhere.  L5 and L8 are identities, compared coefficient by
+coefficient for each index; L8 differentiates, on integers, the h_m form
+that _integrate (medina_h's integration) makes from the reference p_m.
+The pointwise claims (L1, L3, L4, L6, L7, L9) are sampled on the grid
+x = k/grid_n over [0, 1] and decided on integers, with no gcd: a
+polynomial's value at k/grid_n is its Horner numerator over the row's
+common denominator D grid_n^deg, and the two sides are cross-multiplied.
+p_m's and h_m's rows of Horner numerators are made once a run, by L6 and
+L7, and L9 reads the same rows against its powers side, which raises each
+b^(n-i) once a row.  Fractions appear only in witnesses.  L4's integral
+and the powers side of L9's h_m are formed from integer rows over a plain
+lcm, not through _integrate.  Only L7, h_m against arctangent itself,
+consults the enclosure oracle, at a width two factors of 4 below the
+asserted bound so that enclosure slack can never mask a violation; one
+oracle walk a grid point carries its series on from index to index.
 
 The suite reports every lemma with a pass/fail flag and, when a claim
 fails, a witness pinning down where.  A deliberately corrupted seed
 polynomial can be injected to exercise that failure path end to end.
-
 The work meter charges grid_n + 1 units a grid row, one an index of an
-identity and one for L2, each row paid for before it is built.  It raises
-WorkLimitExceeded once the caller's limit is passed, with the report of
-the checks completed so far attached.
+identity and one for L2, each row paid for before it is built, and raises
+WorkLimitExceeded past the caller's limit, with the report so far attached.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cache, partial
 from itertools import filterfalse, zip_longest
@@ -63,11 +58,15 @@ from .poly_core import (
     poly_eval_horner,
     poly_mul,
     poly_sub,
-    powers_numerator,
+    powers_at,
+    powers_terms,
     rat_text,
 )
 
 DEFAULT_WORK_LIMIT = 2_000_000
+# The most bytes of Horner rows L6 and L7 keep for L9, which makes again any
+# row not kept: both rows of a 65,536-point grid at one index take 6.4 MB.
+_ROW_BYTES = 1 << 23
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -133,8 +132,8 @@ class WorkLimitExceeded(RuntimeError):
 
 # Each grid claim below, for the row of points k/n, returns (holds, sides):
 # holds(k) decides the claim at k/n on integers, and sides(x) gives its two
-# sides as Fractions, which only a witness reads.  A polynomial's value at
-# k/n is horner_numerator(form.nums, k, n) over horner_den(form, n), D n^d.
+# sides as Fractions, which only a witness reads.  A polynomial's value at k/n
+# is horner_numerator(form.nums, k, n), or values[k], over horner_den(form, n).
 
 
 def _peak_claim(n: int):
@@ -170,28 +169,28 @@ def _integral_claim(n: int, m: int, anti: IntPoly):
     )
 
 
-def _sign_claim(n: int, p: IntPoly, scale: Fraction):
+def _sign_claim(n: int, p: IntPoly, scale: Fraction, values: list[int]):
     """L6: p(x) - s/(1 + x^2) >= 0 for the integer s = scale, as
-    H (n^2 + k^2) >= s D n^{d+2} with H/(D n^d) = p(k/n)."""
+    H (n^2 + k^2) >= s D n^{d+2} with H = values[k], D n^d p(k/n)."""
     right = scale.numerator * horner_den(p, n) * n * n
     return (
-        lambda k: horner_numerator(p.nums, k, n) * (n * n + k * k) >= right,
+        lambda k: values[k] * (n * n + k * k) >= right,
         lambda x: (poly_eval_horner(p, x) - scale / (1 + x * x), Fraction(0)),
     )
 
 
-def _final_claim(n: int, h: IntPoly, bound: Fraction, width: Fraction, walks):
+def _final_claim(n: int, h: IntPoly, bound: Fraction, width: Fraction, walk, values):
     """L7: |h(x) - mid| + width/2 <= bound against the enclosure [lo, hi] of
     arctan(x) at width.  The left side is max(h - lo, hi - h), so the claim
     is hi - bound <= h <= lo + bound, both cross-multiplied with the integer
-    pairs ((lo_n, lo_d), (hi_n, hi_d)) that walks[k], arctan's oracle walk
-    at k/n, gives at width."""
+    pairs ((lo_n, lo_d), (hi_n, hi_d)) that walk(k), arctan's oracle walk
+    at k/n, gives at width, and h's numerator values[k]."""
     q, (bn, bd) = horner_den(h, n), bound.as_integer_ratio()
     e, d = width.as_integer_ratio()
 
     def holds(k):
-        (ln, ld), (un, ud) = walks[k].bracket(e, d)
-        value = horner_numerator(h.nums, k, n)
+        (ln, ld), (un, ud) = walk(k).bracket(e, d)
+        value = values[k]
         if (un * bd - bn * ud) * q > value * ud * bd:  # h below hi - bound
             return False
         return value * ld * bd <= (ln * bd + bn * ld) * q  # h at most lo + bound
@@ -203,36 +202,31 @@ def _final_claim(n: int, h: IntPoly, bound: Fraction, width: Fraction, walks):
     return holds, sides
 
 
-def _schemes_claim(n: int, form: IntPoly, powers: tuple[int, tuple[int, ...]]):
-    """L9: Horner on form equals the powers route on powers = (L, nums), the
-    coefficients nums[i] / L, as H L n^{d'} = S D n^d over the row, each
-    side's power of n cut by the smaller degree."""
+def _schemes_claim(n: int, form: IntPoly, powers: tuple[int, tuple[int, ...]], values):
+    """L9: form's Horner numerators values equal the powers route on powers =
+    (L, nums), the coefficients nums[i] / L, as H L n^{d'} = S D n^d over the
+    row, each side's power of n cut by the smaller degree.  The powers side
+    raises n^(d'-i) once a row; a witness's Horner side is the row's value."""
     den, nums = powers
     dh, dp = len(form) - 1, len(nums) - 1
     left, right = den * n ** max(dp - dh, 0), form.den * n ** max(dh - dp, 0)
+    terms = powers_terms(nums, n)
 
     def sides(x):
-        a, b = x.as_integer_ratio()
-        return poly_eval_horner(form, x), Fraction(powers_numerator(nums, a, b), den * b**dp)
+        k = x.numerator * n // x.denominator
+        horner_side = Fraction(values[k], horner_den(form, n))
+        return horner_side, Fraction(powers_at(terms, k), den * n**dp)
 
-    return (
-        lambda k: horner_numerator(form.nums, k, n) * left
-        == powers_numerator(nums, k, n) * right,
-        sides,
-    )
+    return lambda k: values[k] * left == powers_at(terms, k) * right, sides
 
 
 def _antiderivative(row: tuple[int, ...], s: int = 1) -> tuple[int, tuple[int, ...]]:
-    """(L, nums): the antiderivative of row / s from 0, on integers.
-
-    Its coefficient of x^k, row[k-1] / (s k), has the reduced denominator
-    s k / gcd(row[k-1], s k); L is the plain lcm of them all and nums[k] =
-    L row[k-1] / (s k), an exact division.  So at s = 1 this is the form
-    IntPoly.of(poly_antiderivative(row)) (L4's integral), and at
-    s = medina_scale(m) it is powers_form(approximant(row, m)) (L9's h_m),
-    with no Fraction made.  It shares no step with _integrate, which L8
-    checks and medina_h serves.
-    """
+    """(L, nums): the antiderivative of row / s from 0, on integers, with
+    nums[k] = L row[k-1] / (s k) exactly and L the plain lcm of those
+    coefficients' reduced denominators.  So at s = 1 it is the form of
+    poly_antiderivative(row) (L4's integral), and at s = medina_scale(m)
+    powers_form(approximant(row, m)) (L9's h_m), with no Fraction made and
+    no step shared with _integrate, which L8 checks and medina_h serves."""
     steps = [s * k for k in range(1, len(row) + 1)]
     den = math.lcm(*(t // math.gcd(c, t) for c, t in zip(row, steps)))
     return den, (0, *(den * c // t for c, t in zip(row, steps)))
@@ -247,17 +241,13 @@ def run_suite(
 ) -> VerificationReport:
     """Check every lemma for indices 1..m_max.
 
-    L5 and L8 are compared coefficient by coefficient for each index, and
-    L1, L3, L4, L6, L7 and L9 sampled on the k/grid_n grid.  By default L5,
-    L6, L8 and L9 check the reference recurrence's p_m (L8 as _integrate
-    integrates it), and L7 and L9 the shipped medina_h.  base_poly
-    overrides the seed (the fault-injection hook), and h_m is then
-    integrated from its p_m.  One recurrence walk serves the run, on
-    integer rows, so base_poly must have integer coefficients (ValueError
-    before anything is paid for otherwise).  Each row (an index, or a pass
-    over the grid) is paid for before anything in it is grown, integrated
-    or made, and the meter raises WorkLimitExceeded past the limit, with
-    the checks done so far.
+    By default L5, L6, L8 and L9 check the reference recurrence's p_m (L8
+    as _integrate integrates it), and L7 and L9 the shipped medina_h.
+    base_poly overrides the seed (the fault-injection hook), and h_m is then
+    integrated from its p_m.  One recurrence walk serves the run, on integer
+    rows, so base_poly must have integer coefficients (ValueError before
+    anything is paid for otherwise).  Each row (an index, or a pass over
+    the grid) is paid for before anything in it is grown, integrated or made.
     """
     check_int(grid_n, "grid_n", 2)
     _check_index(m_max, "m_max")
@@ -301,14 +291,23 @@ def run_suite(
         """h_m: the shipped one, or the injected seed's p_m integrated."""
         return medina_h(m) if base_poly is None else integral_of(m)
 
+    kept: dict[tuple[int, int], list[int]] = {}
+    room = _ROW_BYTES
+
+    def horner_row(m: int, which: int, keep: bool = False) -> list[int]:
+        """p_m's (which 0) or h_m's Horner row, kept for L9 if keep and it fits."""
+        nonlocal room
+        nums = h_of(m).nums if which else p_of(m)
+        row = [horner_numerator(nums, k, grid_n) for k in range(grid_n + 1)]
+        if keep and (size := sys.getsizeof(row) + sum(map(sys.getsizeof, row))) <= room:
+            room, kept[m, which] = room - size, row
+        return row
+
     def scan(claim, rows=None):
         """(True, None), or (False, witness) at the first point x = k/grid_n
-        where holds(k) is false, with (lhs, rhs) = sides(x).
-
-        rows yields the arguments of claim, m first; by default (m,) for
-        each index.  Each row's grid_n + 1 points cost one unit each, paid
-        before (holds, sides) = claim(*row) is made.
-        """
+        where holds(k) is false, with (lhs, rhs) = sides(x).  rows yields the
+        arguments of claim, m first, by default (m,) for each index; a row's
+        grid_n + 1 points cost a unit each, paid before claim(*row) is made."""
         for row in rows or ((m,) for m in indices):
             spend(grid_n + 1)
             holds, sides = claim(*row)
@@ -361,20 +360,24 @@ def run_suite(
         return left, _window_row(m), 1
 
     def integrand_sign(m):
-        return _sign_claim(grid_n, IntPoly(1, p_of(m)), medina_scale(m))
+        values = horner_row(m, 0, True)
+        return _sign_claim(grid_n, IntPoly(1, p_of(m)), medina_scale(m), values)
 
     def final_bounds():
-        """L7's scan, with one oracle walk a grid point kept from row to row
-        and let go when the scan returns."""
+        """L7's scan.  Row 1 of several makes one oracle walk a grid point, in
+        lowest terms, kept for later rows to carry on until the scan returns."""
         walks: list[_Walk] = []
 
+        def point(k):
+            g = math.gcd(k, grid_n)
+            return _Walk(k // g, grid_n // g)
+
         def final_bound(m):
-            if not walks:  # row 1, paid for: a walk at each k/grid_n in lowest terms
-                for k in range(grid_n + 1):
-                    g = math.gcd(k, grid_n)
-                    walks.append(_Walk(k // g, grid_n // g))
+            if not walks and m < m_max:  # paid for; the last row keeps none
+                walks.extend(map(point, range(grid_n + 1)))
             h, bound = h_of(m), medina_error_bound(m)
-            return _final_claim(grid_n, h, bound, bound / 16, walks)
+            walk = walks.__getitem__ if walks else point
+            return _final_claim(grid_n, h, bound, bound / 16, walk, horner_row(m, 1, True))
 
         return scan(final_bound)
 
@@ -386,11 +389,12 @@ def run_suite(
         return slopes, [form.den * c for c in p_of(m)], form.den
 
     def schemes_agree(m, which):
-        # The powers side reads the reference row, and h_m integrated from it.
+        # Horner: L6's or L7's row.  Powers: the reference row, or h_m from it.
+        values = kept.pop((m, which), None) or horner_row(m, which)
         if which:
             powers = _antiderivative(p_of(m), medina_scale(m).numerator)
-            return _schemes_claim(grid_n, h_of(m), powers)
-        return _schemes_claim(grid_n, IntPoly(1, p_of(m)), (1, p_of(m)))
+            return _schemes_claim(grid_n, h_of(m), powers, values)
+        return _schemes_claim(grid_n, IntPoly(1, p_of(m)), (1, p_of(m)), values)
 
     lemmas = (
         (

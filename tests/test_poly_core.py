@@ -32,7 +32,8 @@ from medina_arctan.poly_core import (
     poly_sub,
     poly_to_strings,
     powers_form,
-    powers_numerator,
+    powers_at,
+    powers_terms,
     rat,
     rat_parse,
     rat_text,
@@ -158,7 +159,7 @@ def test_horner_at_an_integer_point(nums):
     assert horner_numerator(nums, 1, 1) == sum(nums) == horner_flat(nums, 1, 1)
     for a in (-5, 0, 2):
         assert horner_numerator(nums, a, 1) == horner_flat(nums, a, 1)
-        assert horner_numerator(nums, a, 1) == powers_numerator(nums, a, 1)
+        assert horner_numerator(nums, a, 1) == powers_at(powers_terms(nums, 1), a)
 
 
 # Raw tuples, so plain ints, zeros and the empty polynomial all occur, and
@@ -408,7 +409,7 @@ def test_numerators_at_an_unreduced_point(p, a, b):
     assert Fraction(numerator, horner_den(form, b)) == value  # horner_den's D b^n
     den, nums = powers_form(p)
     assert den == form.den and len(nums) == len(p)
-    assert powers_numerator(nums, a, b) == want * den
+    assert powers_at(powers_terms(nums, b), a) == want * den
 
 
 # Forms over D = 2^k 3^j, whose numerators carry a common factor built from
@@ -485,7 +486,7 @@ def test_coprime_route_falls_back_to_plain_fraction(monkeypatch):
 def test_each_evaluation_wraps_its_one_loop(monkeypatch):
     # No second copy of either loop: each Fraction route reads its own.
     calls = []
-    for name in ("horner_numerator", "powers_numerator"):
+    for name in ("horner_numerator", "powers_terms", "powers_at"):
 
         def counted(*args, _loop=getattr(poly_core, name), _name=name):
             calls.append(_name)
@@ -494,7 +495,7 @@ def test_each_evaluation_wraps_its_one_loop(monkeypatch):
         monkeypatch.setattr(poly_core, name, counted)
     h = medina_h(2).poly()
     assert poly_eval_horner(h, Fraction(3, 7)) == poly_eval_powers(h, Fraction(3, 7))
-    assert calls == ["horner_numerator", "powers_numerator"]
+    assert calls == ["horner_numerator", "powers_terms", "powers_at"]
 
 
 def test_add_examples():

@@ -1,5 +1,6 @@
 """Lemma suite: clean passes, fault injection, determinism, work metering."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -21,6 +22,7 @@ from medina_arctan.medina import (
 from medina_arctan.oracle import _Walk, arctan_enclosure
 from medina_arctan.poly_core import (
     IntPoly,
+    horner_numerator,
     poly_add,
     poly_antiderivative,
     poly_eval_horner,
@@ -222,14 +224,10 @@ def test_schemes_lemma_does_not_share_the_integration(monkeypatch):
     assert all(by_id[i].passed for i in ("L1", "L2", "L3", "L4", "L5", "L6"))
 
 
-@pytest.mark.parametrize("tight", [False, True], ids=["passing", "tight bound"])
-def test_l7_keeps_a_walk_a_point_and_lets_them_go(monkeypatch, tight):
-    # L7 makes one oracle walk at each grid point, in lowest terms, in its
-    # first row and asks it again in each later row; all are gone before
-    # L8 runs (its first _integrate call).
-    if tight:
-        monkeypatch.setattr(verify, "medina_error_bound", lambda m: Fraction(1, 4 ** (5 * m + 1)))
-    made, freed, at_l8 = [], [], []
+def counting_walks(monkeypatch):
+    """Install an oracle walk in verify that logs each walk made, with the
+    number then alive, and each freed; return (made, alive, freed)."""
+    made, alive, freed = [], [], []
 
     class Counting(_Walk):
         __slots__ = ()
@@ -237,22 +235,92 @@ def test_l7_keeps_a_walk_a_point_and_lets_them_go(monkeypatch, tight):
         def __init__(self, a, b):
             super().__init__(a, b)
             made.append((a, b))
+            alive.append(len(made) - len(freed))
 
         def __del__(self):
             freed.append(1)
+
+    monkeypatch.setattr(verify, "_Walk", Counting)
+    return made, alive, freed
+
+
+def counting_l8(monkeypatch, freed):
+    """Log len(freed) at each _integrate call, L8's first step."""
+    at_l8 = []
 
     def integrate(row, m):
         at_l8.append(len(freed))
         return medina._integrate(row, m)
 
-    monkeypatch.setattr(verify, "_Walk", Counting)
     monkeypatch.setattr(verify, "_integrate", integrate)
+    return at_l8
+
+
+@pytest.mark.parametrize("tight", [False, True], ids=["passing", "tight bound"])
+def test_l7_keeps_a_walk_a_point_and_lets_them_go(monkeypatch, tight):
+    # L7 makes one oracle walk at each grid point, in lowest terms, in its
+    # first row and asks it again in each later row; all are gone before
+    # L8 runs (its first _integrate call).
+    if tight:
+        monkeypatch.setattr(verify, "medina_error_bound", lambda m: Fraction(1, 4 ** (5 * m + 1)))
+    made, alive, freed = counting_walks(monkeypatch)
+    at_l8 = counting_l8(monkeypatch, freed)
     report = run_suite(16, 3)
     # The tight bound fails L7 at 10/16 in its first row.
     assert report.all_passed is not tight
     assert made == [Fraction(k, 16).as_integer_ratio() for k in range(17)]
+    assert alive == list(range(1, 18))
     assert at_l8[0] == len(made)
 
+
+def test_l7_keeps_no_walk_in_its_last_row(monkeypatch):
+    # At m_max = 1 the first row is the last: no later row asks a walk
+    # again, so each goes once its point is decided, and at most the one
+    # being asked is alive.
+    made, alive, freed = counting_walks(monkeypatch)
+    at_l8 = counting_l8(monkeypatch, freed)
+    assert run_suite(16, 1).all_passed
+    assert made == [Fraction(k, 16).as_integer_ratio() for k in range(17)]
+    assert max(alive) == 1
+    assert at_l8[0] == len(made)
+
+
+def test_horner_rows_are_made_once_and_shared(monkeypatch):
+    # L4, L6 and L7 each make one Horner numerator a grid point of each of
+    # their rows; L6's rows (p_m) and L7's (h_m) are L9's Horner side, so on
+    # the passing path L9 makes none.
+    calls = Counter()
+
+    def counting(nums, a, b):
+        calls[tuple(nums)] += 1
+        return horner_numerator(nums, a, b)
+
+    monkeypatch.setattr(verify, "horner_numerator", counting)
+    assert run_suite(16, 3).all_passed
+    rows = list(islice(recurrence(medina_p1()), 3))
+    made = [*rows, *(medina_h(m).nums for m in (1, 2, 3))]
+    made += [verify._antiderivative(medina._window_row(m))[1] for m in (1, 2, 3)]
+    assert calls == Counter({tuple(nums): 17 for nums in made})
+
+
+def test_a_horner_fault_in_a_kept_row_fails_l9(monkeypatch):
+    # The row L7 makes for h_2, off by one at 5/16, is the one L9 reads:
+    # L9 fails there, with the Fraction rules' witness, the off numerator
+    # over D 16^d against the powers route's h_2.
+    h = medina_h(2)
+
+    def off(nums, a, b):
+        value = horner_numerator(nums, a, b)
+        return value + 1 if (tuple(nums), a, b) == (h.nums, 5, 16) else value
+
+    monkeypatch.setattr(verify, "horner_numerator", off)
+    report = run_suite(16, 3)
+    assert [c.id for c in report.checks if not c.passed] == ["L9"]
+    x = Fraction(5, 16)
+    assert report.checks[-1].witness == Witness(
+        x, 2, form_at(h, x) + Fraction(1, 16 ** (len(h) - 1) * h.den),
+        value_at(approximant(medina._p_row(2), 2), x),
+    )
 
 def test_peak_identity_failure_has_a_witness(monkeypatch):
     # L1's symbolic square is a poly_mul; a wrong product fails it up front.
@@ -565,18 +633,27 @@ def test_grid_claims_decide_as_the_fraction_rules(n, m, case, at, delta, zeros, 
     # L7's endpoints at k/n from one oracle walk a point, at one width; k/n
     # unreduced, which changes the integers but not the rationals.
     walks = [_Walk(k, n) for k in range(n + 1)]
+    # L6, L7 and L9 read each polynomial's row of Horner numerators, as
+    # run_suite makes it once for all three.
+    p_row, h_row = ([horner_numerator(f.nums, k, n) for k in range(n + 1)] for f in (p_form, h))
 
     claims = [
         (verify._peak_claim(n), peak_rule),
         (verify._power_claim(n, m), partial(power_rule, m)),
         (verify._integral_claim(n, m, anti), partial(integral_rule, m, anti)),
-        (verify._sign_claim(n, p_form, scale), partial(sign_rule, p_form, scale)),
+        (verify._sign_claim(n, p_form, scale, p_row), partial(sign_rule, p_form, scale)),
         (
-            verify._final_claim(n, h, bound, width, walks),
+            verify._final_claim(n, h, bound, width, walks.__getitem__, h_row),
             partial(final_rule, h, bound, width),
         ),
-        (verify._schemes_claim(n, p_form, powers_form(p)), partial(schemes_rule, p_form, p)),
-        (verify._schemes_claim(n, h, powers_form(target)), partial(schemes_rule, h, target)),
+        (
+            verify._schemes_claim(n, p_form, powers_form(p), p_row),
+            partial(schemes_rule, p_form, p),
+        ),
+        (
+            verify._schemes_claim(n, h, powers_form(target), h_row),
+            partial(schemes_rule, h, target),
+        ),
     ]
     for (holds, sides), rule in claims:
         for k in range(n + 1):
