@@ -291,6 +291,13 @@ _NO_OUTPUT = hashlib.sha256(b"").hexdigest()
             "ec982f66f57b867e423248da6501318ce06fea01a58ea262033b010ea2588186",
             "error: work limit 200 exhausted during L3 (2 of 9 checks completed)",
         ),
+        # A partial report that carries failing witnesses (L5-L7), captured
+        # before run_suite's lemmas became a module-level table.
+        (
+            "verify --grid 64 --m-max 4 --inject-fault", "1000", 2,
+            "2bb83abe16fcc276f9fbe75984099e2b88111747a2ac4adc8471be97ad2f1c9b",
+            "error: work limit 1000 exhausted during L9 (8 of 9 checks completed)",
+        ),
         (
             "verify --grid 64 --m-max 3", "abc", 2, _NO_OUTPUT,
             "error: MEDINA_WORK_LIMIT must be an integer, got 'abc'",
