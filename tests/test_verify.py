@@ -1,5 +1,7 @@
 """Lemma suite: clean passes, fault injection, determinism, work metering."""
 
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -321,6 +323,62 @@ def test_a_horner_fault_in_a_kept_row_fails_l9(monkeypatch):
         x, 2, form_at(h, x) + Fraction(1, 16 ** (len(h) - 1) * h.den),
         value_at(approximant(medina._p_row(2), 2), x),
     )
+
+
+def row_bytes(row):
+    """A Horner row's size as the kept-row cap counts it."""
+    return sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+
+
+@pytest.mark.parametrize("cap", ["none", "one row"])
+def test_rows_past_the_cap_are_made_again_by_l9(monkeypatch, cap):
+    # With no room, every row L6 and L7 make is made again by L9; with room
+    # for p_1's row alone, L6's first, only that one is read from the store.
+    # Either way each report is the uncapped one, clean and injected.
+    full = {seed: run_suite(16, 3, base_poly=seed) for seed in (None, corrupted_seed())}
+    p_rows = list(islice(recurrence(medina_p1()), 3))
+    first = [horner_numerator(p_rows[0], k, 16) for k in range(17)]
+    monkeypatch.setattr(verify, "_ROW_BYTES", 0 if cap == "none" else row_bytes(first))
+    for seed, report in full.items():
+        assert run_suite(16, 3, base_poly=seed) == report
+    calls = Counter()
+
+    def counting(nums, a, b):
+        calls[tuple(nums)] += 1
+        return horner_numerator(nums, a, b)
+
+    monkeypatch.setattr(verify, "horner_numerator", counting)
+    assert run_suite(16, 3).all_passed
+    shared = [*p_rows, *(medina_h(m).nums for m in (1, 2, 3))]
+    want = Counter({tuple(nums): 34 for nums in shared})
+    if cap == "one row":
+        want[tuple(p_rows[0])] = 17
+    for m in (1, 2, 3):
+        want[verify._antiderivative(medina._window_row(m))[1]] = 17
+    assert calls == want
+
+
+def test_concurrent_runs_each_get_their_own_report():
+    # The lemma table is shared by every run; a run's state is its own, so
+    # runs interleaved in four threads each report as a run alone does.
+    seeds = (None, corrupted_seed())
+    want = [run_suite(16, 3, base_poly=seed) for seed in seeds]
+    got = []
+
+    def runs():
+        got.append([run_suite(16, 3, base_poly=seed) for seed in seeds])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=runs) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 4
 
 def test_peak_identity_failure_has_a_witness(monkeypatch):
     # L1's symbolic square is a poly_mul; a wrong product fails it up front.
