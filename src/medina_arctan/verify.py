@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import cache, partial
 from itertools import filterfalse, zip_longest
 from typing import NamedTuple, Optional
 
@@ -232,6 +231,229 @@ def _antiderivative(row: tuple[int, ...], s: int = 1) -> tuple[int, tuple[int, .
     return den, (0, *(den * c // t for c, t in zip(row, steps)))
 
 
+class _Run:
+    """One run's state: the grid and indices, the work meter and the checks
+    done, the one recurrence walk with the p_m rows grown from it, the h_m
+    forms made, and the Horner rows L6 and L7 keep for L9.  _LEMMAS holds
+    none of it, so concurrent runs share the table."""
+
+    def __init__(self, grid_n: int, m_max: int, limit: int, seed, injected: bool):
+        self.n, self.m_max, self.limit, self.used = grid_n, m_max, limit, 0
+        self.indices = range(1, m_max + 1)
+        self.walk, self.grown = recurrence(seed), []
+        self.injected, self.forms = injected, {}
+        self.kept, self.room, self.done = {}, _ROW_BYTES, []
+
+    def spend(self, units: int = 1) -> None:
+        """Pay units of work; past the limit, raise with the report so far,
+        naming the lemma under way by its place in _LEMMAS."""
+        self.used += units
+        if self.used > self.limit:
+            raise WorkLimitExceeded(
+                f"work limit {self.limit} exhausted during {_LEMMAS[len(self.done)][0]} "
+                f"({len(self.done)} of {len(_LEMMAS)} checks completed)",
+                VerificationReport(tuple(self.done), self.n, self.m_max),
+            )
+
+    def p(self, m: int) -> tuple[int, ...]:
+        """p_m's integer row from the run's one walk, grown as asked for."""
+        while len(self.grown) < m:
+            self.grown.append(next(self.walk))
+        return self.grown[m - 1]
+
+    def h(self, m: int) -> IntPoly:
+        """h_m, made once a run: the shipped one, or the injected seed's p_m
+        integrated as medina_h integrates the closed form's row."""
+        if m not in self.forms:
+            self.forms[m] = _integrate(self.p(m), m) if self.injected else medina_h(m)
+        return self.forms[m]
+
+    def row(self, m: int, which: int, keep: bool = False) -> list[int]:
+        """p_m's (which 0) or h_m's Horner row, kept for L9 if keep and it fits."""
+        nums = self.h(m).nums if which else self.p(m)
+        row = [horner_numerator(nums, k, self.n) for k in range(self.n + 1)]
+        if keep:
+            size = sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+            if size <= self.room:
+                self.room, self.kept[m, which] = self.room - size, row
+        return row
+
+    def point(self, k: int) -> _Walk:
+        """arctan's oracle walk at k/grid_n, in lowest terms."""
+        g = math.gcd(k, self.n)
+        return _Walk(k // g, self.n // g)
+
+    def scan(self, claim, rows=None):
+        """(True, None), or (False, witness) at the first point x = k/grid_n
+        where holds(k) is false, with (holds, sides) = claim(run, *row) and
+        (lhs, rhs) = sides(x).  rows yields the arguments after the run, m
+        first, by default (m,) for each index; a row's grid_n + 1 points cost
+        a unit each, paid before the claim is made."""
+        for row in rows or ((m,) for m in self.indices):
+            self.spend(self.n + 1)
+            holds, sides = claim(self, *row)
+            k = next(filterfalse(holds, range(self.n + 1)), None)
+            if k is not None:
+                x = Fraction(k, self.n)
+                return False, Witness(x, row[0], *sides(x))
+        return True, None
+
+    def identity(self, sides):
+        """(True, None), or (False, witness) at the lowest-power coefficients
+        where the integer rows lhs and rhs, with (lhs, rhs, den) =
+        sides(run, m), first differ, each m paid for first.  Both rows are
+        over den, and the witness's two sides are the coefficients over den."""
+        for m in self.indices:
+            self.spend()
+            lhs, rhs, den = sides(self, m)
+            for a, b in zip_longest(lhs, rhs, fillvalue=0):
+                if a != b:
+                    return False, Witness(None, m, Fraction(a, den), Fraction(b, den))
+        return True, None
+
+
+def _peak_bound(run: _Run):
+    half = poly([-_HALF, 1])
+    if poly_sub(poly([_QUARTER]), HUMP) != poly_mul(half, half):
+        return False, Witness(x=None, m=None, lhs=Fraction(0), rhs=_QUARTER)
+    passed, witness = run.scan(_peak_row, ((None,),))
+    if passed and run.n % 2 == 0:
+        # The equality the claim allows, where the grid reaches it.
+        witness = Witness(x=_HALF, m=None, lhs=_QUARTER, rhs=_QUARTER)
+    return passed, witness
+
+
+def _peak_row(run: _Run, m: None):
+    return _peak_claim(run.n)
+
+
+def _peak_slope(run: _Run):
+    run.spend()
+    slope = poly_derivative(HUMP)
+    at_half = poly_eval_horner(slope, _HALF)
+    if slope != poly([1, -2]) or at_half != 0:
+        return False, Witness(x=_HALF, m=None, lhs=at_half, rhs=Fraction(0))
+    return True, None
+
+
+def _power(run: _Run):
+    return run.scan(_power_row)
+
+
+def _power_row(run: _Run, m: int):
+    return _power_claim(run.n, m)
+
+
+def _integral(run: _Run):
+    return run.scan(_integral_row)
+
+
+def _integral_row(run: _Run, m: int):
+    return _integral_claim(run.n, m, IntPoly(*_antiderivative(_window_row(m))))
+
+
+def _closed(run: _Run):
+    return run.identity(_closed_sides)
+
+
+def _closed_sides(run: _Run, m: int):
+    p = run.p(m)  # p + x^2 p + (-4)^m, the constant in x^2 p's place
+    return [a + b for a, b in zip((*p, 0, 0), ((-4) ** m, 0, *p))], _window_row(m), 1
+
+
+def _sign(run: _Run):
+    return run.scan(_sign_row)
+
+
+def _sign_row(run: _Run, m: int):
+    return _sign_claim(run.n, IntPoly(1, run.p(m)), medina_scale(m), run.row(m, 0, True))
+
+
+def _final(run: _Run):
+    """L7's scan.  Row 1 of several makes one oracle walk a grid point, in
+    lowest terms, kept for later rows to carry on until the scan returns."""
+    walks: list[_Walk] = []
+    return run.scan(_final_row, ((m, walks) for m in run.indices))
+
+
+def _final_row(run: _Run, m: int, walks: list[_Walk]):
+    if not walks and m < run.m_max:  # paid for; the last row keeps none
+        walks.extend(map(run.point, range(run.n + 1)))
+    h, bound = run.h(m), medina_error_bound(m)
+    walk = walks.__getitem__ if walks else run.point
+    return _final_claim(run.n, h, bound, bound / 16, walk, run.row(m, 1, True))
+
+
+def _round_trip(run: _Run):
+    return run.identity(_round_trip_sides)
+
+
+def _round_trip_sides(run: _Run, m: int):
+    # h_m = (1/s) * the integral of p_m from 0, with s = medina_scale(m),
+    # so s k H_k = D p_{k-1} at each power k >= 1 of its form (D, H).  An
+    # injected seed's h_m in the store is that integral already.
+    form = run.h(m) if run.injected else _integrate(run.p(m), m)
+    s = medina_scale(m).numerator
+    slopes = [s * k * c for k, c in enumerate(form.nums[1:], 1)]
+    return slopes, [form.den * c for c in run.p(m)], form.den
+
+
+def _schemes(run: _Run):
+    # p_m at every point, then h_m, for each m in turn.
+    return run.scan(_schemes_row, ((m, i) for m in run.indices for i in (0, 1)))
+
+
+def _schemes_row(run: _Run, m: int, which: int):
+    # Horner: L6's or L7's row.  Powers: the reference row, or h_m from it.
+    values = run.kept.pop((m, which), None) or run.row(m, which)
+    if which:
+        powers = _antiderivative(run.p(m), medina_scale(m).numerator)
+        return _schemes_claim(run.n, run.h(m), powers, values)
+    return _schemes_claim(run.n, IntPoly(1, run.p(m)), (1, run.p(m)), values)
+
+
+_LEMMAS = (
+    (
+        "L1",
+        "x(1-x) <= 1/4 on [0, 1] with equality only at x = 1/2; "
+        "1/4 - x(1-x) is the square (x - 1/2)^2",
+        _peak_bound,
+    ),
+    (
+        "L2",
+        "the derivative of x(1-x) is 1 - 2x and vanishes at the peak x = 1/2",
+        _peak_slope,
+    ),
+    ("L3", "(x(1-x))^{4m} <= 4^{-4m} on [0, 1]", _power),
+    (
+        "L4",
+        "the integral of x^{4m}(1-x)^{4m} from 0 to x is at most "
+        "4^{-4m} x, hence at most 4^{-4m}",
+        _integral,
+    ),
+    ("L5", "(1 + x^2) p_m(x) + (-4)^m equals x^{4m}(1-x)^{4m} identically", _closed),
+    ("L6", "p_m(x) - ((-1)^{m+1} 4^m)/(1 + x^2) >= 0 on [0, 1]", _sign),
+    (
+        "L7",
+        "|h_m(x) - arctan(x)| <= 4^{-5m} on [0, 1], decided against "
+        "enclosures of width 4^{-5m-2}",
+        _final,
+    ),
+    (
+        "L8",
+        "differentiating the antiderivative of p_m gives back p_m "
+        "coefficient for coefficient",
+        _round_trip,
+    ),
+    (
+        "L9",
+        "Horner and explicit-powers evaluation agree on p_m and h_m "
+        "at every grid point",
+        _schemes,
+    ),
+)
+
+
 def run_suite(
     grid_n: int,
     m_max: int,
@@ -257,202 +479,10 @@ def run_suite(
     seed = IntPoly.of(medina_p1() if base_poly is None else poly(base_poly))
     if seed.den != 1:
         raise ValueError("base_poly must have integer coefficients")
-
-    used = 0
-    checks: list[LemmaCheck] = []
-
-    def spend(units: int = 1) -> None:
-        nonlocal used
-        used += units
-        if used > limit:
-            raise WorkLimitExceeded(
-                f"work limit {limit} exhausted during {lemmas[len(checks)][0]} "
-                f"({len(checks)} of {len(lemmas)} checks completed)",
-                VerificationReport(checks=tuple(checks), grid_size=grid_n, m_max=m_max),
-            )
-
-    indices = range(1, m_max + 1)
-    walk = recurrence(seed.nums)
-    grown: list[tuple[int, ...]] = []
-
-    def p_of(m: int) -> tuple[int, ...]:
-        """p_m's integer row from the run's one walk, grown as asked for."""
-        while len(grown) < m:
-            grown.append(next(walk))
-        return grown[m - 1]
-
-    @cache
-    def integral_of(m: int) -> IntPoly:
-        """p_m's row integrated as medina_h integrates the closed form's row."""
-        return _integrate(p_of(m), m)
-
-    @cache
-    def h_of(m: int) -> IntPoly:
-        """h_m: the shipped one, or the injected seed's p_m integrated."""
-        return medina_h(m) if base_poly is None else integral_of(m)
-
-    kept: dict[tuple[int, int], list[int]] = {}
-    room = _ROW_BYTES
-
-    def horner_row(m: int, which: int, keep: bool = False) -> list[int]:
-        """p_m's (which 0) or h_m's Horner row, kept for L9 if keep and it fits."""
-        nonlocal room
-        nums = h_of(m).nums if which else p_of(m)
-        row = [horner_numerator(nums, k, grid_n) for k in range(grid_n + 1)]
-        if keep and (size := sys.getsizeof(row) + sum(map(sys.getsizeof, row))) <= room:
-            room, kept[m, which] = room - size, row
-        return row
-
-    def scan(claim, rows=None):
-        """(True, None), or (False, witness) at the first point x = k/grid_n
-        where holds(k) is false, with (lhs, rhs) = sides(x).  rows yields the
-        arguments of claim, m first, by default (m,) for each index; a row's
-        grid_n + 1 points cost a unit each, paid before claim(*row) is made."""
-        for row in rows or ((m,) for m in indices):
-            spend(grid_n + 1)
-            holds, sides = claim(*row)
-            k = next(filterfalse(holds, range(grid_n + 1)), None)
-            if k is not None:
-                x = Fraction(k, grid_n)
-                return False, Witness(x, row[0], *sides(x))
-        return True, None
-
-    def identity(sides):
-        """(True, None), or (False, witness) at the lowest-power coefficients
-        where the integer rows lhs and rhs, with (lhs, rhs, den) = sides(m),
-        first differ, each m paid for first.  Both rows are over den, and
-        the witness's two sides are the coefficients over den."""
-        for m in indices:
-            spend()
-            lhs, rhs, den = sides(m)
-            for a, b in zip_longest(lhs, rhs, fillvalue=0):
-                if a != b:
-                    witness = Witness(None, m, Fraction(a, den), Fraction(b, den))
-                    return False, witness
-        return True, None
-
-    def check_peak_bound():
-        symbolic = poly_sub(poly([_QUARTER]), HUMP) == poly_mul(
-            poly([-_HALF, 1]), poly([-_HALF, 1])
-        )
-        if not symbolic:
-            return False, Witness(x=None, m=None, lhs=Fraction(0), rhs=_QUARTER)
-        passed, witness = scan(lambda m: _peak_claim(grid_n), ((None,),))
-        if passed and grid_n % 2 == 0:
-            # The equality the claim allows, where the grid reaches it.
-            witness = Witness(x=_HALF, m=None, lhs=_QUARTER, rhs=_QUARTER)
-        return passed, witness
-
-    def check_peak_slope():
-        spend()
-        slope = poly_derivative(HUMP)
-        at_half = poly_eval_horner(slope, _HALF)
-        if slope != poly([1, -2]) or at_half != 0:
-            return False, Witness(x=_HALF, m=None, lhs=at_half, rhs=Fraction(0))
-        return True, None
-
-    def integral_bound(m):
-        return _integral_claim(grid_n, m, IntPoly(*_antiderivative(_window_row(m))))
-
-    def closed_identity(m):
-        p = p_of(m)  # p + x^2 p + (-4)^m, the constant in x^2 p's place
-        left = [a + b for a, b in zip((*p, 0, 0), ((-4) ** m, 0, *p))]
-        return left, _window_row(m), 1
-
-    def integrand_sign(m):
-        values = horner_row(m, 0, True)
-        return _sign_claim(grid_n, IntPoly(1, p_of(m)), medina_scale(m), values)
-
-    def final_bounds():
-        """L7's scan.  Row 1 of several makes one oracle walk a grid point, in
-        lowest terms, kept for later rows to carry on until the scan returns."""
-        walks: list[_Walk] = []
-
-        def point(k):
-            g = math.gcd(k, grid_n)
-            return _Walk(k // g, grid_n // g)
-
-        def final_bound(m):
-            if not walks and m < m_max:  # paid for; the last row keeps none
-                walks.extend(map(point, range(grid_n + 1)))
-            h, bound = h_of(m), medina_error_bound(m)
-            walk = walks.__getitem__ if walks else point
-            return _final_claim(grid_n, h, bound, bound / 16, walk, horner_row(m, 1, True))
-
-        return scan(final_bound)
-
-    def round_trip(m):
-        # h_m = (1/s) * the integral of p_m from 0, with s = medina_scale(m),
-        # so s k H_k = D p_{k-1} at each power k >= 1 of its form (D, H).
-        form, s = integral_of(m), medina_scale(m).numerator
-        slopes = [s * k * c for k, c in enumerate(form.nums[1:], 1)]
-        return slopes, [form.den * c for c in p_of(m)], form.den
-
-    def schemes_agree(m, which):
-        # Horner: L6's or L7's row.  Powers: the reference row, or h_m from it.
-        values = kept.pop((m, which), None) or horner_row(m, which)
-        if which:
-            powers = _antiderivative(p_of(m), medina_scale(m).numerator)
-            return _schemes_claim(grid_n, h_of(m), powers, values)
-        return _schemes_claim(grid_n, IntPoly(1, p_of(m)), (1, p_of(m)), values)
-
-    lemmas = (
-        (
-            "L1",
-            "x(1-x) <= 1/4 on [0, 1] with equality only at x = 1/2; "
-            "1/4 - x(1-x) is the square (x - 1/2)^2",
-            check_peak_bound,
-        ),
-        (
-            "L2",
-            "the derivative of x(1-x) is 1 - 2x and vanishes at the peak x = 1/2",
-            check_peak_slope,
-        ),
-        (
-            "L3",
-            "(x(1-x))^{4m} <= 4^{-4m} on [0, 1]",
-            partial(scan, partial(_power_claim, grid_n)),
-        ),
-        (
-            "L4",
-            "the integral of x^{4m}(1-x)^{4m} from 0 to x is at most "
-            "4^{-4m} x, hence at most 4^{-4m}",
-            partial(scan, integral_bound),
-        ),
-        (
-            "L5",
-            "(1 + x^2) p_m(x) + (-4)^m equals x^{4m}(1-x)^{4m} identically",
-            partial(identity, closed_identity),
-        ),
-        (
-            "L6",
-            "p_m(x) - ((-1)^{m+1} 4^m)/(1 + x^2) >= 0 on [0, 1]",
-            partial(scan, integrand_sign),
-        ),
-        (
-            "L7",
-            "|h_m(x) - arctan(x)| <= 4^{-5m} on [0, 1], decided against "
-            "enclosures of width 4^{-5m-2}",
-            final_bounds,
-        ),
-        (
-            "L8",
-            "differentiating the antiderivative of p_m gives back p_m "
-            "coefficient for coefficient",
-            partial(identity, round_trip),
-        ),
-        (
-            "L9",
-            "Horner and explicit-powers evaluation agree on p_m and h_m "
-            "at every grid point",
-            # p_m at every point, then h_m, for each m in turn.
-            partial(scan, schemes_agree, ((m, i) for m in indices for i in (0, 1))),
-        ),
-    )
-
-    for lemma_id, description, runner in lemmas:
-        checks.append(LemmaCheck(lemma_id, description, *runner()))
-    return VerificationReport(checks=tuple(checks), grid_size=grid_n, m_max=m_max)
+    run = _Run(grid_n, m_max, limit, seed.nums, base_poly is not None)
+    for lemma_id, description, runner in _LEMMAS:
+        run.done.append(LemmaCheck(lemma_id, description, *runner(run)))
+    return VerificationReport(tuple(run.done), grid_n, m_max)
 
 
 def corrupted_seed() -> Poly:
