@@ -11,10 +11,11 @@ one per error source: h_m's 4^(-5m), plus pi's bootstrap bound when the
 reciprocal identity applied.  One plan picks the least m whose ledger meets
 eps.  Decimals are rendered last, correctly rounded from the exact value.
 The bookkeeping around the evaluation runs on the integers of
-as_integer_ratio(): the fold compares numerator and denominator, the plan
-cross-multiplies the ledger's sum with eps, and rounding is one divmod.
-The ledger's lines are powers of 2, so its sum at m is 1 or 5 over
-2^(10m), read off one rule (_budget) by the plan and medina_arctan alike.
+as_integer_ratio(): the fold compares numerator and denominator, and
+rounding is one divmod.  The ledger's lines are powers of 2, so its sum at
+m is 1 or 5 over 2^(10m), read off one rule (_budget) by the plan and
+medina_arctan alike, and the plan's m is medina_min_m_for at eps over that
+numerator.
 """
 
 from __future__ import annotations
@@ -125,17 +126,17 @@ def _budget(m: int, reciprocal: bool) -> tuple[Ledger, int]:
 def _plan(trace: ReductionTrace, eps: Fraction) -> tuple[int, Ledger, Fraction]:
     """The least m whose ledger sums to at most eps, with that ledger and sum.
 
-    Every ledger holds 4^(-5m), so the search starts at the least m for it,
-    and it ends at MAX_INDEX: ValueError, before any ledger past it, when no
-    index meets eps.  Each index is decided by cross-multiplying integers.
+    The sum at m is 5 over 2^(10m) after a reciprocal step and 1 over it
+    otherwise (_budget), so m is the package's one least-index rule,
+    medina_min_m_for, at eps over that numerator.  An m past MAX_INDEX is
+    ValueError, before any ledger is made.
     """
-    e, d = eps.as_integer_ratio()
     reciprocal = ReductionStep.RECIPROCAL in trace.steps
-    for m in range(medina_min_m_for(eps), MAX_INDEX + 1):
-        ledger, top = _budget(m, reciprocal)
-        if top * d <= e << 10 * m:
-            return m, ledger, Fraction(top, 1 << 10 * m)
-    raise ValueError(f"no index meets eps: an index must be <= {MAX_INDEX}")
+    m = medina_min_m_for(eps / 5 if reciprocal else eps)
+    if m > MAX_INDEX:
+        raise ValueError(f"no index meets eps: an index must be <= {MAX_INDEX}")
+    ledger, top = _budget(m, reciprocal)
+    return m, ledger, Fraction(top, 1 << 10 * m)
 
 
 def medina_arctan(x: RatLike, m: int) -> ApproxResult:
