@@ -350,8 +350,7 @@ def powers_form(p: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
 
     L is the lcm of the reduced c_i = n_i/d_i's denominators and nums[i] is
     (L/d_i) n_i, so c_i = nums[i] / L.  Made from the coefficients
-    themselves, never from an IntPoly.  arctan_eval sums a ledger's bounds
-    over it too.
+    themselves, never from an IntPoly.
     """
     den = math.lcm(*(c.denominator for c in p))
     return den, tuple(den // c.denominator * c.numerator for c in p)
