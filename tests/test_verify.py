@@ -380,6 +380,7 @@ def test_concurrent_runs_each_get_their_own_report():
         sys.setswitchinterval(interval)
     assert got == [want] * 4
 
+
 def test_peak_identity_failure_has_a_witness(monkeypatch):
     # L1's symbolic square is a poly_mul; a wrong product fails it up front.
     monkeypatch.setattr(verify, "poly_mul", lambda p, q: (Fraction(1),))
