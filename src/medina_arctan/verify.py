@@ -18,6 +18,8 @@ consults the enclosure oracle, at a width two factors of 4 below the
 asserted bound so that enclosure slack can never mask a violation; one
 oracle walk a grid point carries its series on from index to index.
 
+run_suite runs _LEMMAS, the table of the nine lemmas' ids, descriptions
+and runners, in order over one _Run, which holds all that a run shares.
 The suite reports every lemma with a pass/fail flag and, when a claim
 fails, a witness pinning down where.  A deliberately corrupted seed
 polynomial can be injected to exercise that failure path end to end.
