@@ -13,9 +13,9 @@ eps.  Decimals are rendered last, correctly rounded from the exact value.
 The bookkeeping around the evaluation runs on the integers of
 as_integer_ratio(): the fold compares numerator and denominator, and
 rounding is one divmod.  The ledger's lines are powers of 2, so its sum at
-m is 1 or 5 over 2^(10m), read off one rule (_budget) by the plan and
-medina_arctan alike, and the plan's m is medina_min_m_for at eps over that
-numerator.
+m is 1 or 5 over 2^(10m), formed by one rule (_budget) that the plan and
+medina_arctan both read, and the plan's m is medina_min_m_for at eps over
+that numerator.
 """
 
 from __future__ import annotations
@@ -110,17 +110,17 @@ class ApproxResult(NamedTuple):
     ledger: Ledger
 
 
-def _budget(m: int, reciprocal: bool) -> tuple[Ledger, int]:
-    """The ledger at index m, (term, exact bound) lines, and its sum's
-    numerator over 2^(10m).
+def _budget(m: int, reciprocal: bool) -> tuple[Ledger, Fraction]:
+    """The ledger at index m, (term, exact bound) lines, and its sum.
 
     The lines are h_m's bound 2^(-10m), and pi's 2^(2-10m) after a
-    reciprocal step, so the sum is 1 or 5 over 2^(10m).
+    reciprocal step, so the sum is 1 or 5 over 2^(10m), formed here alone,
+    after the first line has checked the index.
     """
     lines = (("approximant", medina_error_bound(m)),)
     if not reciprocal:
-        return lines, 1
-    return lines + (("pi", _pi_bound(m)),), 5
+        return lines, Fraction(1, 1 << 10 * m)
+    return lines + (("pi", _pi_bound(m)),), Fraction(5, 1 << 10 * m)
 
 
 def _plan(trace: ReductionTrace, eps: Fraction) -> tuple[int, Ledger, Fraction]:
@@ -135,8 +135,7 @@ def _plan(trace: ReductionTrace, eps: Fraction) -> tuple[int, Ledger, Fraction]:
     m = medina_min_m_for(eps / 5 if reciprocal else eps)
     if m > MAX_INDEX:
         raise ValueError(f"no index meets eps: an index must be <= {MAX_INDEX}")
-    ledger, top = _budget(m, reciprocal)
-    return m, ledger, Fraction(top, 1 << 10 * m)
+    return (m, *_budget(m, reciprocal))
 
 
 def medina_arctan(x: RatLike, m: int) -> ApproxResult:
@@ -146,8 +145,7 @@ def medina_arctan(x: RatLike, m: int) -> ApproxResult:
     plus the pi bootstrap's bound when the reciprocal identity was applied.
     """
     trace = reduce(x)
-    ledger, top = _budget(m, ReductionStep.RECIPROCAL in trace.steps)
-    return _arctan_reduced(trace, m, ledger, Fraction(top, 1 << 10 * m))
+    return _arctan_reduced(trace, m, *_budget(m, ReductionStep.RECIPROCAL in trace.steps))
 
 
 def _arctan_reduced(
@@ -155,7 +153,7 @@ def _arctan_reduced(
 ) -> ApproxResult:
     """The result at index m for the argument that `trace` reduced.
 
-    bound is the ledger's sum, which the caller has already formed.
+    bound is the ledger's sum, which the caller read from _budget.
     """
     value = poly_eval_horner(medina_h(m), trace.reduced)
     if ReductionStep.RECIPROCAL in trace.steps:

@@ -18,8 +18,12 @@ consults the enclosure oracle, at a width two factors of 4 below the
 asserted bound so that enclosure slack can never mask a violation; one
 oracle walk a grid point carries its series on from index to index.
 
-run_suite runs _LEMMAS, the table of the nine lemmas' ids, descriptions
-and runners, in order over one _Run, which holds all that a run shares.
+run_suite runs _LEMMAS, the table of the nine lemmas, in order over one
+_Run, which holds all that a run shares and makes each p_m's IntPoly once.
+A row of the table is an id, a description, a runner and the runner's
+arguments after the run: _Run.scan with the builder of a grid claim's
+rows, _Run.identity with the builder of an identity's two sides, or, for
+L1, L2, L7 and L9, a runner of the lemma's own with none.
 The suite reports every lemma with a pass/fail flag and, when a claim
 fails, a witness pinning down where.  A deliberately corrupted seed
 polynomial can be injected to exercise that failure path end to end.
@@ -34,7 +38,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import filterfalse, zip_longest
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .medina import (
     HUMP,
@@ -203,39 +207,40 @@ def _final_claim(n: int, h: IntPoly, bound: Fraction, width: Fraction, walk, val
     return holds, sides
 
 
-def _schemes_claim(n: int, form: IntPoly, powers: tuple[int, tuple[int, ...]], values):
-    """L9: form's Horner numerators values equal the powers route on powers =
-    (L, nums), the coefficients nums[i] / L, as H L n^{d'} = S D n^d over the
-    row, each side's power of n cut by the smaller degree.  The powers side
-    raises n^(d'-i) once a row; a witness's Horner side is the row's value."""
-    den, nums = powers
-    dh, dp = len(form) - 1, len(nums) - 1
-    left, right = den * n ** max(dp - dh, 0), form.den * n ** max(dh - dp, 0)
-    terms = powers_terms(nums, n)
+def _schemes_claim(n: int, form: IntPoly, powers: IntPoly, values):
+    """L9: form's Horner numerators values equal the powers route on powers,
+    the coefficients powers.nums[i] / L with L = powers.den, as
+    H L n^{d'} = S D n^d over the row, each side's power of n cut by the
+    smaller degree.  The powers side raises n^(d'-i) once a row; a witness's
+    Horner side is the row's value."""
+    dh, dp = len(form) - 1, len(powers) - 1
+    left, right = powers.den * n ** max(dp - dh, 0), form.den * n ** max(dh - dp, 0)
+    terms = powers_terms(powers.nums, n)
 
     def sides(x):
         k = x.numerator * n // x.denominator
         horner_side = Fraction(values[k], horner_den(form, n))
-        return horner_side, Fraction(powers_at(terms, k), den * n**dp)
+        return horner_side, Fraction(powers_at(terms, k), horner_den(powers, n))
 
     return lambda k: values[k] * left == powers_at(terms, k) * right, sides
 
 
-def _antiderivative(row: tuple[int, ...], s: int = 1) -> tuple[int, tuple[int, ...]]:
-    """(L, nums): the antiderivative of row / s from 0, on integers, with
-    nums[k] = L row[k-1] / (s k) exactly and L the plain lcm of those
+def _antiderivative(row: Sequence[int], s: int = 1) -> IntPoly:
+    """IntPoly(L, nums): the antiderivative of row / s from 0, on integers,
+    with nums[k] = L row[k-1] / (s k) exactly and L the plain lcm of those
     coefficients' reduced denominators.  So at s = 1 it is the form of
-    poly_antiderivative(row) (L4's integral), and at s = medina_scale(m)
-    powers_form(approximant(row, m)) (L9's h_m), with no Fraction made and
-    no step shared with _integrate, which L8 checks and medina_h serves."""
+    poly_antiderivative(row) (L4's integral), and at s = medina_scale(m) the
+    form whose (L, nums) is powers_form(approximant(row, m)) (L9's h_m),
+    with no Fraction made and no step shared with _integrate, which L8
+    checks and medina_h serves."""
     steps = [s * k for k in range(1, len(row) + 1)]
     den = math.lcm(*(t // math.gcd(c, t) for c, t in zip(row, steps)))
-    return den, (0, *(den * c // t for c, t in zip(row, steps)))
+    return IntPoly(den, (0, *(den * c // t for c, t in zip(row, steps))))
 
 
 class _Run:
     """One run's state: the grid and indices, the work meter and the checks
-    done, the one recurrence walk with the p_m rows grown from it, the h_m
+    done, the one recurrence walk with the p_m forms grown from it, the h_m
     forms made, and the Horner rows L6 and L7 keep for L9.  _LEMMAS holds
     none of it, so concurrent runs share the table."""
 
@@ -257,22 +262,23 @@ class _Run:
                 VerificationReport(tuple(self.done), self.n, self.m_max),
             )
 
-    def p(self, m: int) -> tuple[int, ...]:
-        """p_m's integer row from the run's one walk, grown as asked for."""
+    def p(self, m: int) -> IntPoly:
+        """p_m from the run's one walk, grown as asked for: its integer row,
+        wrapped once a run as the form IntPoly(1, row) that L6 and L9 read."""
         while len(self.grown) < m:
-            self.grown.append(next(self.walk))
+            self.grown.append(IntPoly(1, next(self.walk)))
         return self.grown[m - 1]
 
     def h(self, m: int) -> IntPoly:
         """h_m, made once a run: the shipped one, or the injected seed's p_m
         integrated as medina_h integrates the closed form's row."""
         if m not in self.forms:
-            self.forms[m] = _integrate(self.p(m), m) if self.injected else medina_h(m)
+            self.forms[m] = _integrate(self.p(m).nums, m) if self.injected else medina_h(m)
         return self.forms[m]
 
     def row(self, m: int, which: int, keep: bool = False) -> list[int]:
         """p_m's (which 0) or h_m's Horner row, kept for L9 if keep and it fits."""
-        nums = self.h(m).nums if which else self.p(m)
+        nums = (self.h(m) if which else self.p(m)).nums
         row = [horner_numerator(nums, k, self.n) for k in range(self.n + 1)]
         if keep:
             size = sys.getsizeof(row) + sum(map(sys.getsizeof, row))
@@ -338,37 +344,21 @@ def _peak_slope(run: _Run):
     return True, None
 
 
-def _power(run: _Run):
-    return run.scan(_power_row)
-
-
 def _power_row(run: _Run, m: int):
     return _power_claim(run.n, m)
 
 
-def _integral(run: _Run):
-    return run.scan(_integral_row)
-
-
 def _integral_row(run: _Run, m: int):
-    return _integral_claim(run.n, m, IntPoly(*_antiderivative(_window_row(m))))
-
-
-def _closed(run: _Run):
-    return run.identity(_closed_sides)
+    return _integral_claim(run.n, m, _antiderivative(_window_row(m)))
 
 
 def _closed_sides(run: _Run, m: int):
-    p = run.p(m)  # p + x^2 p + (-4)^m, the constant in x^2 p's place
+    p = run.p(m).nums  # p + x^2 p + (-4)^m, the constant in x^2 p's place
     return [a + b for a, b in zip((*p, 0, 0), ((-4) ** m, 0, *p))], _window_row(m), 1
 
 
-def _sign(run: _Run):
-    return run.scan(_sign_row)
-
-
 def _sign_row(run: _Run, m: int):
-    return _sign_claim(run.n, IntPoly(1, run.p(m)), medina_scale(m), run.row(m, 0, True))
+    return _sign_claim(run.n, run.p(m), medina_scale(m), run.row(m, 0, True))
 
 
 def _final(run: _Run):
@@ -386,18 +376,14 @@ def _final_row(run: _Run, m: int, walks: list[_Walk]):
     return _final_claim(run.n, h, bound, bound / 16, walk, run.row(m, 1, True))
 
 
-def _round_trip(run: _Run):
-    return run.identity(_round_trip_sides)
-
-
 def _round_trip_sides(run: _Run, m: int):
     # h_m = (1/s) * the integral of p_m from 0, with s = medina_scale(m),
     # so s k H_k = D p_{k-1} at each power k >= 1 of its form (D, H).  An
     # injected seed's h_m in the store is that integral already.
-    form = run.h(m) if run.injected else _integrate(run.p(m), m)
+    form = run.h(m) if run.injected else _integrate(run.p(m).nums, m)
     s = medina_scale(m).numerator
     slopes = [s * k * c for k, c in enumerate(form.nums[1:], 1)]
-    return slopes, [form.den * c for c in run.p(m)], form.den
+    return slopes, [form.den * c for c in run.p(m).nums], form.den
 
 
 def _schemes(run: _Run):
@@ -409,9 +395,9 @@ def _schemes_row(run: _Run, m: int, which: int):
     # Horner: L6's or L7's row.  Powers: the reference row, or h_m from it.
     values = run.kept.pop((m, which), None) or run.row(m, which)
     if which:
-        powers = _antiderivative(run.p(m), medina_scale(m).numerator)
+        powers = _antiderivative(run.p(m).nums, medina_scale(m).numerator)
         return _schemes_claim(run.n, run.h(m), powers, values)
-    return _schemes_claim(run.n, IntPoly(1, run.p(m)), (1, run.p(m)), values)
+    return _schemes_claim(run.n, run.p(m), run.p(m), values)
 
 
 _LEMMAS = (
@@ -426,15 +412,21 @@ _LEMMAS = (
         "the derivative of x(1-x) is 1 - 2x and vanishes at the peak x = 1/2",
         _peak_slope,
     ),
-    ("L3", "(x(1-x))^{4m} <= 4^{-4m} on [0, 1]", _power),
+    ("L3", "(x(1-x))^{4m} <= 4^{-4m} on [0, 1]", _Run.scan, _power_row),
     (
         "L4",
         "the integral of x^{4m}(1-x)^{4m} from 0 to x is at most "
         "4^{-4m} x, hence at most 4^{-4m}",
-        _integral,
+        _Run.scan,
+        _integral_row,
     ),
-    ("L5", "(1 + x^2) p_m(x) + (-4)^m equals x^{4m}(1-x)^{4m} identically", _closed),
-    ("L6", "p_m(x) - ((-1)^{m+1} 4^m)/(1 + x^2) >= 0 on [0, 1]", _sign),
+    (
+        "L5",
+        "(1 + x^2) p_m(x) + (-4)^m equals x^{4m}(1-x)^{4m} identically",
+        _Run.identity,
+        _closed_sides,
+    ),
+    ("L6", "p_m(x) - ((-1)^{m+1} 4^m)/(1 + x^2) >= 0 on [0, 1]", _Run.scan, _sign_row),
     (
         "L7",
         "|h_m(x) - arctan(x)| <= 4^{-5m} on [0, 1], decided against "
@@ -445,7 +437,8 @@ _LEMMAS = (
         "L8",
         "differentiating the antiderivative of p_m gives back p_m "
         "coefficient for coefficient",
-        _round_trip,
+        _Run.identity,
+        _round_trip_sides,
     ),
     (
         "L9",
@@ -482,8 +475,8 @@ def run_suite(
     if seed.den != 1:
         raise ValueError("base_poly must have integer coefficients")
     run = _Run(grid_n, m_max, limit, seed.nums, base_poly is not None)
-    for lemma_id, description, runner in _LEMMAS:
-        run.done.append(LemmaCheck(lemma_id, description, *runner(run)))
+    for lemma_id, description, runner, *args in _LEMMAS:
+        run.done.append(LemmaCheck(lemma_id, description, *runner(run, *args)))
     return VerificationReport(tuple(run.done), grid_n, m_max)
 
 

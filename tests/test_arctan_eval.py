@@ -135,6 +135,19 @@ def test_reduction_soundness_certified():
             assert enc.hi <= result.value + result.error_bound
 
 
+@pytest.mark.parametrize("eps, m", [("1e-1000", 333), ("1e-2000", 665)])
+@pytest.mark.parametrize(
+    "x", [Fraction(40503, 65536), Fraction(2)], ids=["direct", "reciprocal"]
+)
+def test_deep_served_values_are_certified(x, eps, m):
+    # The deepest values CI serves, on both branches, each within its bound
+    # by an enclosure at width error_bound / 16, as the benchmark decides.
+    result = arctan_auto(x, eps)
+    assert result.m == m
+    enc = arctan_enclosure(x, result.error_bound / 16)
+    assert abs(result.value - enc.mid) + enc.width / 2 <= result.error_bound
+
+
 def test_auto_selects_smallest_sufficient_index():
     assert arctan_auto(Fraction(1, 2), Fraction(1, 1000)).m == 1
     assert arctan_auto(2, Fraction(1, 1000)).m == 2  # one pi term forces m up

@@ -195,7 +195,7 @@ def test_injected_h_is_integrated_as_medina_h_is(seed, m_max):
 def test_integral_form_is_the_fraction_routes(row):
     # L4's integral, formed on integers, is the form IntPoly.of makes from
     # poly_antiderivative's Fractions, den and numerators alike.
-    assert IntPoly(*verify._antiderivative(row)) == IntPoly.of(poly_antiderivative(row))
+    assert verify._antiderivative(row) == IntPoly.of(poly_antiderivative(row))
 
 
 def test_h_powers_form_is_the_fraction_routes():
@@ -203,7 +203,7 @@ def test_h_powers_form_is_the_fraction_routes():
     # lcm, is powers_form of the Fraction rule's h_m.
     for m, row in enumerate(islice(recurrence(medina._SEED), 60), 1):
         form = verify._antiderivative(row, medina_scale(m).numerator)
-        assert form == powers_form(approximant(row, m))
+        assert form == IntPoly(*powers_form(approximant(row, m)))
 
 
 def test_schemes_lemma_does_not_share_the_integration(monkeypatch):
@@ -301,7 +301,7 @@ def test_horner_rows_are_made_once_and_shared(monkeypatch):
     assert run_suite(16, 3).all_passed
     rows = list(islice(recurrence(medina_p1()), 3))
     made = [*rows, *(medina_h(m).nums for m in (1, 2, 3))]
-    made += [verify._antiderivative(medina._window_row(m))[1] for m in (1, 2, 3)]
+    made += [verify._antiderivative(medina._window_row(m)).nums for m in (1, 2, 3)]
     assert calls == Counter({tuple(nums): 17 for nums in made})
 
 
@@ -354,7 +354,7 @@ def test_rows_past_the_cap_are_made_again_by_l9(monkeypatch, cap):
     if cap == "one row":
         want[tuple(p_rows[0])] = 17
     for m in (1, 2, 3):
-        want[verify._antiderivative(medina._window_row(m))[1]] = 17
+        want[verify._antiderivative(medina._window_row(m)).nums] = 17
     assert calls == want
 
 
@@ -706,11 +706,11 @@ def test_grid_claims_decide_as_the_fraction_rules(n, m, case, at, delta, zeros, 
             partial(final_rule, h, bound, width),
         ),
         (
-            verify._schemes_claim(n, p_form, powers_form(p), p_row),
+            verify._schemes_claim(n, p_form, IntPoly(*powers_form(p)), p_row),
             partial(schemes_rule, p_form, p),
         ),
         (
-            verify._schemes_claim(n, h, powers_form(target), h_row),
+            verify._schemes_claim(n, h, IntPoly(*powers_form(target)), h_row),
             partial(schemes_rule, h, target),
         ),
     ]
