@@ -16,7 +16,8 @@ guarantee
 The shipped p_m and h_m come from one integer row: the binomial row of
 the numerator, divided in place.  medina_h integrates that row straight
 into Horner's integer form (an IntPoly) and makes no Fraction; it keeps
-the latest 16, the only cross-call cache.  window_poly and medina_p_closed
+the latest 16, one of the package's two cross-call caches (the other is
+oracle._pivot_base's, 16 widths).  window_poly and medina_p_closed
 make one Fraction per coefficient at the end, and medina_pair takes h_m
 from that p_m by approximant, the Fraction rule for h_m.  The
 recurrence, grown on integer rows by one lazy walk, is the reference; it

@@ -3,20 +3,25 @@
 Each lemma below is a concrete claim about the constructed polynomials,
 checked in exact rational arithmetic for every index up to m_max, with no
 tolerance anywhere.  L5 and L8 are identities, compared coefficient by
-coefficient for each index; L8 differentiates, on integers, the h_m form
-that _integrate (medina_h's integration) makes from the reference p_m.
+coefficient for each index.  L8 differentiates, on integers, the h_m form
+the run holds, the shipped medina_h(m) or the injected seed's integral,
+and checks it, constant term included, against the reference p_m: it is
+the one exact link between what ships and the reference.
 The pointwise claims (L1, L3, L4, L6, L7, L9) are sampled on the grid
 x = k/grid_n over [0, 1] and decided on integers, with no gcd: a
 polynomial's value at k/grid_n is its Horner numerator over the row's
-common denominator D grid_n^deg, and the two sides are cross-multiplied.
+common denominator D grid_n^deg, and two sides over different
+denominators are cross-multiplied.
 p_m's and h_m's rows of Horner numerators are made once a run, by L6 and
-L7, and L9 reads the same rows against its powers side, which raises each
-b^(n-i) once a row.  Fractions appear only in witnesses.  L4's integral
-and the powers side of L9's h_m are formed from integer rows over a plain
-lcm, not through _integrate.  Only L7, h_m against arctangent itself,
-consults the enclosure oracle, at a width two factors of 4 below the
-asserted bound so that enclosure slack can never mask a violation; one
-oracle walk a grid point carries its series on from index to index.
+L7, and L9 compares the same rows with the powers route on the same
+forms, which raises each b^(n-i) once a row; both are numerators over one
+denominator, so L9 compares them as they are.  Fractions appear only in
+witnesses.  L4's integral is formed from an integer row over a plain lcm,
+and a clean run integrates nothing else: its h_m are medina_h's.  Only
+L7, h_m against arctangent itself, consults the enclosure oracle, at a
+width two factors of 4 below the asserted bound so that enclosure slack
+can never mask a violation; one oracle walk a grid point carries its
+series on from index to index.
 
 run_suite runs _LEMMAS, the table of the nine lemmas, in order over one
 _Run, which holds all that a run shares and makes each p_m's IntPoly once.
@@ -207,35 +212,28 @@ def _final_claim(n: int, h: IntPoly, bound: Fraction, width: Fraction, walk, val
     return holds, sides
 
 
-def _schemes_claim(n: int, form: IntPoly, powers: IntPoly, values):
-    """L9: form's Horner numerators values equal the powers route on powers,
-    the coefficients powers.nums[i] / L with L = powers.den, as
-    H L n^{d'} = S D n^d over the row, each side's power of n cut by the
-    smaller degree.  The powers side raises n^(d'-i) once a row; a witness's
-    Horner side is the row's value."""
-    dh, dp = len(form) - 1, len(powers) - 1
-    left, right = powers.den * n ** max(dp - dh, 0), form.den * n ** max(dh - dp, 0)
-    terms = powers_terms(powers.nums, n)
+def _schemes_claim(n: int, form: IntPoly, values):
+    """L9: form's Horner numerators values equal the powers route's sums
+    over form's own numerators, both over horner_den(form, n), so compared
+    as they are.  The powers side raises n^(d-i) once a row; a witness's
+    sides are the two values."""
+    terms, den = powers_terms(form.nums, n), horner_den(form, n)
 
     def sides(x):
         k = x.numerator * n // x.denominator
-        horner_side = Fraction(values[k], horner_den(form, n))
-        return horner_side, Fraction(powers_at(terms, k), horner_den(powers, n))
+        return Fraction(values[k], den), Fraction(powers_at(terms, k), den)
 
-    return lambda k: values[k] * left == powers_at(terms, k) * right, sides
+    return lambda k: values[k] == powers_at(terms, k), sides
 
 
-def _antiderivative(row: Sequence[int], s: int = 1) -> IntPoly:
-    """IntPoly(L, nums): the antiderivative of row / s from 0, on integers,
-    with nums[k] = L row[k-1] / (s k) exactly and L the plain lcm of those
-    coefficients' reduced denominators.  So at s = 1 it is the form of
-    poly_antiderivative(row) (L4's integral), and at s = medina_scale(m) the
-    form whose (L, nums) is powers_form(approximant(row, m)) (L9's h_m),
-    with no Fraction made and no step shared with _integrate, which L8
-    checks and medina_h serves."""
-    steps = [s * k for k in range(1, len(row) + 1)]
-    den = math.lcm(*(t // math.gcd(c, t) for c, t in zip(row, steps)))
-    return IntPoly(den, (0, *(den * c // t for c, t in zip(row, steps))))
+def _antiderivative(row: Sequence[int]) -> IntPoly:
+    """IntPoly(L, nums): L4's integral, the antiderivative of row from 0, on
+    integers, with nums[k] = L row[k-1] / k exactly and L the plain lcm of
+    those coefficients' reduced denominators.  It is the form of
+    poly_antiderivative(row), with no Fraction made and no step shared with
+    _integrate."""
+    den = math.lcm(*(k // math.gcd(c, k) for k, c in enumerate(row, 1)))
+    return IntPoly(den, (0, *(den * c // k for k, c in enumerate(row, 1))))
 
 
 class _Run:
@@ -377,13 +375,11 @@ def _final_row(run: _Run, m: int, walks: list[_Walk]):
 
 
 def _round_trip_sides(run: _Run, m: int):
-    # h_m = (1/s) * the integral of p_m from 0, with s = medina_scale(m),
-    # so s k H_k = D p_{k-1} at each power k >= 1 of its form (D, H).  An
-    # injected seed's h_m in the store is that integral already.
-    form = run.h(m) if run.injected else _integrate(run.p(m).nums, m)
-    s = medina_scale(m).numerator
-    slopes = [s * k * c for k, c in enumerate(form.nums[1:], 1)]
-    return slopes, [form.den * c for c in run.p(m).nums], form.den
+    # h_m = (1/s) * the integral of p_m from 0, with s = medina_scale(m), so
+    # its form (D, H) has H_0 = 0 and s k H_k = D p_{k-1} at each power k >= 1.
+    form, s = run.h(m), medina_scale(m).numerator
+    slopes = [form.nums[0], *(s * k * c for k, c in enumerate(form.nums[1:], 1))]
+    return slopes, [0, *(form.den * c for c in run.p(m).nums)], form.den
 
 
 def _schemes(run: _Run):
@@ -392,12 +388,9 @@ def _schemes(run: _Run):
 
 
 def _schemes_row(run: _Run, m: int, which: int):
-    # Horner: L6's or L7's row.  Powers: the reference row, or h_m from it.
+    # Horner: L6's or L7's row, or made again.  Powers: the same form's sums.
     values = run.kept.pop((m, which), None) or run.row(m, which)
-    if which:
-        powers = _antiderivative(run.p(m).nums, medina_scale(m).numerator)
-        return _schemes_claim(run.n, run.h(m), powers, values)
-    return _schemes_claim(run.n, run.p(m), run.p(m), values)
+    return _schemes_claim(run.n, run.h(m) if which else run.p(m), values)
 
 
 _LEMMAS = (
@@ -458,8 +451,8 @@ def run_suite(
 ) -> VerificationReport:
     """Check every lemma for indices 1..m_max.
 
-    By default L5, L6, L8 and L9 check the reference recurrence's p_m (L8
-    as _integrate integrates it), and L7 and L9 the shipped medina_h.
+    By default L5, L6 and L9 check the reference recurrence's p_m, L7 and
+    L9 the shipped medina_h, and L8 that medina_h against the reference.
     base_poly overrides the seed (the fault-injection hook), and h_m is then
     integrated from its p_m.  One recurrence walk serves the run, on integer
     rows, so base_poly must have integer coefficients (ValueError before

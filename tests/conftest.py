@@ -6,12 +6,17 @@ built, then truncated to 40 places.  Parsing them with Fraction is exact,
 so each constant is a rational within 10**-39 of the true real value; the
 REF_SLACK constant accounts for that truncation wherever a test compares
 against them.  no_int_str_limit lifts the interpreter's limit on int-to-str
-digits for the tests that read very long exact results back.
+digits for the tests that read very long exact results back, and the
+fresh_caches fixture empties the package's memos around a planted fault.
 """
 
 import contextlib
 import sys
 from fractions import Fraction
+
+import pytest
+
+from medina_arctan import medina, oracle
 
 REF_ARCTAN_1 = Fraction("0.7853981633974483096156608458198757210493")
 REF_ARCTAN_HALF = Fraction("0.4636476090008061162142562314612144020285")
@@ -31,3 +36,17 @@ def no_int_str_limit():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty the package's two memos around a planted fault, so no value
+    made before it hides it and none made under it outlives it.  Set up
+    after monkeypatch, it is torn down first: the memos are emptied while
+    the fault is still planted, and nothing runs before it is undone."""
+    caches = (medina.medina_h, oracle._pivot_base)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

@@ -27,9 +27,7 @@ from medina_arctan.poly_core import (
     horner_numerator,
     poly_add,
     poly_antiderivative,
-    poly_eval_horner,
     poly_mul,
-    powers_form,
     rat_parse,
 )
 from medina_arctan.verify import (
@@ -117,31 +115,34 @@ def test_final_bound_checks_the_reported_bound(monkeypatch):
     assert witness.lhs > witness.rhs
 
 
-def test_schemes_lemma_catches_a_wrong_shipped_approximant(monkeypatch):
-    # L9's powers side reads h_m by the Fraction rule from the reference p_m,
-    # not the shipped form, so one numerator off by one fails it at that m.
+@pytest.mark.parametrize("power", [3, 0], ids=["x^3", "constant"])
+def test_round_trip_lemma_catches_a_wrong_shipped_approximant(monkeypatch, power):
+    # L8 differentiates the shipped h_m itself against the reference p_m, so
+    # one numerator of medina_h(2) off by one fails it at m = 2, with the
+    # index and the two sides' coefficients at that power as its witness:
+    # s k H_k / D against p_{k-1}, or at k = 0 h_2(0) = H_0 / D against 0.
+    # L9 compares the two schemes on that same form, so it passes.
     good = medina_h(2)
     nums = list(good.nums)
-    nums[3] += 1
+    nums[power] += 1
     bad = IntPoly(good.den, tuple(nums))
     monkeypatch.setattr(verify, "medina_h", lambda m: bad if m == 2 else medina_h(m))
     report = run_suite(16, 3)
     failed = {c.id for c in report.checks if not c.passed}
-    assert "L9" in failed
-    assert {"L1", "L2", "L3", "L4", "L5", "L6", "L8"}.isdisjoint(failed)
-    witness = next(c.witness for c in report.checks if c.id == "L9")
-    # x^3 vanishes at 0, so the first grid point that sees the change is 1/16.
-    assert (witness.x, witness.m) == (Fraction(1, 16), 2)
-    assert witness.lhs == poly_eval_horner(bad, witness.x)
-    assert witness.rhs == poly_eval_horner(good, witness.x)
-    assert witness.lhs - witness.rhs == Fraction(1, 16**3 * good.den)
+    assert "L8" in failed
+    assert {"L1", "L2", "L3", "L4", "L5", "L6", "L9"}.isdisjoint(failed)
+    witness = next(c.witness for c in report.checks if c.id == "L8")
+    reference = (0, *medina._p_row(2))[power]
+    step = medina_scale(2).numerator * power if power else 1
+    assert witness == Witness(None, 2, reference + Fraction(step, good.den), Fraction(reference))
 
 
 def integrating_wrongly(change):
-    """_integrate with change(nums) applied to its numerators at m = 2."""
+    """medina._integrate with change(nums) applied to its numerators at m = 2."""
+    real = medina._integrate
 
     def integrate(row, m):
-        form = medina._integrate(row, m)
+        form = real(row, m)
         return IntPoly(form.den, tuple(change(list(form.nums)))) if m == 2 else form
 
     return integrate
@@ -157,20 +158,24 @@ def bump_h3(nums):
     [(bump_h3, 2), (lambda nums: nums[:-1], 14)],
     ids=["one-numerator", "top-dropped"],
 )
-def test_round_trip_lemma_catches_a_wrong_integration(monkeypatch, change, power):
-    # L8 differentiates the form _integrate makes from the reference p_m, on
-    # integers; a numerator off by one, or a dropped top term, fails it at
-    # the lowest power of p_2 the derivative no longer gives back.  L7 and
-    # L9 read the shipped medina_h, which does not go through verify's name.
-    monkeypatch.setattr(verify, "_integrate", integrating_wrongly(change))
+def test_round_trip_lemma_catches_a_wrong_integration(
+    monkeypatch, fresh_caches, change, power
+):
+    # medina_h integrates wrongly at m = 2: a numerator off by one, or a
+    # dropped top term.  L8 differentiates that shipped form on integers and
+    # fails at the lowest power of the reference p_2 it no longer gives
+    # back.  Both faults move h_2 past its bound, so L7 fails too; L9 reads
+    # the same form on both sides, so it passes.
+    wrong = integrating_wrongly(change)
+    monkeypatch.setattr(medina, "_integrate", wrong)
     report = run_suite(16, 3)
-    assert [c.id for c in report.checks if not c.passed] == ["L8"]
+    assert [c.id for c in report.checks if not c.passed] == ["L7", "L8"]
     witness = next(c.witness for c in report.checks if c.id == "L8")
     assert (witness.x, witness.m) == (None, 2)
     row = list(islice(recurrence(medina._SEED), 2))[1]
-    form = integrating_wrongly(change)(row, 2)
+    form = wrong(row, 2)
     top = form.nums[power + 1] if power + 1 < len(form.nums) else 0
-    slope = Fraction(medina.medina_scale(2).numerator * (power + 1) * top, form.den)
+    slope = Fraction(medina_scale(2).numerator * (power + 1) * top, form.den)
     assert (witness.lhs, witness.rhs) == (slope, Fraction(row[power]))
     assert witness.lhs != witness.rhs
 
@@ -198,32 +203,25 @@ def test_integral_form_is_the_fraction_routes(row):
     assert verify._antiderivative(row) == IntPoly.of(poly_antiderivative(row))
 
 
-def test_h_powers_form_is_the_fraction_routes():
-    # L9's powers side for h_m, formed from the reference row with a plain
-    # lcm, is powers_form of the Fraction rule's h_m.
-    for m, row in enumerate(islice(recurrence(medina._SEED), 60), 1):
-        form = verify._antiderivative(row, medina_scale(m).numerator)
-        assert form == IntPoly(*powers_form(approximant(row, m)))
+def test_round_trip_lemma_reads_the_shipped_form():
+    # L8's two sides are made from the form the run holds, medina_h(m)
+    # itself, and the reference p_m: H_0 against 0, then s k H_k against
+    # D p_{k-1}, equal power by power.
+    run = verify._Run(2, 3, 100, medina._SEED, False)
+    for m, row in zip(run.indices, recurrence(medina._SEED)):
+        slopes, reference, den = verify._round_trip_sides(run, m)
+        assert run.h(m) is medina_h(m)
+        assert den == medina_h(m).den
+        assert slopes == reference == [0, *(den * c for c in row)]
 
 
-def test_schemes_lemma_does_not_share_the_integration(monkeypatch):
-    # With _integrate wrong wherever it is called, medina_h's h_2 is wrong
-    # too, and L9 still fails it at m = 2: its powers side forms h_m from
-    # the reference row without _integrate, so the two sides cannot agree
-    # by sharing the fault.  L8 checks _integrate itself.
-    real = medina._integrate
+def test_a_clean_run_integrates_nothing_of_its_own(monkeypatch):
+    # Every h_m of a clean run is the shipped medina_h(m), which L8 checks.
+    def refuse(row, m):
+        raise AssertionError("verify integrated h_m itself")
 
-    def wrong(row, m):
-        form = real(row, m)
-        return IntPoly(form.den, tuple(bump_h3(list(form.nums)))) if m == 2 else form
-
-    monkeypatch.setattr(medina, "_integrate", wrong)
-    monkeypatch.setattr(verify, "_integrate", wrong)
-    monkeypatch.setattr(verify, "medina_h", lambda m: medina._integrate(medina._p_row(m), m))
-    by_id = {c.id: c for c in run_suite(16, 3).checks}
-    assert not by_id["L8"].passed and not by_id["L9"].passed
-    assert (by_id["L9"].witness.x, by_id["L9"].witness.m) == (Fraction(1, 16), 2)
-    assert all(by_id[i].passed for i in ("L1", "L2", "L3", "L4", "L5", "L6"))
+    monkeypatch.setattr(verify, "_integrate", refuse)
+    assert run_suite(16, 3).all_passed
 
 
 def counting_walks(monkeypatch):
@@ -247,14 +245,17 @@ def counting_walks(monkeypatch):
 
 
 def counting_l8(monkeypatch, freed):
-    """Log len(freed) at each _integrate call, L8's first step."""
+    """Log len(freed) at each payment L8 makes, one an index, each before
+    anything of that index is read."""
     at_l8 = []
+    spend = verify._Run.spend
 
-    def integrate(row, m):
-        at_l8.append(len(freed))
-        return medina._integrate(row, m)
+    def counting(run, units=1):
+        if len(run.done) == LEMMA_IDS.index("L8"):
+            at_l8.append(len(freed))
+        spend(run, units)
 
-    monkeypatch.setattr(verify, "_integrate", integrate)
+    monkeypatch.setattr(verify._Run, "spend", counting)
     return at_l8
 
 
@@ -262,7 +263,7 @@ def counting_l8(monkeypatch, freed):
 def test_l7_keeps_a_walk_a_point_and_lets_them_go(monkeypatch, tight):
     # L7 makes one oracle walk at each grid point, in lowest terms, in its
     # first row and asks it again in each later row; all are gone before
-    # L8 runs (its first _integrate call).
+    # L8 runs (its first payment).
     if tight:
         monkeypatch.setattr(verify, "medina_error_bound", lambda m: Fraction(1, 4 ** (5 * m + 1)))
     made, alive, freed = counting_walks(monkeypatch)
@@ -439,8 +440,8 @@ def refusing_walk(seed):
 def test_work_limit_is_spent_before_anything_is_built(monkeypatch):
     # The walk is verify's recurrence, which grows nothing until a member is
     # asked for; integration is _integrate (an injected seed's h_m) and
-    # _antiderivative (L4's integral and L9's powers side), and L7's oracle
-    # walks start at the points of its first row.
+    # _antiderivative (L4's integral), and L7's oracle walks start at the
+    # points of its first row.
     def refuse(*args):
         raise AssertionError("grew or integrated before the work meter paid for it")
 
@@ -628,8 +629,9 @@ def final_rule(h, bound, width, x):
     return lhs, bound, lhs <= bound
 
 
-def schemes_rule(form, target, x):
-    lhs, rhs = form_at(form, x), value_at(target, x)
+def schemes_rule(made, form, x):
+    # The value of the form a Horner row was made from, against form's.
+    lhs, rhs = form_at(made, x), form_at(form, x)
     return lhs, rhs, lhs == rhs
 
 
@@ -674,6 +676,9 @@ def test_grid_claims_decide_as_the_fraction_rules(n, m, case, at, delta, zeros, 
     p = next(islice(recurrence(seed), m - 1, None))
     target = approximant(p, m)
     h = IntPoly.of(target) if case == "corrupted" else medina_h(m)
+    # L9's Horner row is made from h before any numerator is put off, so
+    # there the "numerator off" case is a row that is not h's.
+    made = h
     if case == "numerator off":
         nums = list(h.nums)
         nums[at % len(nums)] += delta
@@ -686,7 +691,7 @@ def test_grid_claims_decide_as_the_fraction_rules(n, m, case, at, delta, zeros, 
     anti = IntPoly.of(poly_antiderivative(window_poly(m)))
     anti = IntPoly(anti.den, tuple(stretch * c for c in anti.nums))
     # Zero numerators on top change no value, only the degree the row reads.
-    p_form, h, anti = (pad(f, zeros) for f in (IntPoly.of(p), h, anti))
+    p_form, h, made, anti = (pad(f, zeros) for f in (IntPoly.of(p), h, made, anti))
     scale = medina_scale(m)
 
     # L7's endpoints at k/n from one oracle walk a point, at one width; k/n
@@ -694,7 +699,9 @@ def test_grid_claims_decide_as_the_fraction_rules(n, m, case, at, delta, zeros, 
     walks = [_Walk(k, n) for k in range(n + 1)]
     # L6, L7 and L9 read each polynomial's row of Horner numerators, as
     # run_suite makes it once for all three.
-    p_row, h_row = ([horner_numerator(f.nums, k, n) for k in range(n + 1)] for f in (p_form, h))
+    p_row, h_row, made_row = (
+        [horner_numerator(f.nums, k, n) for k in range(n + 1)] for f in (p_form, h, made)
+    )
 
     claims = [
         (verify._peak_claim(n), peak_rule),
@@ -705,14 +712,8 @@ def test_grid_claims_decide_as_the_fraction_rules(n, m, case, at, delta, zeros, 
             verify._final_claim(n, h, bound, width, walks.__getitem__, h_row),
             partial(final_rule, h, bound, width),
         ),
-        (
-            verify._schemes_claim(n, p_form, IntPoly(*powers_form(p)), p_row),
-            partial(schemes_rule, p_form, p),
-        ),
-        (
-            verify._schemes_claim(n, h, IntPoly(*powers_form(target)), h_row),
-            partial(schemes_rule, h, target),
-        ),
+        (verify._schemes_claim(n, p_form, p_row), partial(schemes_rule, p_form, p_form)),
+        (verify._schemes_claim(n, h, made_row), partial(schemes_rule, made, h)),
     ]
     for (holds, sides), rule in claims:
         for k in range(n + 1):
