@@ -13,9 +13,9 @@ eps.  Decimals are rendered last, correctly rounded from the exact value.
 The bookkeeping around the evaluation runs on the integers of
 as_integer_ratio(): the fold compares numerator and denominator, and
 rounding is one divmod.  The ledger's lines are powers of 2, so its sum at
-m is 1 or 5 over 2^(10m), formed by one rule (_budget) that the plan and
-medina_arctan both read, and the plan's m is medina_min_m_for at eps over
-that numerator.
+m is 1 or 5 over 2^(10m).  The plan gives the index alone, medina_min_m_for
+at eps over that numerator, and _arctan_reduced forms the ledger at the
+index it is given by one rule (_budget), whichever entry point named m.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ from .medina import (
     medina_min_m_for,
 )
 from .poly_core import (
+    MAX_EXPONENT,
     RatLike,
+    _brief,
     check_int,
     check_positive,
     poly_eval_horner,
@@ -123,19 +125,18 @@ def _budget(m: int, reciprocal: bool) -> tuple[Ledger, Fraction]:
     return lines + (("pi", _pi_bound(m)),), Fraction(5, 1 << 10 * m)
 
 
-def _plan(trace: ReductionTrace, eps: Fraction) -> tuple[int, Ledger, Fraction]:
-    """The least m whose ledger sums to at most eps, with that ledger and sum.
+def _plan(trace: ReductionTrace, eps: Fraction) -> int:
+    """The least m whose ledger sums to at most eps.
 
     The sum at m is 5 over 2^(10m) after a reciprocal step and 1 over it
     otherwise (_budget), so m is the package's one least-index rule,
     medina_min_m_for, at eps over that numerator.  An m past MAX_INDEX is
     ValueError, before any ledger is made.
     """
-    reciprocal = ReductionStep.RECIPROCAL in trace.steps
-    m = medina_min_m_for(eps / 5 if reciprocal else eps)
+    m = medina_min_m_for(eps / 5 if ReductionStep.RECIPROCAL in trace.steps else eps)
     if m > MAX_INDEX:
         raise ValueError(f"no index meets eps: an index must be <= {MAX_INDEX}")
-    return (m, *_budget(m, reciprocal))
+    return m
 
 
 def medina_arctan(x: RatLike, m: int) -> ApproxResult:
@@ -144,17 +145,16 @@ def medina_arctan(x: RatLike, m: int) -> ApproxResult:
     The bound is the sum of the ledger at m: 4^(-5m) for the approximant,
     plus the pi bootstrap's bound when the reciprocal identity was applied.
     """
-    trace = reduce(x)
-    return _arctan_reduced(trace, m, *_budget(m, ReductionStep.RECIPROCAL in trace.steps))
+    return _arctan_reduced(reduce(x), m)
 
 
-def _arctan_reduced(
-    trace: ReductionTrace, m: int, ledger: Ledger, bound: Fraction
-) -> ApproxResult:
+def _arctan_reduced(trace: ReductionTrace, m: int) -> ApproxResult:
     """The result at index m for the argument that `trace` reduced.
 
-    bound is the ledger's sum, which the caller read from _budget.
+    The ledger comes first, from _budget, so a bad m is refused before
+    h_m is built.
     """
+    ledger, bound = _budget(m, ReductionStep.RECIPROCAL in trace.steps)
     value = poly_eval_horner(medina_h(m), trace.reduced)
     if ReductionStep.RECIPROCAL in trace.steps:
         value = pi_estimate(m).value / 2 - value
@@ -167,7 +167,7 @@ def arctan_auto(x: RatLike, eps: RatLike) -> ApproxResult:
     """The result at the least m whose ledger, pi bootstrap included, meets eps."""
     eps = check_positive(eps, "eps")
     trace = reduce(x)
-    return _arctan_reduced(trace, *_plan(trace, eps))
+    return _arctan_reduced(trace, _plan(trace, eps))
 
 
 def guaranteed_digits(bound: RatLike) -> int:
@@ -191,9 +191,11 @@ def decimal_str(value: RatLike, digits: int) -> str:
     Rounding is to nearest with ties to even, computed on the exact scaled
     rational, so the printed digits are the true rounded digits: with
     value = n/d, one divmod of n 10^digits by d gives the floor and the
-    remainder that decides it.
+    remainder that decides it.  digits past MAX_EXPONENT, rat_parse's cap
+    on a written exponent, is refused before 10^digits is formed.
     """
-    check_int(digits, "digits", 0)
+    if check_int(digits, "digits", 0) > MAX_EXPONENT:
+        raise ValueError(f"digits must be <= {MAX_EXPONENT}, got {_brief(digits)}")
     n, d = rat(value).as_integer_ratio()
     scaled, rem = divmod(n * 10**digits, d)
     if 2 * rem > d or (2 * rem == d and scaled & 1):

@@ -379,8 +379,12 @@ def test_auto_names_eps_when_no_index_meets_it(x, eps):
 
 
 def test_plan_reaches_the_largest_index():
-    trace = reduce(Fraction(1, 2))
-    assert arctan_eval._plan(trace, Fraction(1, 10**6020))[0] == medina.MAX_INDEX
+    # The plan gives the index alone; the ledger at it is _budget's.
+    m = arctan_eval._plan(reduce(Fraction(1, 2)), Fraction(1, 10**6020))
+    assert type(m) is int and m == medina.MAX_INDEX
+    ledger, bound = arctan_eval._budget(m, False)
+    assert ledger == ledger_by_bounds(False, m)
+    assert bound.as_integer_ratio() == (1, 4 ** (5 * m))
 
 
 def plan_by_bisection(reciprocal, eps):
@@ -398,19 +402,24 @@ def plan_by_bisection(reciprocal, eps):
 
 @settings(deadline=None)
 @given(st.integers(1, 9), st.integers(0, 6000), st.sampled_from([Fraction(1, 2), 2]))
+@example(4, 3, 2)
 @example(1, 0, 2)
 @example(1, 6000, 2)
 @example(9, 6000, Fraction(1, 2))
 def test_plan_is_the_ledger_rule_by_bisection(mantissa, exponent, x):
     # eps from 1 down to 1e-6000, on the direct branch and the reciprocal
-    # one: the plan's sum, 1 or 5 over 2^(10m), is the ledger's own.
+    # one: the plan's index is the bisection's, and _budget's ledger and
+    # sum at it, 1 or 5 over 2^(10m), are the ledger's own.  At eps = 4e-3,
+    # between 4 and 5 times 2^-10, pi's line alone would let m = 1 pass.
     eps = Fraction(mantissa, 10**exponent)
     trace = reduce(x)
-    m, ledger = plan_by_bisection(ReductionStep.RECIPROCAL in trace.steps, eps)
-    want = (m, ledger, sum(b for _, b in ledger))
-    got = arctan_eval._plan(trace, eps)
-    assert got == want
-    assert got[2].as_integer_ratio() == want[2].as_integer_ratio()
+    reciprocal = ReductionStep.RECIPROCAL in trace.steps
+    m, ledger = plan_by_bisection(reciprocal, eps)
+    assert arctan_eval._plan(trace, eps) == m
+    got_ledger, got_sum = arctan_eval._budget(m, reciprocal)
+    want_sum = sum(b for _, b in ledger)
+    assert got_ledger == ledger
+    assert got_sum.as_integer_ratio() == want_sum.as_integer_ratio()
 
 
 def test_medina_arctan_reads_the_plans_budget():
@@ -422,6 +431,17 @@ def test_medina_arctan_reads_the_plans_budget():
     for bad in (True, 1.0, 0, MAX_INDEX + 1):
         with pytest.raises(ValueError, match="sequence index"):
             medina_arctan(2, bad)
+
+
+@given(_arguments, _edges)
+@example(2, Fraction(5, 2**50))
+@example(-1, Fraction(2**20 + 1, 2**40))
+@example(Fraction(-7, 3), Fraction(5 * 2**20 - 1, 2**60))
+def test_medina_arctan_at_the_planned_index_is_arctan_auto(x, eps):
+    # Both entry points reach one result from (trace, m), ledger included,
+    # on either side of 1 and at or beside each edge of the plan.
+    result = arctan_auto(x, eps)
+    assert medina_arctan(x, result.m) == result
 
 
 def test_guaranteed_digits():

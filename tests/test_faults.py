@@ -127,6 +127,13 @@ def pi_sign(monkeypatch):
     monkeypatch.setattr(arctan_eval, "_arctan_reduced", reduced)
 
 
+def plan_reciprocal_budget(monkeypatch):
+    # After a reciprocal step the plan reads eps over 4, pi's line alone, not
+    # over 5, so it can pick an m whose ledger sums past eps.
+    plan = mutant(arctan_eval._plan, "eps / 5", "eps / 4")
+    monkeypatch.setattr(arctan_eval, "_plan", plan)
+
+
 CATALOGUE = [
     # 1 + x^2 no longer divides the closed form's numerator: _p_row refuses.
     pytest.param(
@@ -157,6 +164,11 @@ CATALOGUE = [
     pytest.param(
         pi_sign, test_arctan_eval.test_reduction_soundness_certified, (),
         AssertionError, id="pi-sign",
+    ),
+    # Caught by the bisection's example at eps = 4e-3, with no h_m built.
+    pytest.param(
+        plan_reciprocal_budget, test_arctan_eval.test_plan_is_the_ledger_rule_by_bisection,
+        (), AssertionError, id="plan-reciprocal-budget",
     ),
 ]
 

@@ -16,6 +16,7 @@ from medina_arctan.arctan_eval import decimal_str, pi_estimate
 from medina_arctan import poly_core
 from medina_arctan.medina import medina_h
 from medina_arctan.poly_core import (
+    MAX_EXPONENT,
     IntPoly,
     degree,
     horner_den,
@@ -582,6 +583,17 @@ def test_int_check_message_past_the_int_str_limit():
         decimal_str(0, -(10**5000))
     with pytest.raises(ValueError, match=r"got '2'$"):
         decimal_str(0, "2")
+
+
+def test_decimal_places_are_capped_before_the_power_of_ten():
+    # 10^digits is formed only up to rat_parse's exponent cap, since its cost
+    # grows about as digits^2 and 10^9 is ten bytes to ask for.  The cap
+    # itself still renders in full.
+    with pytest.raises(ValueError, match=r"^digits must be <= 100000, got 1000000000$"):
+        decimal_str(Fraction(1, 3), 10**9)
+    with pytest.raises(ValueError, match=r"got 1000000000…0000000000 \(5001 digits\)$"):
+        decimal_str(0, 10**5000)
+    assert decimal_str(Fraction(1, 3), MAX_EXPONENT) == "0." + "3" * MAX_EXPONENT
 
 
 @pytest.mark.parametrize(
