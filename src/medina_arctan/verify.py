@@ -12,12 +12,15 @@ x = k/grid_n over [0, 1] and decided on integers, with no gcd: a
 polynomial's value at k/grid_n is its Horner numerator over the row's
 common denominator D grid_n^deg, and two sides over different
 denominators are cross-multiplied.
-p_m's and h_m's rows of Horner numerators are made once a run, by L6 and
-L7, and L9 compares the same rows with the powers route on the same
-forms, which raises each b^(n-i) once a row; both are numerators over one
-denominator, so L9 compares them as they are.  Fractions appear only in
-witnesses.  L4's integral is formed from an integer row over a plain lcm,
-and a clean run integrates nothing else: its h_m are medina_h's.  Only
+Each Horner row of p_m and of h_m is made once a run and checked by L9
+as it is made: the row is compared with the powers route on the same
+form, which raises each b^(n-i) once a row; both are numerators over one
+denominator, so they are compared as they are.  L6 and L7 make the rows
+they reach, and L9 makes only those past their first failure.  A run
+keeps L9's verdicts, each row's first witness or None, not the rows.
+Fractions appear only in witnesses.  L4's integral is formed from an
+integer row over a plain lcm, and a clean run integrates nothing else:
+its h_m are medina_h's.  Only
 L7, h_m against arctangent itself, consults the enclosure oracle, at a
 width two factors of 4 below the asserted bound so that enclosure slack
 can never mask a violation; one oracle walk a grid point carries its
@@ -35,12 +38,14 @@ polynomial can be injected to exercise that failure path end to end.
 The work meter charges grid_n + 1 units a grid row, one an index of an
 identity and one for L2, each row paid for before it is built, and raises
 WorkLimitExceeded past the caller's limit, with the report so far attached.
+L6's and L7's row units also pay for L9's check of that Horner row; L9
+pays grid_n + 1 again for each p_m and h_m, whether it reads the verdict
+or makes the row.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from itertools import filterfalse, zip_longest
 from typing import NamedTuple, Optional, Sequence
@@ -74,9 +79,6 @@ from .poly_core import (
 )
 
 DEFAULT_WORK_LIMIT = 2_000_000
-# The most bytes of Horner rows L6 and L7 keep for L9, which makes again any
-# row not kept: both rows of a 65,536-point grid at one index take 6.4 MB.
-_ROW_BYTES = 1 << 23
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -239,15 +241,16 @@ def _antiderivative(row: Sequence[int]) -> IntPoly:
 class _Run:
     """One run's state: the grid and indices, the work meter and the checks
     done, the one recurrence walk with the p_m forms grown from it, the h_m
-    forms made, and the Horner rows L6 and L7 keep for L9.  _LEMMAS holds
-    none of it, so concurrent runs share the table."""
+    forms made, and L9's verdict on each Horner row made.  Each row is made
+    once and checked by L9 as it is made, so a run keeps verdicts, not
+    rows.  _LEMMAS holds none of it, so concurrent runs share the table."""
 
     def __init__(self, grid_n: int, m_max: int, limit: int, seed, injected: bool):
         self.n, self.m_max, self.limit, self.used = grid_n, m_max, limit, 0
         self.indices = range(1, m_max + 1)
         self.walk, self.grown = recurrence(seed), []
         self.injected, self.forms = injected, {}
-        self.kept, self.room, self.done = {}, _ROW_BYTES, []
+        self.verdicts, self.done = {}, []
 
     def spend(self, units: int = 1) -> None:
         """Pay units of work; past the limit, raise with the report so far,
@@ -274,14 +277,13 @@ class _Run:
             self.forms[m] = _integrate(self.p(m).nums, m) if self.injected else medina_h(m)
         return self.forms[m]
 
-    def row(self, m: int, which: int, keep: bool = False) -> list[int]:
-        """p_m's (which 0) or h_m's Horner row, kept for L9 if keep and it fits."""
-        nums = (self.h(m) if which else self.p(m)).nums
-        row = [horner_numerator(nums, k, self.n) for k in range(self.n + 1)]
-        if keep:
-            size = sys.getsizeof(row) + sum(map(sys.getsizeof, row))
-            if size <= self.room:
-                self.room, self.kept[m, which] = self.room - size, row
+    def row(self, m: int, which: int) -> list[int]:
+        """p_m's (which 0) or h_m's Horner row, with L9 decided on it as it
+        is made: its first witness, or None, is recorded under (m, which),
+        and the row itself is not kept."""
+        form = self.h(m) if which else self.p(m)
+        row = [horner_numerator(form.nums, k, self.n) for k in range(self.n + 1)]
+        self.verdicts[m, which] = self.witness(m, *_schemes_claim(self.n, form, row))
         return row
 
     def point(self, k: int) -> _Walk:
@@ -297,12 +299,15 @@ class _Run:
         a unit each, paid before the claim is made."""
         for row in rows or ((m,) for m in self.indices):
             self.spend(self.n + 1)
-            holds, sides = claim(self, *row)
-            k = next(filterfalse(holds, range(self.n + 1)), None)
-            if k is not None:
-                x = Fraction(k, self.n)
-                return False, Witness(x, row[0], *sides(x))
+            if witness := self.witness(row[0], *claim(self, *row)):
+                return False, witness
         return True, None
+
+    def witness(self, m: Optional[int], holds, sides) -> Optional[Witness]:
+        """The witness at index m and the first point x = k/grid_n where
+        holds(k) is false, with (lhs, rhs) = sides(x), or None."""
+        points = (Fraction(k, self.n) for k in filterfalse(holds, range(self.n + 1)))
+        return next((Witness(x, m, *sides(x)) for x in points), None)
 
     def identity(self, sides):
         """(True, None), or (False, witness) at the lowest-power coefficients
@@ -356,7 +361,7 @@ def _closed_sides(run: _Run, m: int):
 
 
 def _sign_row(run: _Run, m: int):
-    return _sign_claim(run.n, run.p(m), medina_scale(m), run.row(m, 0, True))
+    return _sign_claim(run.n, run.p(m), medina_scale(m), run.row(m, 0))
 
 
 def _final(run: _Run):
@@ -371,7 +376,7 @@ def _final_row(run: _Run, m: int, walks: list[_Walk]):
         walks.extend(map(run.point, range(run.n + 1)))
     h, bound = run.h(m), medina_error_bound(m)
     walk = walks.__getitem__ if walks else run.point
-    return _final_claim(run.n, h, bound, bound / 16, walk, run.row(m, 1, True))
+    return _final_claim(run.n, h, bound, bound / 16, walk, run.row(m, 1))
 
 
 def _round_trip_sides(run: _Run, m: int):
@@ -383,14 +388,16 @@ def _round_trip_sides(run: _Run, m: int):
 
 
 def _schemes(run: _Run):
-    # p_m at every point, then h_m, for each m in turn.
-    return run.scan(_schemes_row, ((m, i) for m in run.indices for i in (0, 1)))
-
-
-def _schemes_row(run: _Run, m: int, which: int):
-    # Horner: L6's or L7's row, or made again.  Powers: the same form's sums.
-    values = run.kept.pop((m, which), None) or run.row(m, which)
-    return _schemes_claim(run.n, run.h(m) if which else run.p(m), values)
+    # p_m's verdict, then h_m's, for each m in turn, each row's units paid
+    # first: recorded when L6 or L7 made the row, or, for a row past their
+    # first failure, when it is made here.
+    for key in ((m, i) for m in run.indices for i in (0, 1)):
+        run.spend(run.n + 1)
+        if key not in run.verdicts:
+            run.row(*key)
+        if run.verdicts[key]:
+            return False, run.verdicts[key]
+    return True, None
 
 
 _LEMMAS = (

@@ -3,9 +3,10 @@ catch it.
 
 A fault is a monkeypatch that plants one small, plausible mistake in the
 package, either around a function or in its source, recompiled with one
-edit.  Its check is an existing test of another module, run as it stands;
-under the fault it must raise.  Where the construction refuses before the
-check can compare anything, the refusal is the catch, and the entry says so.
+edit.  Its check is an existing test of another module, run as it stands,
+with the runner's monkeypatch if it takes one; under the fault it must
+raise.  Where the construction refuses before the check can compare
+anything, the refusal is the catch, and the entry says so.
 """
 
 import __future__
@@ -134,6 +135,16 @@ def plan_reciprocal_budget(monkeypatch):
     monkeypatch.setattr(arctan_eval, "_plan", plan)
 
 
+def verdict_unrecorded(monkeypatch):
+    # L9 takes a passing verdict, None, for one never recorded, so it makes
+    # every row that passed again: the same report, with each row made twice.
+    schemes = mutant(
+        verify._schemes, "if key not in run.verdicts:", "if not run.verdicts.get(key):"
+    )
+    lemmas = [(*row[:2], schemes) if row[0] == "L9" else row for row in verify._LEMMAS]
+    monkeypatch.setattr(verify, "_LEMMAS", tuple(lemmas))
+
+
 CATALOGUE = [
     # 1 + x^2 no longer divides the closed form's numerator: _p_row refuses.
     pytest.param(
@@ -170,6 +181,11 @@ CATALOGUE = [
         plan_reciprocal_budget, test_arctan_eval.test_plan_is_the_ledger_rule_by_bisection,
         (), AssertionError, id="plan-reciprocal-budget",
     ),
+    # Every report is unchanged; only the count of Horner numerators sees it.
+    pytest.param(
+        verdict_unrecorded, test_verify.test_horner_rows_are_made_once_and_shared, (),
+        AssertionError, id="verdict-unrecorded",
+    ),
 ]
 
 
@@ -178,5 +194,7 @@ def test_each_fault_fails_its_cheapest_check(
     monkeypatch, fresh_caches, fault, check, args, caught
 ):
     fault(monkeypatch)
+    if "monkeypatch" in inspect.signature(check).parameters:
+        args = (monkeypatch, *args)
     with pytest.raises(caught):
         check(*args)

@@ -17,6 +17,7 @@ from conftest import (
     REF_SLACK,
 )
 from medina_arctan import oracle, verify
+from medina_arctan.arctan_eval import arctan_auto
 from medina_arctan.oracle import Enclosure, _enclosure, _Walk, arctan_enclosure, pi_enclosure
 from medina_arctan.poly_core import rat_parse
 from medina_arctan.verify import run_suite
@@ -371,3 +372,73 @@ def test_a_walk_stops_at_the_term_of_the_width_asked_for(x, width):
         lo, hi = (Fraction(*pair) for pair in walk.bracket(*width.as_integer_ratio()))
         assert walk.k == k
         assert hi - lo == x ** (2 * k + 1) / (2 * k + 1)
+
+
+def euler_enclosure(x, eps):
+    """(lo, hi) around arctan(x) for x = a/b in [0, 1], of width at most eps,
+    by Euler's series: the sum of t_n = 2^{2n}(n!)^2/(2n+1)! x^{2n+1} /
+    (1+x^2)^{n+1}, every term positive, each ratio t_{n+1}/t_n below
+    y = x^2/(1+x^2).  So arctan(x) lies in [S_N, S_N + t_N (1+x^2)] after N
+    terms.  Integers only, sharing nothing with oracle: t_N = top/den and
+    S_N = total/den over the current term's denominator."""
+    a, b = x.as_integer_ratio()
+    e, d = eps.as_integer_ratio()
+    c = a * a + b * b
+    top, den, total, n = a * b, c, 0, 0
+    while top * c * d > e * den * b * b:  # t_N c/b^2 > eps
+        grow = (2 * n + 3) * c
+        top, den, total = top * 2 * (n + 1) * a * a, den * grow, (total + top) * grow
+        n += 1
+    return Fraction(total, den), Fraction(total * b * b + top * c, den * b * b)
+
+
+def overlaps(lo, hi, enc):
+    return max(lo, enc.lo) <= min(hi, enc.hi)
+
+
+# Arguments in [0, 1] with parts of up to 30 digits, and eps down to 1e-200.
+_unit_args = st.integers(1, 10**30).flatmap(
+    lambda d: st.integers(0, d).map(lambda n: Fraction(n, d))
+)
+_euler_eps = st.builds(
+    lambda c, e: Fraction(c, 10**e), st.integers(1, 9), st.integers(1, 200)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_unit_args, _euler_eps)
+@example(Fraction(0), Fraction(1, 10))
+@example(Fraction(1), Fraction(1, 10**100))
+@example(Fraction(1), Fraction(1, 10**300))
+@example(Fraction(1, 2), Fraction(1, 10**100))
+@example(Fraction(1, 2), Fraction(1, 10**300))
+@example(Fraction(40503, 65536), Fraction(1, 10**100))
+@example(Fraction(40503, 65536), Fraction(1, 10**300))
+def test_euler_series_overlaps_the_walk(x, eps):
+    lo, hi = euler_enclosure(x, eps)
+    assert 0 <= hi - lo <= eps
+    assert overlaps(lo, hi, arctan_enclosure(x, eps))
+
+
+@pytest.mark.parametrize("eps", ["1e-100", "1e-300"])
+def test_euler_pi_overlaps_pi_enclosure(eps):
+    # pi = 4 arctan(1), with Euler's series at eps/4.
+    lo, hi = euler_enclosure(Fraction(1), Fraction(eps) / 4)
+    assert overlaps(4 * lo, 4 * hi, pi_enclosure(eps))
+
+
+@pytest.mark.parametrize("x", ["40503/65536", "2"])
+def test_served_values_are_within_their_bound_by_euler(x):
+    # arctan_auto at 1e-300 serves m = 100.  Euler's enclosure at a sixteenth
+    # of the bound lies within the bound of the value; at x = 2 it is
+    # pi/2 - arctan(1/2) = 2 arctan(1) - arctan(1/2).
+    x = Fraction(x)
+    result = arctan_auto(x, "1e-300")
+    assert result.m == 100
+    width = result.error_bound / 16
+    if x <= 1:
+        lo, hi = euler_enclosure(x, width)
+    else:
+        (lo_1, hi_1), (lo_r, hi_r) = (euler_enclosure(y, width / 4) for y in (1, 1 / x))
+        lo, hi = 2 * lo_1 - hi_r, 2 * hi_1 - lo_r
+    assert result.value - result.error_bound <= lo <= hi <= result.value + result.error_bound

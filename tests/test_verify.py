@@ -290,8 +290,9 @@ def test_l7_keeps_no_walk_in_its_last_row(monkeypatch):
 
 def test_horner_rows_are_made_once_and_shared(monkeypatch):
     # L4, L6 and L7 each make one Horner numerator a grid point of each of
-    # their rows; L6's rows (p_m) and L7's (h_m) are L9's Horner side, so on
-    # the passing path L9 makes none.
+    # their rows, and L9 is decided on L6's rows (p_m) and L7's (h_m) as they
+    # are made.  The corrupted seed fails L6 at m = 2 and L7 at m = 1, so L9
+    # makes p_3, h_2 and h_3 itself; either way no row is made twice.
     calls = Counter()
 
     def counting(nums, a, b):
@@ -299,64 +300,43 @@ def test_horner_rows_are_made_once_and_shared(monkeypatch):
         return horner_numerator(nums, a, b)
 
     monkeypatch.setattr(verify, "horner_numerator", counting)
-    assert run_suite(16, 3).all_passed
-    rows = list(islice(recurrence(medina_p1()), 3))
-    made = [*rows, *(medina_h(m).nums for m in (1, 2, 3))]
-    made += [verify._antiderivative(medina._window_row(m)).nums for m in (1, 2, 3)]
-    assert calls == Counter({tuple(nums): 17 for nums in made})
+    for seed, failed in ((None, []), (corrupted_seed(), ["L5", "L6", "L7"])):
+        calls.clear()
+        report = run_suite(16, 3, base_poly=seed)
+        assert [c.id for c in report.checks if not c.passed] == failed
+        rows = list(islice(recurrence(tuple(map(int, seed or medina_p1()))), 3))
+        made = list(rows)
+        for m, row in enumerate(rows, 1):
+            made.append((medina._integrate(row, m) if seed else medina_h(m)).nums)
+            made.append(verify._antiderivative(medina._window_row(m)).nums)
+        assert calls == Counter({tuple(nums): 17 for nums in made})
 
 
-def test_a_horner_fault_in_a_kept_row_fails_l9(monkeypatch):
-    # The row L7 makes for h_2, off by one at 5/16, is the one L9 reads:
-    # L9 fails there, with the Fraction rules' witness, the off numerator
-    # over D 16^d against the powers route's h_2.
-    h = medina_h(2)
+@pytest.mark.parametrize(
+    "seed", [None, corrupted_seed()], ids=["row made by L7", "row made by L9"]
+)
+def test_a_horner_fault_fails_l9(monkeypatch, seed):
+    # h_2's Horner row, off by one at 5/16, fails L9 there with the Fraction
+    # rules' witness, the off numerator over D 16^d against the powers
+    # route's h_2.  L7 makes that row on a clean run; the corrupted seed
+    # fails L7 at m = 1, so L9 makes it itself.
+    p_2 = list(islice(recurrence(tuple(map(int, seed or medina_p1()))), 2))[1]
+    h = medina._integrate(p_2, 2) if seed else medina_h(2)
 
     def off(nums, a, b):
         value = horner_numerator(nums, a, b)
         return value + 1 if (tuple(nums), a, b) == (h.nums, 5, 16) else value
 
     monkeypatch.setattr(verify, "horner_numerator", off)
-    report = run_suite(16, 3)
-    assert [c.id for c in report.checks if not c.passed] == ["L9"]
+    report = run_suite(16, 3, base_poly=seed)
+    failed = [c.id for c in report.checks if not c.passed]
+    assert failed == (["L9"] if seed is None else ["L5", "L6", "L7", "L9"])
+    assert seed is None or report.checks[LEMMA_IDS.index("L7")].witness.m == 1
     x = Fraction(5, 16)
     assert report.checks[-1].witness == Witness(
         x, 2, form_at(h, x) + Fraction(1, 16 ** (len(h) - 1) * h.den),
-        value_at(approximant(medina._p_row(2), 2), x),
+        value_at(approximant(p_2, 2), x),
     )
-
-
-def row_bytes(row):
-    """A Horner row's size as the kept-row cap counts it."""
-    return sys.getsizeof(row) + sum(map(sys.getsizeof, row))
-
-
-@pytest.mark.parametrize("cap", ["none", "one row"])
-def test_rows_past_the_cap_are_made_again_by_l9(monkeypatch, cap):
-    # With no room, every row L6 and L7 make is made again by L9; with room
-    # for p_1's row alone, L6's first, only that one is read from the store.
-    # Either way each report is the uncapped one, clean and injected.
-    full = {seed: run_suite(16, 3, base_poly=seed) for seed in (None, corrupted_seed())}
-    p_rows = list(islice(recurrence(medina_p1()), 3))
-    first = [horner_numerator(p_rows[0], k, 16) for k in range(17)]
-    monkeypatch.setattr(verify, "_ROW_BYTES", 0 if cap == "none" else row_bytes(first))
-    for seed, report in full.items():
-        assert run_suite(16, 3, base_poly=seed) == report
-    calls = Counter()
-
-    def counting(nums, a, b):
-        calls[tuple(nums)] += 1
-        return horner_numerator(nums, a, b)
-
-    monkeypatch.setattr(verify, "horner_numerator", counting)
-    assert run_suite(16, 3).all_passed
-    shared = [*p_rows, *(medina_h(m).nums for m in (1, 2, 3))]
-    want = Counter({tuple(nums): 34 for nums in shared})
-    if cap == "one row":
-        want[tuple(p_rows[0])] = 17
-    for m in (1, 2, 3):
-        want[verify._antiderivative(medina._window_row(m)).nums] = 17
-    assert calls == want
 
 
 def test_concurrent_runs_each_get_their_own_report():
