@@ -3,8 +3,8 @@
 Each lemma below is a concrete claim about the constructed polynomials,
 checked in exact rational arithmetic for every index up to m_max, with no
 tolerance anywhere.  L5 and L8 are identities, compared coefficient by
-coefficient for each index.  L8 differentiates, on integers, the h_m form
-the run holds, the shipped medina_h(m) or the injected seed's integral,
+coefficient for each index.  L8 differentiates, on integers, each h_m form
+the run makes, the shipped medina_h(m) or the injected seed's integral,
 and checks it, constant term included, against the reference p_m: it is
 the one exact link between what ships and the reference.
 The pointwise claims (L1, L3, L4, L6, L7, L9) are sampled on the grid
@@ -12,12 +12,14 @@ x = k/grid_n over [0, 1] and decided on integers, with no gcd: a
 polynomial's value at k/grid_n is its Horner numerator over the row's
 common denominator D grid_n^deg, and two sides over different
 denominators are cross-multiplied.
-Each Horner row of p_m and of h_m is made once a run and checked by L9
-as it is made: the row is compared with the powers route on the same
-form, which raises each b^(n-i) once a row; both are numerators over one
-denominator, so they are compared as they are.  L6 and L7 make the rows
-they reach, and L9 makes only those past their first failure.  A run
-keeps L9's verdicts, each row's first witness or None, not the rows.
+Each exact check is decided on its object as the object is made: L5 on
+each p_m as the walk grows it, L8 on each h_m, and L9 on each Horner row,
+compared with the powers route on the same form, which raises each
+b^(n-i) once a row; both are numerators over one denominator, so they
+are compared as they are.  L5's, L8's and L9's passes read the verdicts
+and make only what no earlier lemma reached: an h_m past L7's first
+failure is made twice, for L8 and for L9.  A run keeps the verdicts and
+the p_m forms; no h_m form or row outlives its lemma.
 Fractions appear only in witnesses.  L4's integral is formed from an
 integer row over a plain lcm, and a clean run integrates nothing else:
 its h_m are medina_h's.  Only
@@ -30,24 +32,26 @@ run_suite runs _LEMMAS, the table of the nine lemmas, in order over one
 _Run, which holds all that a run shares and makes each p_m's IntPoly once.
 A row of the table is an id, a description, a runner and the runner's
 arguments after the run: _Run.scan with the builder of a grid claim's
-rows, _Run.identity with the builder of an identity's two sides, or, for
-L1, L2, L7 and L9, a runner of the lemma's own with none.
+rows, _Run.recorded with the forms whose verdicts it reads (L5, L8 and,
+on Horner rows, L9), or, for L1, L2 and L7, a runner of the lemma's own
+with none.
 The suite reports every lemma with a pass/fail flag and, when a claim
 fails, a witness pinning down where.  A deliberately corrupted seed
 polynomial can be injected to exercise that failure path end to end.
 The work meter charges grid_n + 1 units a grid row, one an index of an
 identity and one for L2, each row paid for before it is built, and raises
 WorkLimitExceeded past the caller's limit, with the report so far attached.
-L6's and L7's row units also pay for L9's check of that Horner row; L9
-pays grid_n + 1 again for each p_m and h_m, whether it reads the verdict
-or makes the row.
+An index or row also pays for the checks decided on what it makes (L5's
+for p_m, L6's and L7's for L9 on their rows, L7's for h_m and L8); L8
+and L9 pay again, a unit an index and grid_n + 1 a form, whether they
+read the verdict or make the object.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import filterfalse, zip_longest
+from itertools import filterfalse, product, zip_longest
 from typing import NamedTuple, Optional, Sequence
 
 from .medina import (
@@ -240,17 +244,17 @@ def _antiderivative(row: Sequence[int]) -> IntPoly:
 
 class _Run:
     """One run's state: the grid and indices, the work meter and the checks
-    done, the one recurrence walk with the p_m forms grown from it, the h_m
-    forms made, and L9's verdict on each Horner row made.  Each row is made
-    once and checked by L9 as it is made, so a run keeps verdicts, not
-    rows.  _LEMMAS holds none of it, so concurrent runs share the table."""
+    done, the one recurrence walk with the p_m forms grown from it, and the
+    verdicts, each the first witness or None, under (m, which, grid): which
+    0 for p_m and 1 for h_m, grid True for L9 on the form's Horner row and
+    False for the identity on the form (L5 on p_m, L8 on h_m).  No h_m
+    form or row is kept.  _LEMMAS holds none of it, so concurrent runs
+    share the table."""
 
     def __init__(self, grid_n: int, m_max: int, limit: int, seed, injected: bool):
         self.n, self.m_max, self.limit, self.used = grid_n, m_max, limit, 0
-        self.indices = range(1, m_max + 1)
-        self.walk, self.grown = recurrence(seed), []
-        self.injected, self.forms = injected, {}
-        self.verdicts, self.done = {}, []
+        self.indices, self.walk, self.grown = range(1, m_max + 1), recurrence(seed), []
+        self.injected, self.verdicts, self.done = injected, {}, []
 
     def spend(self, units: int = 1) -> None:
         """Pay units of work; past the limit, raise with the report so far,
@@ -265,26 +269,36 @@ class _Run:
 
     def p(self, m: int) -> IntPoly:
         """p_m from the run's one walk, grown as asked for: its integer row,
-        wrapped once a run as the form IntPoly(1, row) that L6 and L9 read."""
+        wrapped once a run as the form IntPoly(1, row) that L6, L8 and L9
+        read, with L5 decided on the row as it is grown."""
         while len(self.grown) < m:
-            self.grown.append(IntPoly(1, next(self.walk)))
+            j, row = len(self.grown) + 1, next(self.walk)
+            self.verdicts[j, 0, False] = _first_difference(j, *_closed_sides(row, j))
+            self.grown.append(IntPoly(1, row))
         return self.grown[m - 1]
 
     def h(self, m: int) -> IntPoly:
-        """h_m, made once a run: the shipped one, or the injected seed's p_m
-        integrated as medina_h integrates the closed form's row."""
-        if m not in self.forms:
-            self.forms[m] = _integrate(self.p(m).nums, m) if self.injected else medina_h(m)
-        return self.forms[m]
+        """h_m, made each time it is asked for: the shipped one, or the
+        injected seed's p_m integrated as medina_h integrates the closed
+        form's row, with L8 decided on it as it is made.  The run keeps
+        nothing of it."""
+        p = self.p(m).nums
+        form = _integrate(p, m) if self.injected else medina_h(m)
+        self.verdicts[m, 1, False] = _first_difference(m, *_round_trip_sides(form, p, m))
+        return form
 
-    def row(self, m: int, which: int) -> list[int]:
-        """p_m's (which 0) or h_m's Horner row, with L9 decided on it as it
-        is made: its first witness, or None, is recorded under (m, which),
-        and the row itself is not kept."""
-        form = self.h(m) if which else self.p(m)
+    def form(self, m: int, which: int) -> IntPoly:
+        """p_m (which 0) or h_m (which 1)."""
+        return (self.p, self.h)[which](m)
+
+    def row(self, m: int, which: int) -> tuple[IntPoly, list[int]]:
+        """form(m, which) with its Horner row, and L9 decided on the row as
+        it is made: its first witness, or None, is recorded under
+        (m, which, True), and the row itself is not kept."""
+        form = self.form(m, which)
         row = [horner_numerator(form.nums, k, self.n) for k in range(self.n + 1)]
-        self.verdicts[m, which] = self.witness(m, *_schemes_claim(self.n, form, row))
-        return row
+        self.verdicts[m, which, True] = self.witness(m, *_schemes_claim(self.n, form, row))
+        return form, row
 
     def point(self, k: int) -> _Walk:
         """arctan's oracle walk at k/grid_n, in lowest terms."""
@@ -309,18 +323,28 @@ class _Run:
         points = (Fraction(k, self.n) for k in filterfalse(holds, range(self.n + 1)))
         return next((Witness(x, m, *sides(x)) for x in points), None)
 
-    def identity(self, sides):
-        """(True, None), or (False, witness) at the lowest-power coefficients
-        where the integer rows lhs and rhs, with (lhs, rhs, den) =
-        sides(run, m), first differ, each m paid for first.  Both rows are
-        over den, and the witness's two sides are the coefficients over den."""
-        for m in self.indices:
-            self.spend()
-            lhs, rhs, den = sides(self, m)
-            for a, b in zip_longest(lhs, rhs, fillvalue=0):
-                if a != b:
-                    return False, Witness(None, m, Fraction(a, den), Fraction(b, den))
+    def recorded(self, kinds: tuple[int, ...], grid: bool = False):
+        """(True, None), or (False, witness) at the first recorded witness,
+        reading for each index m in turn the verdict on each form `which` in
+        kinds (0 p_m, 1 h_m): the identity's, a unit each, or with grid
+        L9's on its Horner row, grid_n + 1 units each.  Each is paid for
+        first, and what no earlier lemma made is made here, its verdict
+        recorded."""
+        for m, which in product(self.indices, kinds):
+            self.spend(self.n + 1 if grid else 1)
+            if (m, which, grid) not in self.verdicts:
+                (self.row if grid else self.form)(m, which)
+            if verdict := self.verdicts[m, which, grid]:
+                return False, verdict
         return True, None
+
+
+def _first_difference(m: int, lhs, rhs, den: int) -> Optional[Witness]:
+    """The witness at index m and the lowest power where the integer rows
+    lhs and rhs first differ, its sides their coefficients over den; None
+    where the rows agree."""
+    diff = ((a, b) for a, b in zip_longest(lhs, rhs, fillvalue=0) if a != b)
+    return next((Witness(None, m, Fraction(a, den), Fraction(b, den)) for a, b in diff), None)
 
 
 def _peak_bound(run: _Run):
@@ -355,13 +379,14 @@ def _integral_row(run: _Run, m: int):
     return _integral_claim(run.n, m, _antiderivative(_window_row(m)))
 
 
-def _closed_sides(run: _Run, m: int):
-    p = run.p(m).nums  # p + x^2 p + (-4)^m, the constant in x^2 p's place
+def _closed_sides(p: Sequence[int], m: int):
+    # p + x^2 p + (-4)^m, the constant in x^2 p's place, against the window.
     return [a + b for a, b in zip((*p, 0, 0), ((-4) ** m, 0, *p))], _window_row(m), 1
 
 
 def _sign_row(run: _Run, m: int):
-    return _sign_claim(run.n, run.p(m), medina_scale(m), run.row(m, 0))
+    p, values = run.row(m, 0)
+    return _sign_claim(run.n, p, medina_scale(m), values)
 
 
 def _final(run: _Run):
@@ -374,30 +399,17 @@ def _final(run: _Run):
 def _final_row(run: _Run, m: int, walks: list[_Walk]):
     if not walks and m < run.m_max:  # paid for; the last row keeps none
         walks.extend(map(run.point, range(run.n + 1)))
-    h, bound = run.h(m), medina_error_bound(m)
+    (h, values), bound = run.row(m, 1), medina_error_bound(m)
     walk = walks.__getitem__ if walks else run.point
-    return _final_claim(run.n, h, bound, bound / 16, walk, run.row(m, 1))
+    return _final_claim(run.n, h, bound, bound / 16, walk, values)
 
 
-def _round_trip_sides(run: _Run, m: int):
+def _round_trip_sides(form: IntPoly, p: Sequence[int], m: int):
     # h_m = (1/s) * the integral of p_m from 0, with s = medina_scale(m), so
     # its form (D, H) has H_0 = 0 and s k H_k = D p_{k-1} at each power k >= 1.
-    form, s = run.h(m), medina_scale(m).numerator
+    s = medina_scale(m).numerator
     slopes = [form.nums[0], *(s * k * c for k, c in enumerate(form.nums[1:], 1))]
-    return slopes, [0, *(form.den * c for c in run.p(m).nums)], form.den
-
-
-def _schemes(run: _Run):
-    # p_m's verdict, then h_m's, for each m in turn, each row's units paid
-    # first: recorded when L6 or L7 made the row, or, for a row past their
-    # first failure, when it is made here.
-    for key in ((m, i) for m in run.indices for i in (0, 1)):
-        run.spend(run.n + 1)
-        if key not in run.verdicts:
-            run.row(*key)
-        if run.verdicts[key]:
-            return False, run.verdicts[key]
-    return True, None
+    return slopes, [0, *(form.den * c for c in p)], form.den
 
 
 _LEMMAS = (
@@ -423,8 +435,8 @@ _LEMMAS = (
     (
         "L5",
         "(1 + x^2) p_m(x) + (-4)^m equals x^{4m}(1-x)^{4m} identically",
-        _Run.identity,
-        _closed_sides,
+        _Run.recorded,
+        (0,),
     ),
     ("L6", "p_m(x) - ((-1)^{m+1} 4^m)/(1 + x^2) >= 0 on [0, 1]", _Run.scan, _sign_row),
     (
@@ -437,14 +449,16 @@ _LEMMAS = (
         "L8",
         "differentiating the antiderivative of p_m gives back p_m "
         "coefficient for coefficient",
-        _Run.identity,
-        _round_trip_sides,
+        _Run.recorded,
+        (1,),
     ),
     (
         "L9",
         "Horner and explicit-powers evaluation agree on p_m and h_m "
         "at every grid point",
-        _schemes,
+        _Run.recorded,
+        (0, 1),
+        True,
     ),
 )
 

@@ -4,17 +4,19 @@ catch it.
 A fault is a monkeypatch that plants one small, plausible mistake in the
 package, either around a function or in its source, recompiled with one
 edit.  Its check is an existing test of another module, run as it stands,
-with the runner's monkeypatch if it takes one; under the fault it must
-raise.  Where the construction refuses before the check can compare
-anything, the refusal is the catch, and the entry says so.
+with the runner's capsys and monkeypatch where it takes them; under the
+fault it must raise.  Where the construction refuses before the check can
+compare anything, the refusal is the catch, and the entry says so.
 """
 
 import __future__
 import inspect
 import textwrap
+from functools import partial
 
 import pytest
 import test_arctan_eval
+import test_cli
 import test_medina
 import test_oracle
 import test_poly_core
@@ -55,14 +57,14 @@ def window_binomial(monkeypatch):
     monkeypatch.setattr(verify, "_window_row", window_row)
 
 
-def deep_numerator(monkeypatch):
-    # One numerator of h_m off by one at DEEP_M alone, wherever h_m is
-    # integrated.
+def deep_numerator(monkeypatch, deep=DEEP_M):
+    # One numerator of h_m off by one at the index deep alone, wherever h_m
+    # is integrated.
     real = medina._integrate
 
     def integrate(row, m):
         form = real(row, m)
-        if m != DEEP_M:
+        if m != deep:
             return form
         nums = list(form.nums)
         nums[len(nums) // 2] += 1
@@ -136,13 +138,35 @@ def plan_reciprocal_budget(monkeypatch):
 
 
 def verdict_unrecorded(monkeypatch):
-    # L9 takes a passing verdict, None, for one never recorded, so it makes
-    # every row that passed again: the same report, with each row made twice.
-    schemes = mutant(
-        verify._schemes, "if key not in run.verdicts:", "if not run.verdicts.get(key):"
+    # The verdict pass takes a passing verdict, None, for one never
+    # recorded, so L8 makes every h_m that passed again and L9 every row:
+    # the same report, with each h_m and each row made twice.
+    recorded = mutant(
+        verify._Run.recorded,
+        "if (m, which, grid) not in self.verdicts:",
+        "if not self.verdicts.get((m, which, grid)):",
     )
-    lemmas = [(*row[:2], schemes) if row[0] == "L9" else row for row in verify._LEMMAS]
+    lemmas = [
+        (*row[:2], recorded, *row[3:]) if row[2] is verify._Run.recorded else row
+        for row in verify._LEMMAS
+    ]
     monkeypatch.setattr(verify, "_LEMMAS", tuple(lemmas))
+
+
+def l8_on_shipped_form(monkeypatch):
+    # L8 decided on the shipped medina_h(m) while an injected run serves its
+    # seed's integral: the shipped form does not give back the corrupted
+    # p_m, so the injected report fails L8 as well.
+    h = mutant(
+        verify._Run.h, "_round_trip_sides(form, p, m)", "_round_trip_sides(medina_h(m), p, m)"
+    )
+    monkeypatch.setattr(verify._Run, "h", h)
+
+
+def golden_row(test, first):
+    """The parameters of test's parametrized row whose first is first."""
+    (mark,) = (mark for mark in test.pytestmark if mark.name == "parametrize")
+    return next(row for row in mark.args[1] if row[0] == first)
 
 
 CATALOGUE = [
@@ -186,15 +210,29 @@ CATALOGUE = [
         verdict_unrecorded, test_verify.test_horner_rows_are_made_once_and_shared, (),
         AssertionError, id="verdict-unrecorded",
     ),
+    pytest.param(
+        l8_on_shipped_form, test_cli.test_golden_refusals,
+        golden_row(
+            test_cli.test_golden_refusals, "verify --grid 16 --m-max 3 --inject-fault"
+        ),
+        AssertionError, id="l8-on-shipped-form",
+    ),
+    # Past every index an exact comparison lists; only the residues see it.
+    pytest.param(
+        partial(deep_numerator, deep=500),
+        test_medina.test_shipped_form_matches_the_closed_form_modulo_a_prime, (500,),
+        AssertionError, id="deep-integrate-numerator-500",
+    ),
 ]
 
 
 @pytest.mark.parametrize("fault, check, args, caught", CATALOGUE)
 def test_each_fault_fails_its_cheapest_check(
-    monkeypatch, fresh_caches, fault, check, args, caught
+    capsys, monkeypatch, fresh_caches, fault, check, args, caught
 ):
     fault(monkeypatch)
-    if "monkeypatch" in inspect.signature(check).parameters:
-        args = (monkeypatch, *args)
+    fixtures = {"capsys": capsys, "monkeypatch": monkeypatch}
+    names = inspect.signature(check).parameters
+    wanted = [fixtures[name] for name in names if name in fixtures]
     with pytest.raises(caught):
-        check(*args)
+        check(*wanted, *args)

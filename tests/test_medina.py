@@ -144,6 +144,39 @@ def test_integer_form_reads_as_the_reference_approximant():
         assert h == approximant(medina_p_recurrence(m), m) == medina_pair(m).h
 
 
+# A prime that the numerators of h_m, however long, are read modulo.
+MERSENNE_61 = (1 << 61) - 1
+
+
+def residues_of_h(m):
+    """h_m's coefficients modulo MERSENNE_61, from the closed form on small
+    integers: the binomial row of x^{4m}(1-x)^{4m} less (-4)^m, divided in
+    place by 1 + x^2 from the top, then h_k = p_{k-1} / (s k)."""
+    q, n = MERSENNE_61, 4 * m
+    row, c = [0] * (2 * n + 1), 1
+    for j in range(n + 1):
+        row[n + j] = -c if j % 2 else c
+        c = c * (n - j) * pow(j + 1, -1, q) % q
+    row[0] -= pow(-4, m, q)
+    for i in range(2 * n, 1, -1):
+        row[i - 2] = (row[i - 2] - row[i]) % q
+    assert row[0] == row[1] == 0
+    s = (-1) ** (m + 1) * pow(4, m, q)
+    return [0, *(c * pow(s * k, -1, q) % q for k, c in enumerate(row[2:], 1))]
+
+
+@pytest.mark.parametrize("m", [500, 2000])
+def test_shipped_form_matches_the_closed_form_modulo_a_prime(m):
+    # Past the indices compared exactly (665 here, 333 in CI's lemma suite):
+    # each numerator of the shipped h_m is den times its coefficient modulo
+    # 2^61 - 1.  Built afresh, so the memo keeps no form this deep.
+    h, q = medina_h.__wrapped__(m), MERSENNE_61
+    residues = residues_of_h(m)
+    assert len(h.nums) == len(residues) == 8 * m
+    den = h.den % q
+    assert all((a - den * b) % q == 0 for a, b in zip(h.nums, residues))
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 34, 80])
 def test_shipped_approximant_makes_no_fraction(monkeypatch, m):
     def refuse(*args, **kwargs):

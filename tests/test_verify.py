@@ -204,15 +204,17 @@ def test_integral_form_is_the_fraction_routes(row):
 
 
 def test_round_trip_lemma_reads_the_shipped_form():
-    # L8's two sides are made from the form the run holds, medina_h(m)
-    # itself, and the reference p_m: H_0 against 0, then s k H_k against
-    # D p_{k-1}, equal power by power.
+    # L8's two sides are made from the form it is given and the reference
+    # p_m: H_0 against 0, then s k H_k against D p_{k-1}, equal power by
+    # power.  On a clean run _Run.h gives medina_h(m) itself, with L8's
+    # passing verdict recorded on it as it is made.
     run = verify._Run(2, 3, 100, medina._SEED, False)
     for m, row in zip(run.indices, recurrence(medina._SEED)):
-        slopes, reference, den = verify._round_trip_sides(run, m)
-        assert run.h(m) is medina_h(m)
+        slopes, reference, den = verify._round_trip_sides(medina_h(m), row, m)
         assert den == medina_h(m).den
         assert slopes == reference == [0, *(den * c for c in row)]
+        assert run.h(m) is medina_h(m)
+        assert run.verdicts[m, 1, False] is None
 
 
 def test_a_clean_run_integrates_nothing_of_its_own(monkeypatch):
@@ -242,6 +244,47 @@ def counting_walks(monkeypatch):
 
     monkeypatch.setattr(verify, "_Walk", Counting)
     return made, alive, freed
+
+
+def counting_forms(monkeypatch):
+    """Install h_m builders in verify, for medina_h and _integrate, that make
+    a new form at each call and log its index with the number of forms then
+    alive; return (made, alive)."""
+    made, alive, freed = [], [], []
+
+    class Counting(IntPoly):
+        __slots__ = ()
+
+        def __del__(self):
+            freed.append(1)
+
+    def build(form, m):
+        made.append(m)
+        alive.append(len(made) - len(freed))
+        return Counting(form.den, form.nums)
+
+    monkeypatch.setattr(verify, "medina_h", lambda m: build(medina_h(m), m))
+    monkeypatch.setattr(verify, "_integrate", lambda p, m: build(medina._integrate(p, m), m))
+    return made, alive
+
+
+@pytest.mark.parametrize(
+    "seed, order",
+    [(None, [1, 2, 3]), (corrupted_seed(), [1, 2, 3, 2, 3])],
+    ids=["clean", "corrupted"],
+)
+def test_a_run_makes_each_h_m_once_and_keeps_none(monkeypatch, seed, order):
+    # L7 makes each h_m with its Horner row, and L8's verdict is decided on
+    # the form as it is made; L8 and L9 read the verdicts, and no form
+    # outlives its row.  So a clean run makes each h_m once, in index order,
+    # with at most one alive at a time.  The corrupted seed fails L7 at
+    # m = 1, so L8 makes h_2 and h_3 for its verdicts, and L9 makes them
+    # again for their rows: integrated once at m = 1 and twice at 2 and 3.
+    made, alive = counting_forms(monkeypatch)
+    report = run_suite(16, 3, base_poly=seed)
+    assert report.all_passed == (seed is None)
+    assert made == order
+    assert max(alive) == 1
 
 
 def counting_l8(monkeypatch, freed):
