@@ -163,6 +163,30 @@ def l8_on_shipped_form(monkeypatch):
     monkeypatch.setattr(verify._Run, "h", h)
 
 
+def first_multiple_final(monkeypatch):
+    # A prime past sqrt(n) charged on its first multiple alone: p is dropped
+    # from den when it divides c_p, even if it divides no c_k at another
+    # multiple k of p.
+    integrate = mutant(
+        medina._integrate,
+        "row[p - 1] % p or any(map(mod, row[2 * p - 1 :: p], repeat(p)))",
+        "row[p - 1] % p",
+    )
+    monkeypatch.setattr(medina, "_integrate", integrate)
+
+
+def small_prime_exponent(monkeypatch):
+    # A prime up to sqrt(n) charged at most p, whichever power q of p its
+    # c_k lack: h_7's den then holds 3, 5 and 7 once each, where k = 27,
+    # 25 and 49 ask for 3^3, 5^2 and 7^2.
+    integrate = mutant(
+        medina._integrate,
+        "f = max(f, q // math.gcd(q, *row[q - 1 :: q]))",
+        "f = max(f, p // math.gcd(p, *row[q - 1 :: q]))",
+    )
+    monkeypatch.setattr(medina, "_integrate", integrate)
+
+
 def golden_row(test, first):
     """The parameters of test's parametrized row whose first is first."""
     (mark,) = (mark for mark in test.pytestmark if mark.name == "parametrize")
@@ -216,6 +240,17 @@ CATALOGUE = [
             test_cli.test_golden_refusals, "verify --grid 16 --m-max 3 --inject-fault"
         ),
         AssertionError, id="l8-on-shipped-form",
+    ),
+    # At every index of the closed form up to 80, and at 160, 333 and 665, a
+    # prime past sqrt(n) that divides c_p divides c_k at each other multiple
+    # k of p, so no shipped h_m sees this; the frozen rule's rows do.
+    pytest.param(
+        first_multiple_final, test_medina.test_integrate_matches_the_lcm_rule, (),
+        AssertionError, id="first-multiple-final",
+    ),
+    pytest.param(
+        small_prime_exponent, test_medina.test_approximants_are_prepared_and_unchanged,
+        (7,), AssertionError, id="small-prime-exponent",
     ),
     # Past every index an exact comparison lists; only the residues see it.
     pytest.param(
